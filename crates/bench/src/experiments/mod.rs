@@ -1,5 +1,5 @@
-//! One module per reproduced table/figure. See DESIGN.md §5 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! One module per reproduced table/figure; `repro --help` lists the
+//! experiment ids.
 
 pub mod fig10;
 pub mod fig2;

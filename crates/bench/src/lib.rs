@@ -1,6 +1,6 @@
 //! Reproduction harness for the LogR paper's evaluation.
 //!
-//! One module per table/figure (see DESIGN.md §5 for the experiment index).
+//! One module per table/figure (`repro --help` lists the experiment ids).
 //! The `repro` binary dispatches to [`experiments`]; every experiment
 //! prints an aligned text table to stdout and writes a CSV under
 //! `results/`.
@@ -8,8 +8,7 @@
 //! Absolute numbers will differ from the paper (synthetic data, different
 //! machine, Rust vs Python/MATLAB/PostgreSQL substrates) — the claims being
 //! reproduced are the *shapes*: who wins, convergence trends, crossovers,
-//! and orders of magnitude between methods. EXPERIMENTS.md records
-//! paper-vs-measured for every artifact.
+//! and orders of magnitude between methods.
 
 pub mod datasets;
 pub mod experiments;

@@ -44,7 +44,7 @@
 //!
 //! [`CondensedShards`] is the merged read view: it serves the same
 //! `n()`/`get(i, j)` reads as [`CondensedMatrix`], and
-//! [`CondensedShards::to_condensed`] materializes a real `CondensedMatrix`
+//! [`CondensedShards::try_to_condensed`] materializes a real `CondensedMatrix`
 //! for the consumers that mutate distances in place (hierarchical
 //! Lance–Williams) or scan the raw buffer (spectral's median-σ heuristic).
 
@@ -182,16 +182,8 @@ impl ShardedPointSet {
     /// reports (missing → `Io`, cut short → `Truncated`, rotted →
     /// `ChecksumMismatch`, …); a chain inconsistency between valid files —
     /// including shard files whose payloads were swapped — is
-    /// [`SpillError::ChainMismatch`]. Never panics.
-    pub fn from_spilled_files(
-        config: SpillConfig,
-        files: &[PathBuf],
-    ) -> Result<ShardedPointSet, SpillError> {
-        ShardedPointSet::from_spilled_files_with(vfs::default_vfs(), config, files)
-    }
-
-    /// [`ShardedPointSet::from_spilled_files`] with every file operation
-    /// routed through `vfs`.
+    /// [`SpillError::ChainMismatch`]. Never panics. Every file operation
+    /// goes through `vfs`.
     pub fn from_spilled_files_with(
         vfs: Arc<dyn Vfs>,
         config: SpillConfig,
@@ -524,40 +516,16 @@ impl ShardedPointSet {
     /// earlier points. Cost: `O(w² + h·w)` popcounts for a shard of `w`
     /// points over a history of `h` — never `O((h + w)²)`.
     ///
+    /// Appending against spilled history reads the store (and may evict
+    /// afterwards). Error semantics: a failure while **reloading
+    /// history** for the cross block leaves the set untouched (safe to
+    /// retry); a failure while **evicting** afterwards means the append
+    /// itself already succeeded — check `len()` before retrying, or
+    /// points double-append.
+    ///
     /// # Panics
     /// Panics if `n_features` is smaller than a previous push's universe
-    /// (codebooks only grow), if a vector sets a feature outside it, or —
-    /// with a spill store attached — if the store fails
-    /// ([`ShardedPointSet::try_push_shard`] reports that as a typed error
-    /// instead).
-    pub fn push_shard(&mut self, vectors: &[&QueryVector], n_features: usize) {
-        self.push_shard_threads(vectors, n_features, par::threads());
-    }
-
-    /// [`ShardedPointSet::push_shard`] with an explicit worker count.
-    /// Mismatch counts are integers written to disjoint slices, so the
-    /// result is identical for every `n_threads` (unit- and
-    /// property-tested); this entry point exists so tests and benches can
-    /// force the fan-out.
-    pub fn push_shard_threads(
-        &mut self,
-        vectors: &[&QueryVector],
-        n_features: usize,
-        n_threads: usize,
-    ) {
-        self.try_push_shard_threads(vectors, n_features, n_threads)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible append; try_push_shard is the typed-error route
-            .unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"));
-    }
-
-    /// Fallible [`ShardedPointSet::push_shard`]: appending against spilled
-    /// history reads the store (and may evict afterwards), and this
-    /// variant surfaces those failures as [`SpillError`]s.
-    ///
-    /// Error semantics: a failure while **reloading history** for the
-    /// cross block leaves the set untouched (safe to retry); a failure
-    /// while **evicting** afterwards means the append itself already
-    /// succeeded — check `len()` before retrying, or points double-append.
+    /// (codebooks only grow) or if a vector sets a feature outside it.
     pub fn try_push_shard(
         &mut self,
         vectors: &[&QueryVector],
@@ -567,6 +535,10 @@ impl ShardedPointSet {
     }
 
     /// [`ShardedPointSet::try_push_shard`] with an explicit worker count.
+    /// Mismatch counts are integers written to disjoint slices, so the
+    /// result is identical for every `n_threads` (unit- and
+    /// property-tested); this entry point exists so tests can force the
+    /// fan-out.
     pub fn try_push_shard_threads(
         &mut self,
         vectors: &[&QueryVector],
@@ -696,20 +668,9 @@ impl ShardedPointSet {
     }
 
     /// Materialize the merged condensed matrix under `metric` — the exact
-    /// bits `PointSet::distances` would produce for the same points.
-    ///
-    /// # Panics
-    /// Panics if a spilled shard cannot be reloaded
-    /// ([`ShardedPointSet::try_condensed`] reports that as a typed error
-    /// instead).
-    pub fn condensed(&self, metric: Distance) -> CondensedMatrix {
-        self.condensed_shards(metric).to_condensed()
-    }
-
-    /// Fallible [`ShardedPointSet::condensed`]: a spilled shard that can
-    /// no longer be reloaded (store deleted or corrupted underneath the
-    /// set) surfaces as a [`SpillError`] instead of a panic — the flavor
-    /// `logr::Engine` snapshot reads go through.
+    /// bits `PointSet::distances` would produce for the same points. A
+    /// spilled shard that can no longer be reloaded (store deleted or
+    /// corrupted underneath the set) surfaces as a [`SpillError`].
     pub fn try_condensed(&self, metric: Distance) -> Result<CondensedMatrix, SpillError> {
         self.condensed_shards(metric).try_to_condensed()
     }
@@ -861,18 +822,8 @@ impl CondensedShards<'_> {
     /// materializing over a spilled history holds at most one shard's
     /// payload beyond the resident budget.
     ///
-    /// # Panics
-    /// Panics if a spilled shard cannot be reloaded
-    /// ([`CondensedShards::try_to_condensed`] reports that as a typed
-    /// error instead).
-    pub fn to_condensed(&self) -> CondensedMatrix {
-        self.try_to_condensed()
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the infallible materializer; try_to_condensed is the typed-error route
-            .unwrap_or_else(|e| panic!("materializing the merged condensed matrix failed: {e}"))
-    }
-
-    /// Fallible [`CondensedShards::to_condensed`]: a spilled shard that
-    /// can no longer be reloaded surfaces as a [`SpillError`].
+    /// A spilled shard that can no longer be reloaded surfaces as a
+    /// [`SpillError`].
     pub fn try_to_condensed(&self) -> Result<CondensedMatrix, SpillError> {
         let set = self.set;
         let n = set.len();
@@ -898,7 +849,7 @@ impl CondensedShards<'_> {
             // reused, but a miss loads transiently and drops when the
             // shard's segments are filled — a completed merge leaves
             // `resident_bytes()` exactly where it found it, so the budget
-            // holds after a `history_summary`-style read, not just after
+            // holds after a `try_history_summary`-style read, not just after
             // appends.
             let data = set.load_shard(t, false)?;
             let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(te);
@@ -980,11 +931,11 @@ mod tests {
         for shard_size in [1, 2, 3, refs.len()] {
             let mut sharded = ShardedPointSet::new();
             for chunk in refs.chunks(shard_size) {
-                sharded.push_shard(chunk, nf);
+                sharded.try_push_shard(chunk, nf).unwrap();
             }
             assert_eq!(sharded.len(), refs.len());
             for metric in all_metrics() {
-                let merged = sharded.condensed(metric);
+                let merged = sharded.try_condensed(metric).unwrap();
                 let whole = monolithic.distances(metric);
                 assert_eq!(
                     merged.as_slice(),
@@ -1001,10 +952,10 @@ mod tests {
         let refs: Vec<&QueryVector> = vs.iter().collect();
         let mut sharded = ShardedPointSet::new();
         for chunk in refs.chunks(3) {
-            sharded.push_shard(chunk, 80);
+            sharded.try_push_shard(chunk, 80).unwrap();
         }
         let view = sharded.condensed_shards(Distance::Hamming);
-        let cm = view.to_condensed();
+        let cm = view.try_to_condensed().unwrap();
         assert_eq!(view.n(), cm.n());
         for i in 0..view.n() {
             for j in 0..view.n() {
@@ -1024,15 +975,15 @@ mod tests {
         let refs_a: Vec<&QueryVector> = a.iter().collect();
         let refs_b: Vec<&QueryVector> = b.iter().collect();
         let mut sharded = ShardedPointSet::new();
-        sharded.push_shard(&refs_a, 8);
-        sharded.push_shard(&refs_b, 128);
+        sharded.try_push_shard(&refs_a, 8).unwrap();
+        sharded.try_push_shard(&refs_b, 128).unwrap();
         assert_eq!(sharded.n_features(), 128);
 
         let all: Vec<&QueryVector> = a.iter().chain(b.iter()).collect();
         let monolithic = PointSet::from_vectors(&all, 128);
         for metric in all_metrics() {
             assert_eq!(
-                sharded.condensed(metric).as_slice(),
+                sharded.try_condensed(metric).unwrap().as_slice(),
                 monolithic.distances(metric).as_slice(),
                 "{metric:?}"
             );
@@ -1044,8 +995,8 @@ mod tests {
     fn shrinking_universe_rejected() {
         let v = qv(&[0]);
         let mut sharded = ShardedPointSet::new();
-        sharded.push_shard(&[&v], 16);
-        sharded.push_shard(&[&v], 8);
+        sharded.try_push_shard(&[&v], 16).unwrap();
+        sharded.try_push_shard(&[&v], 8).unwrap();
     }
 
     #[test]
@@ -1053,16 +1004,16 @@ mod tests {
         let vs = sample();
         let refs: Vec<&QueryVector> = vs.iter().collect();
         let mut sharded = ShardedPointSet::new();
-        sharded.push_shard(&[], 80);
-        sharded.push_shard(&refs[..4], 80);
-        sharded.push_shard(&[], 80);
-        sharded.push_shard(&refs[4..], 80);
+        sharded.try_push_shard(&[], 80).unwrap();
+        sharded.try_push_shard(&refs[..4], 80).unwrap();
+        sharded.try_push_shard(&[], 80).unwrap();
+        sharded.try_push_shard(&refs[4..], 80).unwrap();
         assert_eq!(sharded.n_shards(), 4);
         assert_eq!(sharded.shard_range(1), 0..4);
         assert!(sharded.shard_range(2).is_empty());
         let monolithic = PointSet::from_vectors(&refs, 80);
         assert_eq!(
-            sharded.condensed(Distance::Manhattan).as_slice(),
+            sharded.try_condensed(Distance::Manhattan).unwrap().as_slice(),
             monolithic.distances(Distance::Manhattan).as_slice()
         );
     }
@@ -1077,9 +1028,9 @@ mod tests {
         for n_threads in [1usize, 2, 7] {
             let mut sharded = ShardedPointSet::new();
             for chunk in refs.chunks(150) {
-                sharded.push_shard_threads(chunk, 32, n_threads);
+                sharded.try_push_shard_threads(chunk, 32, n_threads).unwrap();
             }
-            results.push(sharded.condensed(Distance::Euclidean));
+            results.push(sharded.try_condensed(Distance::Euclidean).unwrap());
         }
         assert_eq!(results[0].as_slice(), results[1].as_slice());
         assert_eq!(results[0].as_slice(), results[2].as_slice());
@@ -1092,19 +1043,19 @@ mod tests {
         // `shard_starts`, which panicked on first use).
         let defaulted = ShardedPointSet::default();
         assert!(defaulted.is_empty());
-        assert_eq!(defaulted.condensed(Distance::Hamming).n(), 0);
+        assert_eq!(defaulted.try_condensed(Distance::Hamming).unwrap().n(), 0);
 
         let empty = ShardedPointSet::new();
         assert!(empty.is_empty());
         assert_eq!(empty.n_shards(), 0);
-        assert_eq!(empty.condensed(Distance::Hamming).n(), 0);
+        assert_eq!(empty.try_condensed(Distance::Hamming).unwrap().n(), 0);
 
         let v = qv(&[1]);
         let mut one = ShardedPointSet::new();
-        one.push_shard(&[&v], 4);
+        one.try_push_shard(&[&v], 4).unwrap();
         assert_eq!(one.len(), 1);
         assert_eq!(one.mismatches(0, 0), 0);
-        let cm = one.condensed(Distance::Manhattan);
+        let cm = one.try_condensed(Distance::Manhattan).unwrap();
         assert_eq!(cm.n(), 1);
         assert_eq!(cm.get(0, 0), 0.0);
     }
@@ -1119,7 +1070,7 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
         for chunk in refs.chunks(10) {
-            sharded.push_shard(chunk, 16);
+            sharded.try_push_shard(chunk, 16).unwrap();
             // Budget 0: everything but the pinned tail is spilled, and the
             // tail is always the newest shard.
             let n = sharded.n_shards();
@@ -1132,7 +1083,7 @@ mod tests {
         // the monolithic build.
         let monolithic = PointSet::from_vectors(&refs, 16);
         assert_eq!(
-            sharded.condensed(Distance::Hamming).as_slice(),
+            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
             monolithic.distances(Distance::Hamming).as_slice()
         );
         assert_eq!(sharded.mismatches(0, 59), monolithic.mismatches(0, 59));
@@ -1149,8 +1100,8 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX })
             .unwrap();
         for chunk in refs.chunks(2) {
-            resident.push_shard(chunk, 80);
-            spilled.push_shard(chunk, 80);
+            resident.try_push_shard(chunk, 80).unwrap();
+            spilled.try_push_shard(chunk, 80).unwrap();
         }
         assert_eq!(spilled.spilled_shards(), 0, "unbounded budget spills nothing");
         let evicted = spilled.spill_all().unwrap();
@@ -1158,8 +1109,8 @@ mod tests {
         assert_eq!(spilled.resident_bytes(), 0);
         for metric in all_metrics() {
             assert_eq!(
-                spilled.condensed(metric).as_slice(),
-                resident.condensed(metric).as_slice(),
+                spilled.try_condensed(metric).unwrap().as_slice(),
+                resident.try_condensed(metric).unwrap().as_slice(),
                 "{metric:?}"
             );
         }
@@ -1189,13 +1140,13 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
         for chunk in refs.chunks(40) {
-            resident.push_shard(chunk, 24);
-            spilled.push_shard(chunk, 24); // cross block reloads history shards
+            resident.try_push_shard(chunk, 24).unwrap();
+            spilled.try_push_shard(chunk, 24).unwrap(); // cross block reloads history shards
         }
         assert_eq!(spilled.spilled_shards(), spilled.n_shards() - 1);
         assert_eq!(
-            spilled.condensed(Distance::Canberra).as_slice(),
-            resident.condensed(Distance::Canberra).as_slice()
+            spilled.try_condensed(Distance::Canberra).unwrap().as_slice(),
+            resident.try_condensed(Distance::Canberra).unwrap().as_slice()
         );
     }
 
@@ -1214,10 +1165,10 @@ mod tests {
         sharded
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
-        sharded.push_shard(&refs[..3], 80);
-        sharded.push_shard(&refs[3..5], 80); // spills shard 0
+        sharded.try_push_shard(&refs[..3], 80).unwrap();
+        sharded.try_push_shard(&refs[3..5], 80).unwrap(); // spills shard 0
         assert_eq!(sharded.spilled_shards(), 1);
-        let before = sharded.condensed(Distance::Hamming);
+        let before = sharded.try_condensed(Distance::Hamming).unwrap();
         for entry in std::fs::read_dir(store.path()).unwrap() {
             std::fs::remove_file(entry.unwrap().path()).unwrap();
         }
@@ -1246,11 +1197,11 @@ mod tests {
             .unwrap();
         // First shards close at a narrower universe than later ones.
         for (c, chunk) in refs.chunks(15).enumerate() {
-            sharded.push_shard(chunk, if c < 2 { 48 } else { 64 });
+            sharded.try_push_shard(chunk, if c < 2 { 48 } else { 64 }).unwrap();
         }
         assert!(sharded.spilled_shards() > 0, "budget 0 must have spilled history");
         let before: Vec<CondensedMatrix> =
-            all_metrics().iter().map(|&m| sharded.condensed(m)).collect();
+            all_metrics().iter().map(|&m| sharded.try_condensed(m).unwrap()).collect();
         let point_before = sharded.mismatches(3, 71);
 
         let stats = sharded.compact().unwrap();
@@ -1260,18 +1211,22 @@ mod tests {
         assert_eq!(sharded.len(), refs.len());
         assert_eq!(sharded.n_features(), 64);
         for (m, reference) in all_metrics().iter().zip(&before) {
-            assert_eq!(sharded.condensed(*m).as_slice(), reference.as_slice(), "{m:?}");
+            assert_eq!(
+                sharded.try_condensed(*m).unwrap().as_slice(),
+                reference.as_slice(),
+                "{m:?}"
+            );
         }
         assert_eq!(sharded.mismatches(3, 71), point_before);
         // Appends keep working against the compacted history.
         let extra = qv(&[0, 63]);
         let mut grown = sharded.clone();
-        grown.push_shard(&[&extra], 64);
+        grown.try_push_shard(&[&extra], 64).unwrap();
         let mut all: Vec<&QueryVector> = refs.clone();
         all.push(&extra);
         let monolithic = PointSet::from_vectors(&all, 64);
         assert_eq!(
-            grown.condensed(Distance::Hamming).as_slice(),
+            grown.try_condensed(Distance::Hamming).unwrap().as_slice(),
             monolithic.distances(Distance::Hamming).as_slice()
         );
         // Compacting a single shard is a no-op.
@@ -1291,14 +1246,14 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
         for chunk in refs.chunks(10) {
-            sharded.push_shard(chunk, 16);
+            sharded.try_push_shard(chunk, 16).unwrap();
         }
         sharded.compact().unwrap();
         assert_eq!(sharded.spilled_shards(), 1, "over-budget merge must evict");
         assert_eq!(sharded.resident_bytes(), 0);
         let monolithic = PointSet::from_vectors(&refs, 16);
         assert_eq!(
-            sharded.condensed(Distance::Hamming).as_slice(),
+            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
             monolithic.distances(Distance::Hamming).as_slice()
         );
     }
@@ -1313,7 +1268,7 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX })
             .unwrap();
         for chunk in refs.chunks(2) {
-            sharded.push_shard(chunk, 80);
+            sharded.try_push_shard(chunk, 80).unwrap();
         }
         let resident_before = sharded.resident_bytes();
         let written = sharded.persist_all().unwrap();
@@ -1338,14 +1293,15 @@ mod tests {
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX })
             .unwrap();
         for (c, chunk) in refs.chunks(10).enumerate() {
-            original.push_shard(chunk, if c == 0 { 40 } else { 48 });
+            original.try_push_shard(chunk, if c == 0 { 40 } else { 48 }).unwrap();
         }
         original.persist_all().unwrap();
         let files: Vec<PathBuf> = (0..original.n_shards())
             .map(|s| original.shard_file(s).unwrap().to_path_buf())
             .collect();
 
-        let reopened = ShardedPointSet::from_spilled_files(
+        let reopened = ShardedPointSet::from_spilled_files_with(
+            vfs::default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX },
             &files,
         )
@@ -1356,8 +1312,8 @@ mod tests {
         assert_eq!(reopened.resident_bytes(), 0, "recovery must not preload payloads");
         for metric in all_metrics() {
             assert_eq!(
-                reopened.condensed(metric).as_slice(),
-                original.condensed(metric).as_slice(),
+                reopened.try_condensed(metric).unwrap().as_slice(),
+                original.try_condensed(metric).unwrap().as_slice(),
                 "{metric:?}"
             );
         }
@@ -1366,7 +1322,8 @@ mod tests {
         // A reordered chain is a typed error, not a wrong answer.
         let mut swapped = files.clone();
         swapped.swap(0, 1);
-        let err = ShardedPointSet::from_spilled_files(
+        let err = ShardedPointSet::from_spilled_files_with(
+            vfs::default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 },
             &swapped,
         )
@@ -1375,7 +1332,8 @@ mod tests {
         // A missing file is an I/O error.
         let mut missing = files.clone();
         missing[0] = store.join("gone.bin");
-        let err = ShardedPointSet::from_spilled_files(
+        let err = ShardedPointSet::from_spilled_files_with(
+            vfs::default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 },
             &missing,
         )
@@ -1392,8 +1350,8 @@ mod tests {
         sharded
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
-        sharded.push_shard(&refs[..4], 80);
-        sharded.push_shard(&refs[4..], 80); // spills shard 0
+        sharded.try_push_shard(&refs[..4], 80).unwrap();
+        sharded.try_push_shard(&refs[4..], 80).unwrap(); // spills shard 0
         assert!(!sharded.shard_is_resident(0));
         let before = sharded.mismatches(0, 1);
         sharded.cache.lock().unwrap().entry = None;
@@ -1407,7 +1365,8 @@ mod tests {
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(sharded.mismatches(0, 1), before, "trusted reload must serve the payload");
-        let err = ShardedPointSet::from_spilled_files(
+        let err = ShardedPointSet::from_spilled_files_with(
+            vfs::default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 },
             &[path],
         )
@@ -1423,25 +1382,25 @@ mod tests {
         let mut base = ShardedPointSet::new();
         base.set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
-        base.push_shard(&refs[..4], 80);
+        base.try_push_shard(&refs[..4], 80).unwrap();
         let mut a = base.clone();
         let mut b = base.clone();
         // Both clones append shard #1 and spill it into the shared
         // directory; the global name sequence keeps the files distinct.
-        a.push_shard(&refs[4..6], 80);
-        b.push_shard(&refs[4..], 80);
+        a.try_push_shard(&refs[4..6], 80).unwrap();
+        b.try_push_shard(&refs[4..], 80).unwrap();
         a.spill_all().unwrap();
         b.spill_all().unwrap();
         assert_eq!(a.len(), 6);
         assert_eq!(b.len(), 7);
         let mono_a = PointSet::from_vectors(&refs[..6], 80);
         assert_eq!(
-            a.condensed(Distance::Hamming).as_slice(),
+            a.try_condensed(Distance::Hamming).unwrap().as_slice(),
             mono_a.distances(Distance::Hamming).as_slice()
         );
         let mono_b = PointSet::from_vectors(&refs, 80);
         assert_eq!(
-            b.condensed(Distance::Hamming).as_slice(),
+            b.try_condensed(Distance::Hamming).unwrap().as_slice(),
             mono_b.distances(Distance::Hamming).as_slice()
         );
     }
@@ -1455,7 +1414,7 @@ mod tests {
         sharded
             .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
             .unwrap();
-        sharded.push_shard(&refs[..3], 80);
+        sharded.try_push_shard(&refs[..3], 80).unwrap();
         // Point the store at a dead directory: the next eviction fails
         // with a typed error and the shard stays resident (no data loss).
         sharded.spill = Some(SpillConfig { dir: store.join("no/such/dir"), resident_budget: 0 });
@@ -1465,7 +1424,7 @@ mod tests {
         assert_eq!(sharded.spilled_shards(), 0, "the failed eviction restored the payload");
         let monolithic = PointSet::from_vectors(&refs, 80);
         assert_eq!(
-            sharded.condensed(Distance::Hamming).as_slice(),
+            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
             monolithic.distances(Distance::Hamming).as_slice()
         );
     }

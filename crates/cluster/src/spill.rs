@@ -40,7 +40,7 @@
 //! corruption is a typed error, never a panic or a silently-wrong
 //! distance.
 
-use crate::vfs::{retry_io, RealFs, Vfs};
+use crate::vfs::{retry_io, Vfs};
 use logr_feature::BitVec;
 use std::fmt;
 use std::path::Path;
@@ -362,20 +362,10 @@ pub fn write_file_with(
     Ok(bytes.len() as u64)
 }
 
-/// [`write_file_with`] on the real filesystem.
-pub fn write_file(path: &Path, record: &ShardRecord) -> Result<u64, SpillError> {
-    write_file_with(&RealFs, path, record)
-}
-
 /// Load and validate a shard record from `path` through `vfs`, riding
 /// out transient read errors.
 pub fn read_file_with(vfs: &dyn Vfs, path: &Path) -> Result<ShardRecord, SpillError> {
     decode(&retry_io(|| vfs.read(path))?)
-}
-
-/// [`read_file_with`] on the real filesystem.
-pub fn read_file(path: &Path) -> Result<ShardRecord, SpillError> {
-    read_file_with(&RealFs, path)
 }
 
 /// [`read_file_with`] for a file already validated by this process —
@@ -387,6 +377,7 @@ pub fn read_file_trusted_with(vfs: &dyn Vfs, path: &Path) -> Result<ShardRecord,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::RealFs;
     use logr_feature::{FeatureId, QueryVector};
 
     fn sample_record() -> ShardRecord {
@@ -441,16 +432,16 @@ mod tests {
         let store = crate::testutil::TempStore::new("spill-unit");
         let path = store.join("shard.bin");
         let record = sample_record();
-        let written = write_file(&path, &record).unwrap();
+        let written = write_file_with(&RealFs, &path, &record).unwrap();
         assert_eq!(written, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(read_file(&path).unwrap(), record);
+        assert_eq!(read_file_with(&RealFs, &path).unwrap(), record);
         // The atomic-rename temp sibling is gone.
         assert!(!path.with_extension("tmp").exists());
     }
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = read_file(Path::new("/nonexistent/logr/shard.bin")).unwrap_err();
+        let err = read_file_with(&RealFs, Path::new("/nonexistent/logr/shard.bin")).unwrap_err();
         assert!(matches!(err, SpillError::Io(_)), "{err}");
     }
 

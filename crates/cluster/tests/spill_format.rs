@@ -5,6 +5,7 @@
 
 use logr_cluster::spill::{self, ShardRecord, SpillError, MAGIC, VERSION};
 use logr_cluster::testutil::TempStore;
+use logr_cluster::vfs::RealFs;
 use logr_feature::{BitVec, FeatureId, QueryVector};
 fn qv(ids: &[u32]) -> QueryVector {
     QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())
@@ -31,8 +32,8 @@ fn valid_file_round_trips() {
     let store = TempStore::new("ok");
     let path = store.join("shard.bin");
     let record = record();
-    spill::write_file(&path, &record).unwrap();
-    assert_eq!(spill::read_file(&path).unwrap(), record);
+    spill::write_file_with(&RealFs, &path, &record).unwrap();
+    assert_eq!(spill::read_file_with(&RealFs, &path).unwrap(), record);
 }
 
 #[test]
@@ -46,7 +47,7 @@ fn truncated_file_is_a_typed_error_at_every_cut() {
     // itself, not as the checksum mismatch it also causes).
     for cut in 0..bytes.len() {
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = spill::read_file(&path).unwrap_err();
+        let err = spill::read_file_with(&RealFs, &path).unwrap_err();
         assert!(
             matches!(err, SpillError::Truncated { .. }),
             "cut at {cut}/{} gave {err}",

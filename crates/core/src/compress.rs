@@ -148,7 +148,7 @@ impl LogR {
     /// Compress a log whose pairwise distances over distinct entries are
     /// already materialized as a condensed matrix — the streaming/sharded
     /// path: a [`logr_cluster::ShardedPointSet`] merges its per-window
-    /// shards through `condensed(metric)` and hands the result here, so no
+    /// shards through `try_condensed(metric)` and hands the result here, so no
     /// pairwise distance is ever recomputed. Clustering is hierarchical
     /// (the strategy that consumes condensed matrices directly), and every
     /// [`CompressionObjective`] resolves by cutting **one** dendrogram —

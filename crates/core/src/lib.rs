@@ -63,7 +63,7 @@ pub use stream::{
     rotate_baseline, CloseDelta, StreamConfig, StreamState, StreamSummarizer, TimeWindows,
     WindowSummary,
 };
-// Source configuration re-exported so stream callers configure the
-// record → feature mapping without naming `logr-source` directly.
-pub use logr_source::{SourceConfig, TemplateConfig};
+// Source configuration and the ingest record re-exported so stream
+// callers need not name `logr-source` directly.
+pub use logr_source::{Record, SourceConfig, TemplateConfig};
 pub use synthesis::{marginal_deviation, synthesis_error};

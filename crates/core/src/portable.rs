@@ -234,25 +234,14 @@ impl PortableSummary {
         Ok(PortableSummary { total_queries, codebook, components })
     }
 
-    /// Save to a file on the default (real) filesystem.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_with(&*logr_cluster::vfs::default_vfs(), path.as_ref())
-    }
-
     /// Save to a file through an explicit [`Vfs`] — the injection point
-    /// the fault suites drive; [`PortableSummary::save`] is this over the
-    /// real filesystem.
+    /// the fault suites drive.
     ///
     /// [`Vfs`]: logr_cluster::vfs::Vfs
     pub fn save_with(&self, vfs: &dyn logr_cluster::vfs::Vfs, path: &Path) -> std::io::Result<()> {
         let mut out = Vec::new();
         self.write_to(&mut out)?;
         vfs.write(path, &out)
-    }
-
-    /// Load from a file on the default (real) filesystem.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PortableError> {
-        PortableSummary::load_with(&*logr_cluster::vfs::default_vfs(), path.as_ref())
     }
 
     /// Load from a file through an explicit [`Vfs`].
@@ -428,8 +417,8 @@ mod tests {
     fn file_round_trip() {
         let (_, portable) = sample();
         let path = std::env::temp_dir().join("logr_portable_test.summary");
-        portable.save(&path).unwrap();
-        let loaded = PortableSummary::load(&path).unwrap();
+        portable.save_with(&logr_cluster::vfs::RealFs, &path).unwrap();
+        let loaded = PortableSummary::load_with(&logr_cluster::vfs::RealFs, &path).unwrap();
         assert_eq!(loaded.total_queries, portable.total_queries);
         std::fs::remove_file(&path).ok();
     }

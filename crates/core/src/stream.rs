@@ -12,14 +12,14 @@
 //!   scores** ([`novelty_scores`]) against a rolling baseline;
 //! * an appendable **history**: each window's new distinct queries become
 //!   one shard of a [`ShardedPointSet`], so a summary of *everything seen
-//!   so far* ([`StreamSummarizer::history_summary`]) clusters over the
+//!   so far* ([`StreamSummarizer::try_history_summary`]) clusters over the
 //!   merged condensed matrix without recomputing any pairwise distance.
 //!
 //! # Window semantics
 //!
 //! Windows are **count-based** by default and multiplicity-weighted: a
 //! window closes once at least [`StreamConfig::window`] queries (not
-//! statements — an `ingest_with_count(sql, 500)` contributes 500) have
+//! statements — a `Record::new(sql).times(500)` contributes 500) have
 //! accumulated, at a statement boundary (a single ingest call is atomic,
 //! so a window may overshoot by the last statement's multiplicity).
 //!
@@ -43,9 +43,8 @@
 //! elapsed boundary, and the grid then skips to the first boundary past
 //! the arrival — the intermediate windows (including, for sliding
 //! windows, ones that would have re-spanned part of the buffer) emit
-//! nothing. Timestamps come from [`StreamSummarizer::ingest_at_ms`]
-//! (tests inject a synthetic clock this way); the plain
-//! [`StreamSummarizer::ingest`] front end stamps statements with the
+//! nothing. Timestamps come from [`Record::at`] (tests inject a
+//! synthetic clock this way); a record without one is stamped with the
 //! system clock. Non-monotonic timestamps are clamped forward: a late
 //! arrival is treated as landing now.
 //!
@@ -71,11 +70,11 @@
 //!
 //! The history's per-shard mismatch buffers grow quadratically with the
 //! distinct-query count, so an unbounded run eventually cannot keep them
-//! all resident. [`StreamSummarizer::spill_to`] attaches the persistent
+//! all resident. [`StreamSummarizer::spill_to_with`] attaches the persistent
 //! shard store (`logr-cluster::spill`) with a resident-byte budget:
 //! after every window close, the oldest closed shards are
 //! evicted to disk and reload transparently when
-//! [`StreamSummarizer::history_summary`] (or any distance read) needs
+//! [`StreamSummarizer::try_history_summary`] (or any distance read) needs
 //! them. Window summaries, drift reports, and history summaries are
 //! **bit-identical** to an unbounded run — the store holds integer
 //! mismatch counts and bit-packed points, never floats — and
@@ -112,7 +111,7 @@ use logr_cluster::{
     ClusterMethod, CompactionStats, Distance, PointSet, ShardedPointSet, SpillConfig, SpillError,
 };
 use logr_feature::{QueryLog, QueryVector};
-use logr_source::{FeatureBranch, Featurizer, SourceConfig, SourceError};
+use logr_source::{FeatureBranch, Featurizer, Record, SourceConfig, SourceError};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -219,7 +218,7 @@ impl StreamConfig {
 
     /// The compressor configuration every summary derived from this
     /// stream uses — the one definition behind both
-    /// [`StreamSummarizer::history_summary`] and `logr::Engine` snapshot
+    /// [`StreamSummarizer::try_history_summary`] and `logr::Engine` snapshot
     /// summaries, which are documented as bit-identical at the same
     /// boundary and therefore must never construct this independently.
     pub fn compressor_config(&self) -> LogRConfig {
@@ -286,7 +285,7 @@ struct CacheSlot {
 /// Everything a [`StreamSummarizer`] needs beyond its configuration and
 /// shard store to resume mid-stream: the complete, plain-data snapshot
 /// `logr::Engine` persists in its store manifest and feeds back through
-/// [`StreamSummarizer::from_state`] on recovery. A summarizer restored
+/// [`StreamSummarizer::try_from_state`] on recovery. A summarizer restored
 /// from its exported state (plus a [`ShardedPointSet`] rebuilt from the
 /// same store) continues **bit-identically** — every later window
 /// summary, drift report, novelty vector, and history summary matches a
@@ -375,6 +374,36 @@ pub struct CloseDelta {
     /// journal reproduces the full journal, so replay appends these bytes
     /// to [`StreamState::source_state`].
     pub source_events: Vec<u8>,
+}
+
+impl StreamState {
+    /// Replay one close onto the pre-close state it was captured against:
+    /// scalars and buffers overwrite, the history absorbs the stride, the
+    /// rotation reruns from its recorded inputs through
+    /// [`rotate_baseline`], and the journal increment appends — exactly
+    /// what [`StreamSummarizer::export_state`] emitted after that close.
+    /// The one definition delta-log replay runs.
+    pub fn apply_close(&mut self, delta: CloseDelta, baseline_windows: usize) {
+        self.buffer = delta.buffer;
+        self.pending = delta.pending;
+        self.since_close = delta.since_close;
+        self.next_close_ms = delta.next_close_ms;
+        self.last_ts_ms = delta.last_ts_ms;
+        self.windows_closed = delta.windows_closed;
+        self.statements_parsed = delta.statements_parsed;
+        self.history.absorb(&delta.stride_log);
+        let mut rotation: VecDeque<(QueryLog, u64)> =
+            std::mem::take(&mut self.baseline_logs).into();
+        self.baseline = rotate_baseline(
+            &mut rotation,
+            delta.stride_log,
+            delta.window_queries,
+            delta.overlap_span,
+            baseline_windows,
+        );
+        self.baseline_logs = rotation.into();
+        self.source_state.extend_from_slice(&delta.source_events);
+    }
 }
 
 /// One close's baseline rotation, factored out so the live close path
@@ -512,7 +541,7 @@ impl StreamSummarizer {
 
     /// Export the resumable state (see [`StreamState`]). The shard store
     /// travels separately — `logr::Engine` persists it as spill files and
-    /// rebuilds it with [`ShardedPointSet::from_spilled_files`].
+    /// rebuilds it with [`ShardedPointSet::from_spilled_files_with`].
     pub fn export_state(&self) -> StreamState {
         StreamState {
             buffer: self.buffer.iter().cloned().collect(),
@@ -534,23 +563,14 @@ impl StreamSummarizer {
     /// restarts cold (buffered statements re-parse lazily on the next
     /// close — parse caching never changes an output bit).
     ///
+    /// An `Err` means the featurizer journal in `state.source_state` is
+    /// corrupt or belongs to a different source kind.
+    ///
     /// # Panics
     /// Panics on an invalid `config` (same contract as
-    /// [`StreamSummarizer::new`]), when `shards` and `state.history`
-    /// disagree on point count or universe width, or when the featurizer
-    /// journal fails to replay — callers recovering from untrusted
-    /// storage (the engine) use [`StreamSummarizer::try_from_state`] and
-    /// report that as a typed error.
-    pub fn from_state(config: StreamConfig, state: StreamState, shards: ShardedPointSet) -> Self {
-        Self::try_from_state(config, state, shards)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible restore; try_from_state is the typed-error route the Engine uses
-            .unwrap_or_else(|e| panic!("featurizer journal failed to replay: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::from_state`]: an `Err` means the
-    /// featurizer journal in `state.source_state` is corrupt or belongs
-    /// to a different source kind. Shard/history consistency stays a
-    /// panic contract (callers validate it first).
+    /// [`StreamSummarizer::new`]) or when `shards` and `state.history`
+    /// disagree on point count or universe width (callers validate both
+    /// first).
     pub fn try_from_state(
         config: StreamConfig,
         state: StreamState,
@@ -640,7 +660,7 @@ impl StreamSummarizer {
     }
 
     /// The sharded history matrix (for store diagnostics; summaries go
-    /// through [`StreamSummarizer::history_summary`]).
+    /// through [`StreamSummarizer::try_history_summary`]).
     pub fn shard_store(&self) -> &ShardedPointSet {
         &self.shards
     }
@@ -659,27 +679,17 @@ impl StreamSummarizer {
     /// Bound resident memory: spill closed history shards to `dir` in the
     /// `logr-cluster::spill` format, keeping at most `resident_budget`
     /// payload bytes in memory (the newest shard is pinned; see
-    /// [`ShardedPointSet::set_spill`]). Summaries are bit-identical to an
-    /// unbounded run. Can be called before or during a stream.
-    pub fn spill_to(
-        &mut self,
-        dir: impl Into<PathBuf>,
-        resident_budget: usize,
-    ) -> Result<(), SpillError> {
-        self.shards.set_spill(SpillConfig { dir: dir.into(), resident_budget })
-    }
-
-    /// [`StreamSummarizer::spill_to`] with shard I/O routed through `vfs`
-    /// (see [`logr_cluster::vfs`]) — the injection point the engine's
-    /// fault tests use.
+    /// [`ShardedPointSet::set_spill`]), with shard I/O routed through
+    /// `vfs` (see [`logr_cluster::vfs`]). Summaries are bit-identical to
+    /// an unbounded run. Can be called before or during a stream.
     pub fn spill_to_with(
         &mut self,
-        vfs: std::sync::Arc<dyn logr_cluster::vfs::Vfs>,
+        vfs: Arc<dyn logr_cluster::vfs::Vfs>,
         dir: impl Into<PathBuf>,
         resident_budget: usize,
     ) -> Result<(), SpillError> {
         self.shards.set_vfs(vfs);
-        self.spill_to(dir, resident_budget)
+        self.shards.set_spill(SpillConfig { dir: dir.into(), resident_budget })
     }
 
     /// Re-bound the resident budget of an already-attached spill store
@@ -709,94 +719,31 @@ impl StreamSummarizer {
         }
     }
 
-    /// Ingest one statement occurring `count` times. Returns the closed
-    /// window's artifacts when this statement completes a window. In time
-    /// mode the statement is stamped with the system clock; use
-    /// [`StreamSummarizer::ingest_at_ms`] to supply timestamps.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_with_count`] reports that as a
-    /// typed error instead).
-    pub fn ingest_with_count(&mut self, sql: &str, count: u64) -> Option<WindowSummary> {
-        self.try_ingest_with_count(sql, count)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible ingest; try_ingest_with_count is the typed-error route the Engine uses
-            .unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Ingest one statement (multiplicity 1).
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest`] reports that as a typed error
-    /// instead).
-    pub fn ingest(&mut self, sql: &str) -> Option<WindowSummary> {
-        self.ingest_with_count(sql, 1)
-    }
-
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_at_ms`] reports that as a typed
-    /// error instead).
-    pub fn ingest_at_ms(&mut self, sql: &str, count: u64, ts_ms: u64) -> Option<WindowSummary> {
-        self.try_ingest_at_ms(sql, count, ts_ms)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible ingest; try_ingest_at_ms is the typed-error route
-            .unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::ingest_with_count`] — the flavor
-    /// `logr::Engine` routes through, so store failures surface as typed
-    /// errors on its one error type instead of panics.
-    pub fn try_ingest_with_count(
-        &mut self,
-        sql: &str,
-        count: u64,
-    ) -> Result<Option<WindowSummary>, SpillError> {
-        let ts = if self.config.time.is_some() { Self::wall_clock_ms() } else { 0 };
-        self.try_ingest_at_ms(sql, count, ts)
-    }
-
-    /// Fallible [`StreamSummarizer::ingest`].
-    pub fn try_ingest(&mut self, sql: &str) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(sql, 1)
-    }
-
-    /// Ingest one raw record through the configured source. This is the
-    /// source-agnostic spelling of [`StreamSummarizer::ingest`]: the
-    /// record is a SQL statement under [`SourceConfig::Sql`] and a
-    /// free-form service-log line under [`SourceConfig::Template`] —
-    /// nothing on this path assumes SQL.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_record`] reports that as a typed
-    /// error instead).
-    pub fn ingest_record(&mut self, text: &str) -> Option<WindowSummary> {
-        self.ingest(text)
-    }
-
-    /// [`StreamSummarizer::ingest_record`] with a multiplicity.
-    ///
-    /// # Panics
-    /// Same contract as [`StreamSummarizer::ingest_with_count`].
-    pub fn ingest_record_with_count(&mut self, text: &str, count: u64) -> Option<WindowSummary> {
-        self.ingest_with_count(text, count)
-    }
-
-    /// Fallible [`StreamSummarizer::ingest_record`].
+    /// Ingest one raw record (multiplicity 1, no timestamp) through the
+    /// configured source: a SQL statement under [`SourceConfig::Sql`], a
+    /// free-form service-log line under [`SourceConfig::Template`].
+    /// Returns the closed window's artifacts when this record completes a
+    /// window. Same contract as [`StreamSummarizer::try_ingest`] with
+    /// `Record::new(text)`, without building the record.
     pub fn try_ingest_record(&mut self, text: &str) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(text, 1)
+        self.ingest_at(text, 1, None)
     }
 
-    /// Fallible [`StreamSummarizer::ingest_record_with_count`].
-    pub fn try_ingest_record_with_count(
-        &mut self,
-        text: &str,
-        count: u64,
-    ) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(text, count)
+    /// Ingest one [`Record`]: `text` occurring `count` times (0 is a
+    /// no-op) at `ts_ms` — milliseconds on any monotone clock (tests
+    /// drive a synthetic one); `None` stamps the system clock in time mode
+    /// and 0 in count mode. In time mode, a record at or past the
+    /// scheduled boundary first closes the elapsed window (the record
+    /// itself lands in the next one); in count mode the timestamp is
+    /// recorded but boundaries stay count-driven.
+    ///
+    /// An `Err` means a window close failed against the spill store. The
+    /// summarizer is then **wedged** — its history log and shard store
+    /// may disagree, so every later call returns an error rather than
+    /// risking silently wrong summaries; recover by rebuilding from the
+    /// last persisted state ([`StreamSummarizer::try_from_state`]).
+    pub fn try_ingest(&mut self, record: &Record) -> Result<Option<WindowSummary>, SpillError> {
+        self.ingest_at(&record.text, record.count, record.ts_ms)
     }
 
     /// The featurizer in force (the SQL pipeline or the template miner).
@@ -804,24 +751,18 @@ impl StreamSummarizer {
         self.featurizer.as_ref()
     }
 
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`
-    /// (milliseconds on any monotone clock — tests drive a synthetic
-    /// one). In time mode, a statement at or past the scheduled boundary
-    /// first closes the elapsed window (the statement itself lands in the
-    /// next one); in count mode the timestamp is recorded but boundaries
-    /// stay count-driven.
-    ///
-    /// An `Err` means a window close failed against the spill store. The
-    /// summarizer is then **wedged** — its history log and shard store
-    /// may disagree, so every later call returns an error rather than
-    /// risking silently wrong summaries; recover by rebuilding from the
-    /// last persisted state ([`StreamSummarizer::from_state`]).
-    pub fn try_ingest_at_ms(
+    /// The one ingest path behind both public spellings.
+    fn ingest_at(
         &mut self,
         sql: &str,
         count: u64,
-        ts_ms: u64,
+        ts_ms: Option<u64>,
     ) -> Result<Option<WindowSummary>, SpillError> {
+        let ts_ms = match ts_ms {
+            Some(ts) => ts,
+            None if self.config.time.is_some() => Self::wall_clock_ms(),
+            None => 0,
+        };
         self.check_wedged()?;
         if count == 0 {
             return Ok(None);
@@ -884,18 +825,9 @@ impl StreamSummarizer {
 
     /// Close a partial window (end of stream / forced checkpoint).
     /// `None` when nothing has arrived since the last close. Time mode
-    /// closes at "now" — just past the last seen timestamp.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during the close
-    /// ([`StreamSummarizer::try_flush`] reports that as a typed error
-    /// instead).
-    pub fn flush(&mut self) -> Option<WindowSummary> {
-        // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible flush; try_flush is the typed-error route
-        self.try_flush().unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::flush`].
+    /// closes at "now" — just past the last seen timestamp. An `Err`
+    /// wedges the summarizer exactly as in
+    /// [`StreamSummarizer::try_ingest`].
     pub fn try_flush(&mut self) -> Result<Option<WindowSummary>, SpillError> {
         self.check_wedged()?;
         let boundary = self.config.time.map(|_| self.last_ts_ms.saturating_add(1));
@@ -924,19 +856,7 @@ impl StreamSummarizer {
     /// `k`-mixture for the whole stream at the cost of a dendrogram build,
     /// with zero recomputed distances (spilled shards stream through the
     /// merge one at a time). `None` before any distinct query has been
-    /// absorbed.
-    ///
-    /// # Panics
-    /// Panics if a spilled shard cannot be reloaded
-    /// ([`StreamSummarizer::try_history_summary`] reports that as a typed
-    /// error instead).
-    pub fn history_summary(&self) -> Option<LogRSummary> {
-        self.try_history_summary()
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible summary; try_history_summary is the typed-error route
-            .unwrap_or_else(|e| panic!("history summary over the spill store failed: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::history_summary`].
+    /// absorbed; `Err` if a spilled shard cannot be reloaded.
     pub fn try_history_summary(&self) -> Result<Option<LogRSummary>, SpillError> {
         self.check_wedged()?;
         if self.history.distinct_count() == 0 {
@@ -952,7 +872,8 @@ impl StreamSummarizer {
     ///
     /// # Panics
     /// Panics if no store was attached via
-    /// [`StreamSummarizer::spill_to`] and a shard has never been written.
+    /// [`StreamSummarizer::spill_to_with`] and a shard has never been
+    /// written.
     pub fn persist_shards(&mut self) -> Result<usize, SpillError> {
         self.check_wedged()?;
         self.shards.persist_all()
@@ -1064,7 +985,7 @@ impl StreamSummarizer {
     /// Close the current window at `boundary` (time mode's scheduled
     /// boundary; `None` for count mode / count flush). An `Err` (spill
     /// store failed while appending the window's shard) wedges the
-    /// summarizer — see [`StreamSummarizer::try_ingest_at_ms`].
+    /// summarizer — see [`StreamSummarizer::try_ingest`].
     fn close_window(&mut self, boundary: Option<u64>) -> Result<WindowSummary, SpillError> {
         let window_queries = self.since_close;
         if self.is_sliding() {
@@ -1152,8 +1073,7 @@ impl StreamSummarizer {
         let new_distinct = new_entries.len();
         // A store failure here is fatal for the stream: the history log
         // already absorbed the stride, so the set and the log would
-        // disagree. Wedge and surface the typed error (the infallible
-        // `ingest` front ends turn it into the historical panic).
+        // disagree. Wedge and surface the typed error.
         if let Err(e) = self.shards.try_push_shard(&new_entries, self.history.num_features()) {
             self.wedged = true;
             return Err(e);
@@ -1211,6 +1131,7 @@ impl StreamSummarizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use logr_cluster::vfs::default_vfs;
 
     fn messaging(i: u64) -> String {
         match i % 3 {
@@ -1236,7 +1157,7 @@ mod tests {
             StreamSummarizer::new(StreamConfig { window: 30, k: 2, ..StreamConfig::default() });
         let mut summaries = Vec::new();
         for i in 0..60 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.try_ingest_record(&messaging(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1246,7 +1167,7 @@ mod tests {
             } else {
                 messaging(i)
             };
-            if let Some(w) = s.ingest(&sql) {
+            if let Some(w) = s.try_ingest_record(&sql).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1278,7 +1199,7 @@ mod tests {
 
         // History covers the whole stream; its sharded summary works.
         assert_eq!(s.history().total_queries(), 90);
-        let hist = s.history_summary().unwrap();
+        let hist = s.try_history_summary().unwrap().unwrap();
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1287,17 +1208,17 @@ mod tests {
         let mut s = StreamSummarizer::new(StreamConfig { window: 10, ..StreamConfig::default() });
         let mut closed = 0;
         for i in 0..35 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.try_ingest_record(&messaging(i)).unwrap() {
                 assert_eq!(w.queries, 10);
                 closed += 1;
             }
         }
         assert_eq!(closed, 3);
         assert_eq!(s.buffered_queries(), 5);
-        let tail = s.flush().unwrap();
+        let tail = s.try_flush().unwrap().unwrap();
         assert_eq!(tail.queries, 5);
         assert_eq!(tail.index, 3);
-        assert!(s.flush().is_none());
+        assert!(s.try_flush().unwrap().is_none());
         assert_eq!(s.history().total_queries(), 35);
     }
 
@@ -1310,7 +1231,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..40 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.try_ingest_record(&messaging(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1328,9 +1249,9 @@ mod tests {
     #[test]
     fn multiplicity_counts_toward_window_size() {
         let mut s = StreamSummarizer::new(StreamConfig { window: 100, ..StreamConfig::default() });
-        assert!(s.ingest_with_count(&messaging(0), 60).is_none());
-        assert!(s.ingest_with_count(&messaging(0), 0).is_none());
-        let w = s.ingest_with_count(&messaging(1), 60).unwrap();
+        assert!(s.try_ingest(&Record::new(messaging(0)).times(60)).unwrap().is_none());
+        assert!(s.try_ingest(&Record::new(messaging(0)).times(0)).unwrap().is_none());
+        let w = s.try_ingest(&Record::new(messaging(1)).times(60)).unwrap().unwrap();
         // Window overshoots at statement granularity.
         assert_eq!(w.queries, 120);
         assert_eq!(w.distinct, 2);
@@ -1345,12 +1266,12 @@ mod tests {
         });
         // Two messaging windows, then three banking windows.
         for i in 0..40 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
         }
         let mut flagged = None;
         let mut later = None;
         for i in 0..60 {
-            if let Some(w) = s.ingest(&banking(i)) {
+            if let Some(w) = s.try_ingest_record(&banking(i)).unwrap() {
                 if w.index == 2 {
                     flagged = Some(w);
                 } else if w.index == 4 {
@@ -1383,16 +1304,16 @@ mod tests {
         });
         let mut i = 0u64;
         for _ in 0..40 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
             i += 1;
         }
         // Inject one query; it lives in the stream for the next 4
         // overlapping windows.
-        s.ingest("SELECT password_hash FROM credentials");
+        s.try_ingest_record("SELECT password_hash FROM credentials").unwrap();
         let mut flagged = 0;
         let mut inspected = 0;
         while inspected < 3 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.try_ingest_record(&messaging(i)).unwrap() {
                 inspected += 1;
                 assert!(
                     w.log.codebook().iter().any(|(_, f)| f.to_string().contains("credentials")),
@@ -1428,20 +1349,20 @@ mod tests {
         });
         let mut i = 0u64;
         for _ in 0..18 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
             i += 1;
         }
-        s.ingest("SELECT password_hash FROM credentials"); // tail of stride 0
-        s.ingest(&messaging(i)); // closes window 0 (20-query stride)
+        s.try_ingest_record("SELECT password_hash FROM credentials").unwrap(); // tail of stride 0
+        s.try_ingest_record(&messaging(i)).unwrap(); // closes window 0 (20-query stride)
         i += 1;
         for _ in 0..2 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
             i += 1;
         }
-        s.flush(); // 2-query stride: stride sizes now vary
+        s.try_flush().unwrap(); // 2-query stride: stride sizes now vary
         let mut judged_windows = 0;
         for _ in 0..25 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.try_ingest_record(&messaging(i)).unwrap() {
                 if w.drift.is_some() {
                     judged_windows += 1;
                     let contains_injection =
@@ -1468,15 +1389,15 @@ mod tests {
         let mut s =
             StreamSummarizer::new(StreamConfig { window: 15, k: 2, ..StreamConfig::default() });
         for i in 0..30 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
         }
         for i in 0..15 {
-            s.ingest(&banking(i));
+            s.try_ingest_record(&banking(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 3);
         // The streamed history summary equals a batch hierarchical
         // compression of the absorbed history log.
-        let streamed = s.history_summary().unwrap();
+        let streamed = s.try_history_summary().unwrap().unwrap();
         let points = PointSet::from_log(s.history());
         let weights: Vec<f64> = s.history().entries().iter().map(|&(_, c)| c as f64).collect();
         let dendro = hierarchical_cluster_pointset(&points, &weights, Distance::Hamming);
@@ -1486,19 +1407,19 @@ mod tests {
     #[test]
     fn empty_stream_and_unparseable_windows_are_handled() {
         let mut s = StreamSummarizer::new(StreamConfig { window: 3, ..StreamConfig::default() });
-        assert!(s.history_summary().is_none());
-        assert!(s.flush().is_none());
+        assert!(s.try_history_summary().unwrap().is_none());
+        assert!(s.try_flush().unwrap().is_none());
         // A window of pure garbage still closes and keeps counting.
         for _ in 0..3 {
-            s.ingest("THIS IS NOT SQL @@@");
+            s.try_ingest_record("THIS IS NOT SQL @@@").unwrap();
         }
         assert_eq!(s.windows_closed(), 1);
-        assert!(s.history_summary().is_none(), "no parsed queries yet");
+        assert!(s.try_history_summary().unwrap().is_none(), "no parsed queries yet");
         for i in 0..3 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
-        assert!(s.history_summary().is_some());
+        assert!(s.try_history_summary().unwrap().is_some());
     }
 
     #[test]
@@ -1533,27 +1454,30 @@ mod tests {
         // Ten statements inside [50, 150): no close until the clock
         // passes 150.
         for i in 0..10u64 {
-            let w = s.ingest_at_ms(&messaging(i), 1, 50 + i * 10);
+            let w = s.try_ingest(&Record::new(messaging(i)).at(50 + i * 10)).unwrap();
             assert!(w.is_none(), "premature close at ts {}", 50 + i * 10);
         }
         // ts 155 crosses the boundary at 150: the elapsed window closes
         // with the 10 buffered queries, and the arrival starts the next.
-        let w = s.ingest_at_ms(&messaging(10), 1, 155).expect("boundary close");
+        let w = s.try_ingest(&Record::new(messaging(10)).at(155)).unwrap().expect("boundary close");
         assert_eq!(w.queries, 10);
         assert_eq!(w.closed_at_ms, Some(150));
         summaries.push(w);
         // A long idle gap collapses: the next arrival at 990 closes the
         // one window that held ts 155 (empty windows emit nothing), and
         // the grid stays anchored at 50 (990 lands in [950, 1050)).
-        let w = s.ingest_at_ms(&messaging(11), 1, 990).expect("gap close");
+        let w = s.try_ingest(&Record::new(messaging(11)).at(990)).unwrap().expect("gap close");
         assert_eq!(w.queries, 1);
         assert_eq!(w.closed_at_ms, Some(250));
-        let w = s.ingest_at_ms(&messaging(12), 1, 1050).expect("grid-aligned close");
+        let w = s
+            .try_ingest(&Record::new(messaging(12)).at(1050))
+            .unwrap()
+            .expect("grid-aligned close");
         assert_eq!(w.closed_at_ms, Some(1050), "boundary grid anchored at the first arrival");
         // Out-of-order timestamps clamp forward instead of closing early.
-        assert!(s.ingest_at_ms(&messaging(13), 1, 10).is_none());
+        assert!(s.try_ingest(&Record::new(messaging(13)).at(10)).unwrap().is_none());
         assert_eq!(s.history().total_queries() + s.buffered_queries(), 14);
-        let tail = s.flush().unwrap();
+        let tail = s.try_flush().unwrap().unwrap();
         assert_eq!(tail.queries, 2);
         assert_eq!(tail.closed_at_ms, Some(1051), "flush closes just past the last arrival");
     }
@@ -1567,7 +1491,7 @@ mod tests {
         // One statement every 10 ms from ts 0.
         let mut summaries = Vec::new();
         for i in 0..30u64 {
-            if let Some(w) = s.ingest_at_ms(&messaging(i), 1, i * 10) {
+            if let Some(w) = s.try_ingest(&Record::new(messaging(i)).at(i * 10)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1595,13 +1519,16 @@ mod tests {
             time: Some(TimeWindows { window_ms: 2, slide_ms: Some(1) }),
             ..StreamConfig::default()
         });
-        assert!(s.ingest_at_ms(&messaging(0), 1, 0).is_none());
-        let w = s.ingest_at_ms(&messaging(1), 1, u64::MAX).expect("gap close");
+        assert!(s.try_ingest(&Record::new(messaging(0)).at(0)).unwrap().is_none());
+        let w = s.try_ingest(&Record::new(messaging(1)).at(u64::MAX)).unwrap().expect("gap close");
         assert_eq!(w.queries, 1);
         assert_eq!(w.closed_at_ms, Some(2));
         // The grid is saturated at u64::MAX now; further arrivals keep
         // closing (ts >= boundary) without ever looping.
-        let w = s.ingest_at_ms(&messaging(2), 1, u64::MAX).expect("saturated close");
+        let w = s
+            .try_ingest(&Record::new(messaging(2)).at(u64::MAX))
+            .unwrap()
+            .expect("saturated close");
         assert_eq!(w.queries, 1);
     }
 
@@ -1619,7 +1546,7 @@ mod tests {
         });
         let mut closes = 0;
         for i in 0..40 {
-            if s.ingest(&messaging(i)).is_some() {
+            if s.try_ingest_record(&messaging(i)).unwrap().is_some() {
                 closes += 1;
             }
         }
@@ -1648,7 +1575,7 @@ mod tests {
         });
         let mut last = None;
         for sql in &statements {
-            if let Some(w) = s.ingest(sql) {
+            if let Some(w) = s.try_ingest_record(sql).unwrap() {
                 last = Some(w);
             }
         }
@@ -1669,7 +1596,7 @@ mod tests {
         // own window, and memory stays bounded by the live window).
         let mut s = StreamSummarizer::new(StreamConfig { window: 6, ..StreamConfig::default() });
         for i in 0..12 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
         assert!(s.cache.is_empty(), "cache must drain with the tumbling buffer");
@@ -1685,28 +1612,32 @@ mod tests {
         let store = logr_cluster::testutil::TempStore::new("stream-state");
         let config = StreamConfig { window: 12, slide: Some(5), k: 2, ..StreamConfig::default() };
         let mut original = StreamSummarizer::new(config);
-        original.spill_to(store.path(), usize::MAX).unwrap();
+        original.spill_to_with(default_vfs(), store.path(), usize::MAX).unwrap();
         for i in 0..31 {
             let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
-            original.ingest(&sql);
+            original.try_ingest_record(&sql).unwrap();
         }
         original.persist_shards().unwrap();
         let state = original.export_state();
         let files: Vec<std::path::PathBuf> = (0..original.shard_store().n_shards())
             .map(|s| original.shard_store().shard_file(s).unwrap().to_path_buf())
             .collect();
-        let shards = ShardedPointSet::from_spilled_files(
+        let shards = ShardedPointSet::from_spilled_files_with(
+            default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX },
             &files,
         )
         .unwrap();
-        let mut restored = StreamSummarizer::from_state(config, state, shards);
+        let mut restored = StreamSummarizer::try_from_state(config, state, shards).unwrap();
         assert_eq!(restored.windows_closed(), original.windows_closed());
         assert_eq!(restored.buffered_queries(), original.buffered_queries());
 
         for i in 31..80 {
             let sql = if i % 3 == 0 { banking(i) } else { messaging(i) };
-            let (a, b) = (original.ingest(&sql), restored.ingest(&sql));
+            let (a, b) = (
+                original.try_ingest_record(&sql).unwrap(),
+                restored.try_ingest_record(&sql).unwrap(),
+            );
             assert_eq!(a.is_some(), b.is_some(), "close parity at {i}");
             if let (Some(a), Some(b)) = (a, b) {
                 assert_eq!(a.index, b.index);
@@ -1721,7 +1652,10 @@ mod tests {
                 }
             }
         }
-        let (a, b) = (original.history_summary().unwrap(), restored.history_summary().unwrap());
+        let (a, b) = (
+            original.try_history_summary().unwrap().unwrap(),
+            restored.try_history_summary().unwrap().unwrap(),
+        );
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1797,42 +1731,99 @@ mod tests {
             for i in 0..40u64 {
                 let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
                 let closed = if timed {
-                    s.ingest_at_ms(&sql, 1, i * 10).is_some()
+                    s.try_ingest(&Record::new(&sql).at(i * 10)).unwrap().is_some()
                 } else {
-                    s.ingest(&sql).is_some()
+                    s.try_ingest_record(&sql).unwrap().is_some()
                 };
                 let now = s.export_state();
                 if closed {
                     let d = s.take_close_delta().expect("a close must record its delta");
                     assert!(s.take_close_delta().is_none(), "the delta is taken exactly once");
+                    // Replay through the same function the engine's
+                    // delta-log recovery runs.
                     let mut rebuilt = prev.clone();
-                    rebuilt.buffer = d.buffer;
-                    rebuilt.pending = d.pending;
-                    rebuilt.since_close = d.since_close;
-                    rebuilt.next_close_ms = d.next_close_ms;
-                    rebuilt.last_ts_ms = d.last_ts_ms;
-                    rebuilt.windows_closed = d.windows_closed;
-                    rebuilt.statements_parsed = d.statements_parsed;
-                    // The rotation replays from its recorded inputs
-                    // through the same code the live close ran.
-                    let mut rotation: VecDeque<(QueryLog, u64)> =
-                        rebuilt.baseline_logs.into_iter().collect();
-                    rebuilt.baseline = rotate_baseline(
-                        &mut rotation,
-                        d.stride_log.clone(),
-                        d.window_queries,
-                        d.overlap_span,
-                        config.baseline_windows,
-                    );
-                    rebuilt.baseline_logs = rotation.into_iter().collect();
-                    rebuilt.history.absorb(&d.stride_log);
-                    rebuilt.source_state.extend_from_slice(&d.source_events);
+                    rebuilt.apply_close(*d, config.baseline_windows);
                     assert_state_eq(&rebuilt, &now, &format!("delta replay at statement {i}"));
                 } else {
                     assert!(s.take_close_delta().is_none(), "no close, no delta");
                 }
                 prev = now;
             }
+        }
+    }
+
+    #[test]
+    fn record_ingest_matches_text_ingest_bit_for_bit() {
+        // `try_ingest(&Record::new(t))` is `try_ingest_record(t)`: same
+        // closes, same window artifacts, same exported state — tumbling,
+        // sliding, and time windows. In time mode both spellings stamp the
+        // wall clock (a record without a timestamp keeps that behaviour),
+        // so only the clock-derived fields may differ there; the span is
+        // an hour so the wall clock never closes a window mid-test.
+        const HOUR_MS: u64 = 3_600_000;
+        let configs = [
+            StreamConfig { window: 7, k: 2, ..StreamConfig::default() },
+            StreamConfig { window: 12, slide: Some(5), k: 2, ..StreamConfig::default() },
+            StreamConfig {
+                time: Some(TimeWindows { window_ms: HOUR_MS, slide_ms: Some(HOUR_MS / 2) }),
+                k: 2,
+                ..StreamConfig::default()
+            },
+        ];
+        for config in configs {
+            let ctx = format!("{config:?}");
+            let mut by_text = StreamSummarizer::new(config);
+            let mut by_record = StreamSummarizer::new(config);
+            let mut closes = Vec::new();
+            for i in 0..40 {
+                let sql = if i % 3 == 0 { banking(i) } else { messaging(i) };
+                closes.push((
+                    by_text.try_ingest_record(&sql).unwrap(),
+                    by_record.try_ingest(&Record::new(&sql)).unwrap(),
+                ));
+            }
+            closes.push((by_text.try_flush().unwrap(), by_record.try_flush().unwrap()));
+            assert!(closes.iter().any(|(a, _)| a.is_some()), "{ctx}: nothing closed");
+            for (a, b) in closes {
+                assert_eq!(a.is_some(), b.is_some(), "{ctx}: close parity");
+                let (Some(a), Some(b)) = (a, b) else { continue };
+                assert_eq!((a.index, a.queries), (b.index, b.queries), "{ctx}");
+                assert_eq!(
+                    (a.distinct, a.new_distinct, a.stable),
+                    (b.distinct, b.new_distinct, b.stable)
+                );
+                assert_log_eq(&a.log, &b.log, &ctx);
+                assert_eq!(a.summary.clustering, b.summary.clustering, "{ctx}");
+                assert_eq!(a.summary.error().to_bits(), b.summary.error().to_bits(), "{ctx}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.novelty), bits(&b.novelty), "{ctx}");
+            }
+            let (mut a, mut b) = (by_text.export_state(), by_record.export_state());
+            if config.time.is_some() {
+                for state in [&mut a, &mut b] {
+                    assert!(state.last_ts_ms > 0, "{ctx}: time mode stamps the wall clock");
+                    assert!(
+                        state.next_close_ms.is_some(),
+                        "{ctx}: the first record anchors the grid"
+                    );
+                    state.last_ts_ms = 0;
+                    state.next_close_ms = None;
+                    state.buffer.iter_mut().for_each(|entry| entry.2 = 0);
+                }
+            } else {
+                assert_eq!(a.last_ts_ms, 0, "{ctx}: count mode stamps 0");
+            }
+            assert_state_eq(&a, &b, &ctx);
+
+            // A zero-multiplicity record changes nothing — not even the
+            // time grid an explicit timestamp would otherwise advance.
+            let before = by_record.export_state();
+            let far = before.last_ts_ms + 10 * HOUR_MS;
+            assert!(by_record
+                .try_ingest(&Record::new(messaging(0)).times(0).at(far))
+                .unwrap()
+                .is_none());
+            assert_state_eq(&before, &by_record.export_state(), &format!("{ctx}: times(0)"));
         }
     }
 
@@ -1844,9 +1835,9 @@ mod tests {
         let store = logr_cluster::testutil::TempStore::new("stream-wedge");
         let mut s =
             StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
-        s.spill_to(store.path(), 0).unwrap();
+        s.spill_to_with(default_vfs(), store.path(), 0).unwrap();
         for i in 0..10 {
-            s.ingest(&messaging(i));
+            s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert!(s.spilled_shards() > 0);
         // Vaporize the store, drop the reload cache via a compact-free
@@ -1856,7 +1847,7 @@ mod tests {
         }
         let mut failed = None;
         for i in 0..10 {
-            match s.try_ingest(&banking(i)) {
+            match s.try_ingest_record(&banking(i)) {
                 Ok(_) => {}
                 Err(e) => {
                     failed = Some(e);
@@ -1867,7 +1858,7 @@ mod tests {
         let err = failed.expect("a close against the gutted store must fail");
         assert!(matches!(err, SpillError::Io(_)), "{err}");
         // Wedged: every later entry point refuses with a typed error.
-        assert!(matches!(s.try_ingest("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
+        assert!(matches!(s.try_ingest_record("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
         assert!(matches!(s.try_flush(), Err(SpillError::Corrupt(_))));
         assert!(matches!(s.try_history_summary(), Err(SpillError::Corrupt(_))));
     }
@@ -1882,12 +1873,15 @@ mod tests {
         let store = logr_cluster::testutil::TempStore::new("stream-spill");
         let mut spilled =
             StreamSummarizer::new(StreamConfig { window: 10, k: 2, ..StreamConfig::default() });
-        spilled.spill_to(store.path(), 0).unwrap();
+        spilled.spill_to_with(default_vfs(), store.path(), 0).unwrap();
         let mut resident =
             StreamSummarizer::new(StreamConfig { window: 10, k: 2, ..StreamConfig::default() });
         for i in 0..40 {
             let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
-            let (a, b) = (spilled.ingest(&sql), resident.ingest(&sql));
+            let (a, b) = (
+                spilled.try_ingest_record(&sql).unwrap(),
+                resident.try_ingest_record(&sql).unwrap(),
+            );
             assert_eq!(a.is_some(), b.is_some());
             if let (Some(a), Some(b)) = (a, b) {
                 assert_eq!(a.summary.clustering, b.summary.clustering);
@@ -1896,7 +1890,10 @@ mod tests {
             }
         }
         assert!(spilled.spilled_shards() > 0, "the budget must have forced evictions");
-        let (a, b) = (spilled.history_summary().unwrap(), resident.history_summary().unwrap());
+        let (a, b) = (
+            spilled.try_history_summary().unwrap().unwrap(),
+            resident.try_history_summary().unwrap().unwrap(),
+        );
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1922,7 +1919,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..48 {
-            if let Some(w) = s.ingest_record(&service_line(i)) {
+            if let Some(w) = s.try_ingest_record(&service_line(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1940,7 +1937,7 @@ mod tests {
                 "unexpected class on the template path: {f}"
             );
         }
-        let hist = s.history_summary().expect("history summary over mined features");
+        let hist = s.try_history_summary().unwrap().expect("history summary over mined features");
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1954,7 +1951,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..40 {
-            if let Some(w) = s.ingest_record(&service_line(i)) {
+            if let Some(w) = s.try_ingest_record(&service_line(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1964,7 +1961,7 @@ mod tests {
             } else {
                 service_line(i)
             };
-            if let Some(w) = s.ingest_record(&line) {
+            if let Some(w) = s.try_ingest_record(&line).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1989,9 +1986,9 @@ mod tests {
             ..StreamConfig::default()
         };
         let mut original = StreamSummarizer::new(config);
-        original.spill_to(store.path(), usize::MAX).unwrap();
+        original.spill_to_with(default_vfs(), store.path(), usize::MAX).unwrap();
         for i in 0..31 {
-            original.ingest_record(&service_line(i));
+            original.try_ingest_record(&service_line(i)).unwrap();
         }
         original.persist_shards().unwrap();
         let state = original.export_state();
@@ -1999,7 +1996,8 @@ mod tests {
         let files: Vec<std::path::PathBuf> = (0..original.shard_store().n_shards())
             .map(|s| original.shard_store().shard_file(s).unwrap().to_path_buf())
             .collect();
-        let shards = ShardedPointSet::from_spilled_files(
+        let shards = ShardedPointSet::from_spilled_files_with(
+            default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: usize::MAX },
             &files,
         )
@@ -2007,8 +2005,8 @@ mod tests {
         let mut restored = StreamSummarizer::try_from_state(config, state, shards).unwrap();
         for i in 31..90 {
             let (a, b) = (
-                original.ingest_record(&service_line(i)),
-                restored.ingest_record(&service_line(i)),
+                original.try_ingest_record(&service_line(i)).unwrap(),
+                restored.try_ingest_record(&service_line(i)).unwrap(),
             );
             assert_eq!(a.is_some(), b.is_some(), "close parity at {i}");
             if let (Some(a), Some(b)) = (a, b) {
@@ -2036,7 +2034,7 @@ mod tests {
             StreamConfig { window: 8, source: SourceConfig::template(), ..StreamConfig::default() };
         let mut s = StreamSummarizer::new(config);
         for i in 0..8 {
-            s.ingest_record(&service_line(i));
+            s.try_ingest_record(&service_line(i)).unwrap();
         }
         let mut state = s.export_state();
         state.source_state.truncate(state.source_state.len() - 1);

@@ -3,10 +3,11 @@
 //! summaries, drift reports, and history summaries to an
 //! unbounded-memory run — and its peak resident shard bytes respect the
 //! budget at every observation point (after every close; bulk merges
-//! transiently add at most one shard, which `history_summary` mid-stream
+//! transiently add at most one shard, which `try_history_summary` mid-stream
 //! exercises too).
 
 use logr_cluster::testutil::TempStore;
+use logr_cluster::vfs::default_vfs;
 use logr_cluster::Distance;
 use logr_core::{DriftReport, LogRSummary, StreamConfig, StreamSummarizer, WindowSummary};
 /// A stream with genuinely growing distinct-query mass (so history shards
@@ -100,13 +101,14 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         ..StreamConfig::default()
     };
     let mut bounded = StreamSummarizer::new(config);
-    bounded.spill_to(store.path(), BUDGET).unwrap();
+    bounded.spill_to_with(default_vfs(), store.path(), BUDGET).unwrap();
     let mut unbounded = StreamSummarizer::new(config);
 
     let mut peak_resident = 0usize;
     let mut closes = 0usize;
     for (n, sql) in statements().iter().enumerate() {
-        let (a, b) = (bounded.ingest(sql), unbounded.ingest(sql));
+        let (a, b) =
+            (bounded.try_ingest_record(sql).unwrap(), unbounded.try_ingest_record(sql).unwrap());
         assert_eq!(a.is_some(), b.is_some(), "close parity at statement {n}");
         if let (Some(a), Some(b)) = (a, b) {
             closes += 1;
@@ -123,7 +125,8 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         // Mid-stream history summaries read across the resident/spilled
         // mix (reload-on-demand under the close path's nose).
         if n == 450 {
-            let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+            let (ha, hb) =
+                (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
             assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "mid-stream history");
         }
     }
@@ -148,11 +151,12 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
     assert!(peak_resident > 0);
 
     // Final history summary over a almost-fully-spilled history.
-    let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+    let (ha, hb) =
+        (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "final history");
 
     // Flush parity for the tail (nothing buffered here, both agree).
-    assert_eq!(bounded.flush().is_some(), unbounded.flush().is_some());
+    assert_eq!(bounded.try_flush().unwrap().is_some(), unbounded.try_flush().unwrap().is_some());
 }
 
 #[test]
@@ -168,10 +172,11 @@ fn bounded_sliding_stream_matches_too() {
         ..StreamConfig::default()
     };
     let mut bounded = StreamSummarizer::new(config);
-    bounded.spill_to(store.path(), 0).unwrap(); // only the pinned tail stays
+    bounded.spill_to_with(default_vfs(), store.path(), 0).unwrap(); // only the pinned tail stays
     let mut unbounded = StreamSummarizer::new(config);
     for sql in statements().iter().take(200) {
-        let (a, b) = (bounded.ingest(sql), unbounded.ingest(sql));
+        let (a, b) =
+            (bounded.try_ingest_record(sql).unwrap(), unbounded.try_ingest_record(sql).unwrap());
         assert_eq!(a.is_some(), b.is_some());
         if let (Some(a), Some(b)) = (a, b) {
             assert_window_identical(&a, &b);
@@ -181,6 +186,7 @@ fn bounded_sliding_stream_matches_too() {
     // Both parse each distinct statement exactly once (the cache is
     // orthogonal to the store).
     assert_eq!(bounded.statements_parsed(), unbounded.statements_parsed());
-    let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+    let (ha, hb) =
+        (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "sliding history");
 }

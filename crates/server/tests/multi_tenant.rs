@@ -368,7 +368,7 @@ fn served_stores_are_bit_identical_to_standalone_engines() {
             .open(&dir)
             .expect("standalone open");
         for i in 0..4 * WINDOW {
-            engine.ingest(&statement(tenant, i)).expect("standalone ingest");
+            engine.ingest_record(&statement(tenant, i)).expect("standalone ingest");
         }
         engine.checkpoint().expect("standalone checkpoint");
         drop(engine);
@@ -468,7 +468,7 @@ fn global_budget_is_reapportioned_as_tenants_come_and_go() {
     let probe =
         Engine::builder().window(WINDOW).clusters(2).seed(7).in_memory().expect("probe engine");
     for i in 0..4 * WINDOW {
-        probe.ingest(&statement("alpha", i)).expect("probe ingest");
+        probe.ingest_record(&statement("alpha", i)).expect("probe ingest");
     }
     let footprint = probe.resident_shard_bytes().expect("probe footprint");
     assert!(footprint > 0, "workload must produce resident shards");

@@ -14,8 +14,8 @@
 //! * [`TemplateMiner`] — a Drain-style fixed-depth parse tree that mines
 //!   message templates online and emits ⟨template, TEMPLATE⟩ plus
 //!   ⟨class, PARAM⟩ features for each record;
-//! * [`LogSource`] / [`Record`] — a pull interface for feeding records
-//!   from memory (files are read through the engine's VFS by callers).
+//! * [`Record`] — one raw record with its multiplicity and optional
+//!   timestamp, the unit the stream layer ingests.
 //!
 //! # Determinism contract
 //!
@@ -110,7 +110,7 @@ pub trait Featurizer: fmt::Debug + Send {
     fn replay(&mut self, bytes: &[u8]) -> Result<(), SourceError>;
 }
 
-/// A raw record pulled from a [`LogSource`].
+/// One raw record offered to the stream layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Raw record text (a SQL statement or a service-log line).
@@ -140,78 +140,15 @@ impl Record {
     }
 }
 
-/// A pull source of raw records. Object-safe so ingestion loops can hold
-/// heterogeneous sources behind `Box<dyn LogSource>`.
-pub trait LogSource: fmt::Debug {
-    /// Next record, or `None` when the source is exhausted.
-    fn next_record(&mut self) -> Option<Record>;
-}
-
-/// In-memory [`LogSource`] over a vector of records.
-#[derive(Debug, Clone, Default)]
-pub struct VecSource {
-    records: std::collections::VecDeque<Record>,
-}
-
-impl VecSource {
-    /// Source over pre-built records.
-    pub fn new(records: impl IntoIterator<Item = Record>) -> Self {
-        VecSource { records: records.into_iter().collect() }
-    }
-
-    /// Source over the non-blank lines of a text blob (one record per
-    /// line, count 1, no timestamp). Callers that want file-backed
-    /// sources read the bytes through the engine's VFS and pass the text
-    /// here — this crate never touches the filesystem.
-    pub fn from_lines(text: &str) -> Self {
-        VecSource {
-            records: text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(Record::new)
-                .collect(),
-        }
-    }
-
-    /// Remaining record count.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records remain.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl LogSource for VecSource {
-    fn next_record(&mut self) -> Option<Record> {
-        self.records.pop_front()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn vec_source_yields_in_order() {
-        let mut s = VecSource::new([Record::new("a"), Record::new("b").times(3).at(7)]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.next_record().unwrap().text, "a");
-        let b = s.next_record().unwrap();
+    fn record_builders_set_count_and_timestamp() {
+        let b = Record::new("b").times(3).at(7);
         assert_eq!((b.text.as_str(), b.count, b.ts_ms), ("b", 3, Some(7)));
-        assert!(s.next_record().is_none());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn from_lines_skips_blanks() {
-        let mut s = VecSource::from_lines("one\n\n  \ntwo  \n");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.next_record().unwrap().text, "one");
-        assert_eq!(s.next_record().unwrap().text, "two");
+        assert_eq!(Record::new("a"), Record { text: "a".into(), count: 1, ts_ms: None });
     }
 
     #[test]

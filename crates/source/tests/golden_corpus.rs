@@ -7,16 +7,15 @@
 //! invalidate the pins below on purpose — the point is that mining is
 //! deterministic across releases.
 
-use logr_source::{Featurizer, LogSource, SourceConfig, TemplateConfig, TemplateMiner, VecSource};
+use logr_source::{Featurizer, SourceConfig, TemplateConfig, TemplateMiner};
 
 const CORPUS: &str = include_str!("data/service_500.log");
 
 fn mine(corpus: &str) -> TemplateMiner {
     let mut miner = TemplateMiner::new(TemplateConfig::default());
-    let mut source = VecSource::from_lines(corpus);
-    while let Some(record) = source.next_record() {
-        let branches = miner.featurize(&record.text);
-        assert_eq!(branches.len(), 1, "service lines featurize to one branch: {}", record.text);
+    for line in corpus.lines() {
+        let branches = miner.featurize(line);
+        assert_eq!(branches.len(), 1, "service lines featurize to one branch: {line}");
     }
     miner
 }
@@ -65,11 +64,7 @@ fn journal_replay_reproduces_the_golden_miner_exactly() {
 #[test]
 fn golden_corpus_features_flow_through_the_config_seam() {
     let mut featurizer = SourceConfig::template().featurizer();
-    let mut source = VecSource::from_lines(CORPUS);
-    let mut total = 0usize;
-    while let Some(record) = source.next_record() {
-        total += featurizer.featurize(&record.text).len();
-    }
+    let total: usize = CORPUS.lines().map(|line| featurizer.featurize(line).len()).sum();
     assert_eq!(total, 500, "every line must featurize");
     assert_eq!(featurizer.kind(), "template");
 }

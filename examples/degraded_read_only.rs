@@ -30,7 +30,7 @@ fn main() -> Result<(), Error> {
     let writer = Engine::builder().window(50).clusters(4).resident_budget(0).open(&dir)?;
     for i in 0..150u64 {
         let sql = format!("SELECT c{} FROM t{} WHERE a{} = ?", i % 13, i % 3, i % 7);
-        writer.ingest(&sql)?;
+        writer.ingest_record(&sql)?;
     }
     writer.checkpoint()?;
     println!(
@@ -67,8 +67,10 @@ fn main() -> Result<(), Error> {
 
     // Every write entry point is the typed error — not a panic, not a
     // silent no-op.
-    match reader.ingest("SELECT 1") {
-        Err(Error::ReadOnly) => println!("reader.ingest(..): Error::ReadOnly — as it must be"),
+    match reader.ingest_record("SELECT 1") {
+        Err(Error::ReadOnly) => {
+            println!("reader.ingest_record(..): Error::ReadOnly — as it must be")
+        }
         other => unreachable!("write on a read-only engine: {other:?}"),
     }
     match reader.checkpoint() {

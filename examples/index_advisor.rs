@@ -16,7 +16,7 @@
 use logr::analytics::{Advisor, IndexAdvisor, Pred};
 use logr::feature::FeatureClass;
 use logr::workload::{generate_pocketdata, PocketDataConfig};
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 fn main() -> Result<(), Error> {
     let synthetic = generate_pocketdata(&PocketDataConfig::default());
@@ -32,7 +32,7 @@ fn main() -> Result<(), Error> {
 
     let engine = Engine::builder().window(4096).clusters(8).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest(&Record::new(sql).times(*count))?;
     }
     engine.flush()?;
 

@@ -20,7 +20,7 @@ use logr::cluster::Distance;
 use logr::core::{query_typicality, WindowSummary};
 use logr::feature::{LogIngest, QueryVector};
 use logr::workload::{generate_pocketdata, PocketDataConfig};
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 fn report_window(w: &WindowSummary) {
     let verdict = if w.stable { "stable" } else { "⚠ SHIFTED" };
@@ -68,7 +68,7 @@ fn main() -> Result<(), Error> {
     // build up the rolling baseline…
     for _ in 0..4 {
         for (sql, count) in synthetic.statements.iter().take(120) {
-            if let Some(w) = engine.ingest_with_count(sql, *count % 7 + 1)? {
+            if let Some(w) = engine.ingest(&Record::new(sql).times(*count % 7 + 1))? {
                 report_window(&w);
                 windows.push(w);
             }
@@ -84,13 +84,13 @@ fn main() -> Result<(), Error> {
 
     // …then the scan runs hot inside otherwise-normal traffic.
     for (sql, count) in synthetic.statements.iter().take(60) {
-        if let Some(w) = engine.ingest_with_count(sql, *count % 7 + 1)? {
+        if let Some(w) = engine.ingest(&Record::new(sql).times(*count % 7 + 1))? {
             report_window(&w);
             windows.push(w);
         }
     }
     for sql in injected {
-        if let Some(w) = engine.ingest_with_count(sql, 40)? {
+        if let Some(w) = engine.ingest(&Record::new(sql).times(40))? {
             report_window(&w);
             windows.push(w);
         }

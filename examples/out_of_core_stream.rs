@@ -17,12 +17,12 @@
 //! integer mismatch counts and bit-packed points — reloads are
 //! bit-exact); after a simulated crash the reopened engine must agree
 //! too. A final section closes windows on a wall-clock grid via
-//! `ingest_at_ms` — the time-based flavor a production tail would use.
+//! timestamped `Record`s — the time-based flavor a production tail would use.
 //!
 //! Run with: `cargo run --release --example out_of_core_stream`
 
 use logr::core::TimeWindows;
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 /// 600 distinct statement shapes, cycled: enough distinct mass that the
 /// history's shard payloads dwarf a 256 KiB budget. (The budget must
@@ -46,7 +46,7 @@ fn main() -> Result<(), Error> {
     // ---- Run 1: in-memory (every shard resident). ----------------------
     let unbounded = Engine::builder().window(100).clusters(4).in_memory()?;
     for i in 0..STREAM_LEN {
-        unbounded.ingest(&statement(i))?;
+        unbounded.ingest_record(&statement(i))?;
     }
 
     // ---- Run 2: durable (256 KiB resident budget, store on disk). ------
@@ -54,7 +54,7 @@ fn main() -> Result<(), Error> {
     let bounded = Engine::builder().window(100).clusters(4).resident_budget(BUDGET).open(&dir)?;
     let mut peak = 0usize;
     for i in 0..STREAM_LEN {
-        if bounded.ingest(&statement(i))?.is_some() {
+        if bounded.ingest_record(&statement(i))?.is_some() {
             peak = peak.max(bounded.resident_shard_bytes()?);
         }
     }
@@ -117,7 +117,7 @@ fn main() -> Result<(), Error> {
     println!("=== time-based tumbling windows (1 s grid) ===");
     // ~3.3 statements per second for five seconds.
     for i in 0..17u64 {
-        if let Some(w) = timed.ingest_at_ms(&statement(i as usize), 1, i * 300)? {
+        if let Some(w) = timed.ingest(&Record::new(statement(i as usize)).at(i * 300))? {
             println!(
                 "window {} closed at t={}ms: {} queries, {} distinct",
                 w.index,

@@ -13,10 +13,11 @@
 //!
 //! Run with: `cargo run --release --example portable_summary`
 
+use logr::cluster::vfs::RealFs;
 use logr::core::{CompressionObjective, PortableSummary};
 use logr::feature::Feature;
 use logr::workload::{generate_pocketdata, PocketDataConfig};
-use logr::Engine;
+use logr::{Engine, Record};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- On the database host -----------------------------------------
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = Engine::builder().window(1 << 21).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest(&Record::new(sql).times(*count))?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let portable = PortableSummary::from_summary(&summary, snapshot.history());
     let path = std::env::temp_dir().join("pocketdata.logr");
-    portable.save(&path)?;
+    portable.save_with(&RealFs, &path)?;
     let summary_bytes = std::fs::metadata(&path)?.len() as usize;
 
     println!(
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Later, on the analyst's machine -------------------------------
-    let loaded = PortableSummary::load(&path)?;
+    let loaded = PortableSummary::load_with(&RealFs, &path)?;
     println!("\nanswering tuning questions from {} alone:", path.display());
     for (question, features) in [
         ("queries touching messages", vec![Feature::from_table("messages")]),

@@ -14,14 +14,14 @@
 use logr::analytics::{Advisor, Pred, QueryRecommender};
 use logr::feature::FeatureClass;
 use logr::workload::{generate_pocketdata, PocketDataConfig};
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 fn main() -> Result<(), Error> {
     // Historical workload → summary (this is all the recommender keeps).
     let synthetic = generate_pocketdata(&PocketDataConfig::default());
     let engine = Engine::builder().window(1 << 21).clusters(8).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest(&Record::new(sql).times(*count))?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

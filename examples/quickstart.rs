@@ -19,16 +19,18 @@ fn main() -> Result<(), Error> {
     // would lose — the paper's motivating case).
     let engine = Engine::builder().window(1024).clusters(4).in_memory()?;
     for _ in 0..5_000 {
-        engine.ingest("SELECT id, body, sent_at FROM messages WHERE status = ? AND folder = ?")?;
+        engine.ingest_record(
+            "SELECT id, body, sent_at FROM messages WHERE status = ? AND folder = ?",
+        )?;
     }
     for _ in 0..2_500 {
-        engine.ingest("SELECT id FROM messages WHERE status = ?")?;
+        engine.ingest_record("SELECT id FROM messages WHERE status = ?")?;
     }
     for _ in 0..1_500 {
-        engine.ingest("SELECT balance, branch FROM accounts WHERE owner = ?")?;
+        engine.ingest_record("SELECT balance, branch FROM accounts WHERE owner = ?")?;
     }
     for _ in 0..12 {
-        engine.ingest(
+        engine.ingest_record(
             "SELECT owner, sum(amount) FROM accounts, ledger \
              WHERE accounts.id = ledger.account_id AND posted_at >= ? GROUP BY owner",
         )?;

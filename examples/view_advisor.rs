@@ -18,7 +18,7 @@ use logr::analytics::{Advisor, Pred, SummaryView, ViewAdvisor, WorkloadQuery};
 use logr::core::CompressionObjective;
 use logr::feature::FeatureClass;
 use logr::workload::{generate_usbank, UsBankConfig};
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 fn main() -> Result<(), Error> {
     let synthetic = generate_usbank(&UsBankConfig::default());
@@ -30,7 +30,7 @@ fn main() -> Result<(), Error> {
     // cluster count before join anti-correlations resolve.
     let engine = Engine::builder().window(1 << 21).clusters(48).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest(&Record::new(sql).times(*count))?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

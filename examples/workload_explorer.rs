@@ -12,13 +12,13 @@
 
 use logr::core::interpret::{render_component, RenderConfig};
 use logr::workload::{generate_usbank, UsBankConfig};
-use logr::{Engine, Error};
+use logr::{Engine, Error, Record};
 
 fn main() -> Result<(), Error> {
     let synthetic = generate_usbank(&UsBankConfig::default());
     let engine = Engine::builder().window(1 << 21).clusters(8).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest(&Record::new(sql).times(*count))?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

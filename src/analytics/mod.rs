@@ -27,10 +27,10 @@
 //!
 //! let engine = Engine::builder().clusters(2).in_memory()?;
 //! for _ in 0..900 {
-//!     engine.ingest("SELECT id, body FROM messages WHERE status = ?")?;
+//!     engine.ingest_record("SELECT id, body FROM messages WHERE status = ?")?;
 //! }
 //! for _ in 0..100 {
-//!     engine.ingest("SELECT balance FROM accounts, ledger WHERE owner = ?")?;
+//!     engine.ingest_record("SELECT balance FROM accounts, ledger WHERE owner = ?")?;
 //! }
 //! engine.flush()?;
 //! let snapshot = engine.snapshot()?;

@@ -29,13 +29,14 @@ use crate::analytics::{Advisor, IndexAdvisor, WorkloadQuery, WorkloadView};
 use crate::error::Error;
 use crate::manifest::{self, DeltaLog, DeltaRecord, Manifest};
 use logr_cluster::vfs::{self, retry_io, Vfs};
-use logr_cluster::{Distance, ShardedPointSet, SpillConfig};
+use logr_cluster::{Distance, ShardedPointSet, SpillConfig, SpillError};
 use logr_core::PortableSummary;
 use logr_core::{
     CompressionObjective, DriftReport, LogR, LogRSummary, SourceConfig, StreamConfig,
     StreamSummarizer, TimeWindows, WindowSummary,
 };
-use logr_feature::{Codebook, Feature, QueryLog};
+use logr_feature::{Codebook, QueryLog};
+use logr_source::Record;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -212,8 +213,8 @@ impl EngineBuilder {
     /// semantic one) overrides the stored budget.
     ///
     /// Every corruption mode is a distinct typed error: a missing
-    /// manifest is [`Error::MissingManifest`], a manifest from a newer
-    /// build [`Error::ManifestVersion`], a damaged manifest
+    /// manifest is [`Error::MissingManifest`], a manifest of another
+    /// format version [`Error::ManifestVersion`], a damaged manifest
     /// [`Error::CorruptManifest`], a deleted shard file
     /// [`Error::MissingShard`], a truncated or rotted shard file
     /// [`Error::Spill`] with the decoder's verdict, and checkpoint-level
@@ -618,7 +619,7 @@ impl EngineSnapshot {
 
     /// Pattern mixture summary of everything seen so far, clustered over
     /// the sharded history's merged condensed matrix — bit-identical to
-    /// [`StreamSummarizer::history_summary`] at the same boundary.
+    /// [`StreamSummarizer::try_history_summary`] at the same boundary.
     /// Computed once per snapshot (first caller pays; concurrent callers
     /// wait and share), `None` before any distinct query was absorbed.
     pub fn summary(&self) -> Result<Option<Arc<LogRSummary>>, Error> {
@@ -630,7 +631,7 @@ impl EngineSnapshot {
             return Ok(Some(s.clone()));
         }
         let dist = self.shards.try_condensed(self.config.metric)?;
-        // The identical compressor StreamSummarizer::history_summary
+        // The identical compressor StreamSummarizer::try_history_summary
         // builds — one shared definition, so the documented bit-identity
         // cannot silently drift.
         let compressor = LogR::new(self.config.compressor_config());
@@ -678,21 +679,6 @@ impl EngineSnapshot {
     /// [`WorkloadQuery`]. `None` before the first distinct query.
     pub fn query(&self) -> Result<Option<WorkloadQuery<'_>>, Error> {
         WorkloadQuery::over(self)
-    }
-
-    /// Estimate how many history queries contain all the given features
-    /// (the §6.2 mixture estimator; 0.0 for unknown features or before
-    /// the first close).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineSnapshot::query()` with a typed `analytics::Pred` — unknown \
-                features become typed errors instead of silent zeros"
-    )]
-    pub fn estimate_count_features(&self, features: &[Feature]) -> Result<f64, Error> {
-        match self.summary()? {
-            Some(s) => Ok(s.estimate_count_features(&self.history, features)),
-            None => Ok(0.0),
-        }
     }
 
     /// The §2 index-advisor question, answered from the summary: every
@@ -853,17 +839,19 @@ impl Engine {
         Ok(())
     }
 
-    /// Ingest one statement (multiplicity 1). Returns the closed window's
-    /// artifacts when this statement completes a window — at which point
-    /// a new snapshot is published and, on durable engines, the store is
-    /// checkpointed.
+    /// Ingest one raw record (multiplicity 1, no timestamp) through the
+    /// engine's configured source — a SQL statement on an SQL-source
+    /// engine, a free-form service-log line on a template-source one.
+    /// Returns the closed window's artifacts when this record completes a
+    /// window — at which point a new snapshot is published and, on
+    /// durable engines, the store is checkpointed.
     ///
     /// # Error semantics
     ///
     /// An [`Error::Spill`] means the window close itself failed and the
     /// stream is wedged (reopen from the store). Any *other* error from
     /// an ingest entry point arrives **after** the close took effect in
-    /// memory: the statement was ingested and the window closed — do not
+    /// memory: the record was ingested and the window closed — do not
     /// re-ingest it (that would count it twice). Two failure stages
     /// share that shape: a snapshot-publication failure
     /// ([`Error::Poisoned`] — persistence is still attempted before the
@@ -874,73 +862,35 @@ impl Engine {
     /// advance). Either way a later close or [`Engine::checkpoint`]
     /// retries persistence, and recovery meanwhile resumes from the last
     /// durable state.
-    pub fn ingest(&self, sql: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.ingest_with_count(sql, 1)
-    }
-
-    /// Ingest one statement occurring `count` times.
-    pub fn ingest_with_count(
-        &self,
-        sql: &str,
-        count: u64,
-    ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_with_count(sql, count)?;
-        self.after_ingest(&mut st, closed)
-    }
-
-    /// Ingest one raw record through the engine's configured source
-    /// (multiplicity 1) — [`Engine::ingest`]'s source-agnostic twin. On
-    /// a template-source engine the record is a free-form service-log
-    /// line; on an SQL-source engine the two entry points are
-    /// interchangeable. Error semantics are those of [`Engine::ingest`].
     pub fn ingest_record(&self, text: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.ingest_record_with_count(text, 1)
+        self.write(|s| s.try_ingest_record(text))
     }
 
-    /// Ingest one raw record occurring `count` times through the
-    /// engine's configured source.
-    pub fn ingest_record_with_count(
-        &self,
-        text: &str,
-        count: u64,
-    ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_record_with_count(text, count)?;
-        self.after_ingest(&mut st, closed)
-    }
-
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`
-    /// (for time-based windows; see [`StreamSummarizer::ingest_at_ms`]).
-    pub fn ingest_at_ms(
-        &self,
-        sql: &str,
-        count: u64,
-        ts_ms: u64,
-    ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_at_ms(sql, count, ts_ms)?;
-        self.after_ingest(&mut st, closed)
+    /// Ingest one [`Record`] — text with a multiplicity and, for
+    /// time-based windows, an event timestamp (see
+    /// [`StreamSummarizer::try_ingest`]). Error semantics are those of
+    /// [`Engine::ingest_record`].
+    pub fn ingest(&self, record: &Record) -> Result<Option<Arc<WindowSummary>>, Error> {
+        self.write(|s| s.try_ingest(record))
     }
 
     /// Close a partial window (end of batch / forced boundary). `None`
     /// when nothing arrived since the last close.
     pub fn flush(&self) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_flush()?;
-        self.after_ingest(&mut st, closed)
+        self.write(StreamSummarizer::try_flush)
     }
 
-    fn after_ingest(
+    /// The one write path behind ingest and flush: run `op` on the
+    /// summarizer under the writer lock and, when it closed a window,
+    /// publish and persist the close.
+    fn write(
         &self,
-        st: &mut WriterState,
-        closed: Option<WindowSummary>,
+        op: impl FnOnce(&mut StreamSummarizer) -> Result<Option<WindowSummary>, SpillError>,
     ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        let Some(w) = closed else { return Ok(None) };
+        self.check_writable()?;
+        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
+        let st = &mut *st;
+        let Some(w) = op(&mut st.summarizer)? else { return Ok(None) };
         let w = Arc::new(w);
         st.last_window = Some(w.clone());
         // Publish before persisting: the close already happened in
@@ -1047,20 +997,10 @@ impl Engine {
         let shards = st.summarizer.shard_store();
         let record = DeltaRecord {
             seq: 0, // assigned by the log at append time
-            windows_closed: close.windows_closed,
-            since_close: close.since_close,
-            last_ts_ms: close.last_ts_ms,
-            next_close_ms: close.next_close_ms,
-            statements_parsed: close.statements_parsed,
-            buffer: close.buffer,
-            pending: close.pending,
-            stride_log: close.stride_log,
-            window_queries: close.window_queries,
-            overlap_span: close.overlap_span,
+            close: *close,
             new_shard_files: shard_files[session.shard_files.len()..].to_vec(),
             n_features: shards.n_features(),
             total_points: shards.len(),
-            source_events: close.source_events,
         };
         match session.log.append_with(&*self.vfs, &dir, &record) {
             Ok(()) => {

@@ -46,12 +46,13 @@ pub enum Error {
         /// The store directory inspected.
         dir: PathBuf,
     },
-    /// The store manifest was written by a newer build than this one —
-    /// refusing to guess at a future format.
+    /// The store manifest (or delta log) is stamped with a format version
+    /// other than the one this build reads — older or newer, refused
+    /// before any byte of it is interpreted.
     ManifestVersion {
-        /// Version found in the manifest.
+        /// Version found in the file.
         found: u32,
-        /// Largest version this build reads.
+        /// The one version this build reads.
         supported: u32,
     },
     /// The store manifest fails validation (bad magic, checksum mismatch,
@@ -113,10 +114,9 @@ impl fmt::Display for Error {
             Error::MissingManifest { dir } => {
                 write!(f, "no engine manifest in {} (nothing to resume)", dir.display())
             }
-            Error::ManifestVersion { found, supported } => write!(
-                f,
-                "engine manifest version {found} is newer than this build reads (≤ {supported})"
-            ),
+            Error::ManifestVersion { found, supported } => {
+                write!(f, "engine manifest version {found}, this build reads {supported}")
+            }
             Error::CorruptManifest { detail } => write!(f, "corrupt engine manifest: {detail}"),
             Error::MissingShard { path } => {
                 write!(f, "manifest references a missing shard file: {}", path.display())

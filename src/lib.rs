@@ -19,10 +19,10 @@
 //!
 //! let engine = Engine::builder().clusters(2).in_memory()?;
 //! for _ in 0..900 {
-//!     engine.ingest("SELECT id, body FROM messages WHERE status = ?")?;
+//!     engine.ingest_record("SELECT id, body FROM messages WHERE status = ?")?;
 //! }
 //! for _ in 0..100 {
-//!     engine.ingest("SELECT balance FROM accounts WHERE owner = ? AND open = ?")?;
+//!     engine.ingest_record("SELECT balance FROM accounts WHERE owner = ? AND open = ?")?;
 //! }
 //! engine.flush()?;
 //!
@@ -67,7 +67,6 @@
 //!
 //! * [`SourceConfig::Sql`] (default) — the paper's path: parse,
 //!   regularize, emit `⟨class, text⟩` features per conjunctive branch.
-//!   Byte-compatible with every pre-source store.
 //! * [`SourceConfig::Template`] — a Drain-style **template miner** for
 //!   free-form service logs: a fixed-depth parse tree buckets each line
 //!   by token count and leading tokens, matches it against leaf
@@ -79,11 +78,11 @@
 //!   that answer "which predicates dominate".
 //!
 //! Select the source at build time and feed raw records through
-//! [`Engine::ingest_record`]:
+//! [`Engine::ingest_record`] — or [`Engine::ingest`] with a [`Record`]
+//! when a record carries a multiplicity or an event timestamp:
 //!
 //! ```
-//! use logr::core::SourceConfig;
-//! use logr::Engine;
+//! use logr::{Engine, Record, SourceConfig};
 //!
 //! let engine = Engine::builder()
 //!     .source(SourceConfig::template())
@@ -93,9 +92,9 @@
 //! engine.ingest_record("request 9001 served in 35 ms")?;
 //! engine.ingest_record("request 9002 served in 41 ms")?;
 //! engine.ingest_record("connection from 10.0.0.7 port 6033 established")?;
-//! engine.ingest_record("request 9003 served in 9 ms")?;
+//! engine.ingest(&Record::new("request 9003 served in 9 ms").times(3))?;
 //! engine.flush()?;
-//! assert!(engine.snapshot()?.total_queries() >= 4);
+//! assert_eq!(engine.snapshot()?.total_queries(), 6);
 //! # Ok::<(), logr::Error>(())
 //! ```
 //!
@@ -105,8 +104,7 @@
 //! recovery replays the journal through the same mining code — so a
 //! resumed engine assigns every future line the exact template and
 //! parameter features the original would have. SQL-source stores are
-//! unaffected: their journal is empty and version-2 manifests still
-//! open.
+//! unaffected: their journal is empty.
 //!
 //! ## Crate map
 //!
@@ -223,9 +221,9 @@
 //! fixtures, and `cargo test` also re-scans the workspace, so the
 //! invariants hold on every green build, not just in CI.
 //!
-//! Reproduction of every table and figure in the paper: see `DESIGN.md`
-//! (experiment index) and run `cargo run --release -p logr-bench --bin
-//! repro -- all`.
+//! Reproduction of every table and figure in the paper: `cargo run
+//! --release -p logr-bench --bin repro -- all` (`-- --help` lists the
+//! experiments).
 
 #![warn(missing_docs)]
 
@@ -245,6 +243,7 @@ pub mod manifest;
 
 pub use engine::{Engine, EngineBuilder, EngineSnapshot, IndexAdvice};
 pub use error::Error;
-// The source selector rides at the root so `.source(...)` call sites
-// need not name the backing crate.
-pub use logr_source::{SourceConfig, TemplateConfig};
+// The source selector and the ingest record ride at the root so
+// `.source(...)` / `.ingest(...)` call sites need not name the backing
+// crate.
+pub use logr_source::{Record, SourceConfig, TemplateConfig};

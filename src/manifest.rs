@@ -23,23 +23,24 @@
 //!  end−8  8     checksum: FNV-1a 64 over bytes [8, end−8)
 //! ```
 //!
-//! Body, in order: the stream configuration (version 3 appends the
-//! source configuration — a tag byte, plus the template-miner knobs when
-//! the source is `Template`), the resident budget, the scalar stream
-//! state, the window buffer and pending statements (raw record text),
-//! the baseline rotation and materialized baseline, the history log, the
-//! featurizer journal (`u64` length + bytes; version 3 only), and the
-//! shard chain (universe width, total points, ordered file names
-//! relative to the store directory). Strings are `u64` length + UTF-8;
+//! Body, in order: the stream configuration (ending with the source
+//! configuration — a tag byte, plus the template-miner knobs when the
+//! source is `Template`), the resident budget, the scalar stream state,
+//! the window buffer and pending statements (raw record text), the
+//! baseline rotation and materialized baseline, the history log, the
+//! featurizer journal (`u64` length + bytes), and the shard chain
+//! (universe width, total points, ordered file names relative to the
+//! store directory). Strings are `u64` length + UTF-8;
 //! optional integers are a presence byte + value; query logs store their
 //! universe width, codebook (class tag + text, in id order) and entries
 //! (sorted id list + multiplicity, in insertion order) — enough to
 //! reproduce interning order, and therefore every downstream bit.
 //!
 //! Readers validate in order — length floor, magic, **version** (a
-//! manifest from a newer build is refused before its bytes are
-//! interpreted), checksum, then structure — so every way the file can be
-//! wrong maps to one typed [`Error`] variant and decoding never panics.
+//! manifest stamped with any version but this build's is refused before
+//! its bytes are interpreted), checksum, then structure — so every way
+//! the file can be wrong maps to one typed [`Error`] variant and decoding
+//! never panics.
 //!
 //! # The delta log (`engine.delta`)
 //!
@@ -73,27 +74,13 @@
 //! record that is structurally wrong (bad sequence number, malformed
 //! body) is a typed [`Error::CorruptManifest`] — that is tampering or a
 //! writer bug, never a crash artifact, and must be loud.
-//!
-//! Version 2 of the manifest is byte-compatible with version 1; the bump
-//! exists so builds that predate the delta log refuse stores that may
-//! carry one (opening the base alone would silently drop acknowledged
-//! closes). Version 3 adds the pluggable-source fields — the source
-//! configuration at the end of the stream configuration and the
-//! featurizer journal after the history log — and readers still accept
-//! version 2 bytes (decoded as the SQL source with an empty journal,
-//! exactly what every version-2 store was). Delta-log version 2
-//! likewise appends the close's journal increment to each record;
-//! version-1 records decode with an empty increment.
 
 use crate::error::Error;
 use logr_cluster::spill::fnv1a64;
-use logr_cluster::vfs::{retry_io, RealFs, Vfs};
+use logr_cluster::vfs::{retry_io, Vfs};
 use logr_cluster::Distance;
-use logr_core::{
-    rotate_baseline, SourceConfig, StreamConfig, StreamState, TemplateConfig, TimeWindows,
-};
+use logr_core::{CloseDelta, SourceConfig, StreamConfig, StreamState, TemplateConfig, TimeWindows};
 use logr_feature::{Feature, FeatureClass, FeatureId, QueryLog, QueryVector};
-use std::collections::VecDeque;
 use std::path::Path;
 
 /// File name of the manifest inside an engine store directory.
@@ -102,13 +89,7 @@ pub const FILE_NAME: &str = "engine.manifest";
 /// First 8 bytes of every manifest.
 pub const MAGIC: [u8; 8] = *b"LOGRMNFT";
 
-/// Format version this build writes and the newest one it reads.
-/// Version 2 bodies are byte-identical to version 1; the bump gates
-/// stores that may carry an `engine.delta` log away from older builds
-/// that would silently ignore it. Version 3 adds the source
-/// configuration and the featurizer journal; version-2 bytes still
-/// decode (as the SQL source with an empty journal — see the module
-/// docs).
+/// Format version this build writes and the only one it reads.
 pub const VERSION: u32 = 3;
 
 /// Everything needed to reopen an engine (see the module docs).
@@ -143,17 +124,8 @@ pub fn encode(m: &Manifest) -> Vec<u8> {
     put_opt_u64(&mut out, m.state.next_close_ms);
     put_u64(&mut out, m.state.statements_parsed);
 
-    put_u64(&mut out, m.state.buffer.len() as u64);
-    for (sql, count, ts) in &m.state.buffer {
-        put_str(&mut out, sql);
-        put_u64(&mut out, *count);
-        put_u64(&mut out, *ts);
-    }
-    put_u64(&mut out, m.state.pending.len() as u64);
-    for (sql, count) in &m.state.pending {
-        put_str(&mut out, sql);
-        put_u64(&mut out, *count);
-    }
+    put_buffer(&mut out, &m.state.buffer);
+    put_pending(&mut out, &m.state.pending);
     put_u64(&mut out, m.state.baseline_logs.len() as u64);
     for (log, offered) in &m.state.baseline_logs {
         put_log(&mut out, log);
@@ -165,10 +137,7 @@ pub fn encode(m: &Manifest) -> Vec<u8> {
 
     put_u64(&mut out, m.n_features as u64);
     put_u64(&mut out, m.total_points as u64);
-    put_u64(&mut out, m.shard_files.len() as u64);
-    for name in &m.shard_files {
-        put_str(&mut out, name);
-    }
+    put_shard_files(&mut out, &m.shard_files);
 
     let checksum = fnv1a64(&out[8..]);
     out.extend_from_slice(&checksum.to_le_bytes());
@@ -187,7 +156,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     let mut version_le = [0u8; 4];
     version_le.copy_from_slice(&bytes[8..12]);
     let version = u32::from_le_bytes(version_le);
-    if version > VERSION {
+    if version != VERSION {
         return Err(Error::ManifestVersion { found: version, supported: VERSION });
     }
     let mut stored_le = [0u8; 8];
@@ -201,7 +170,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     }
 
     let mut r = Reader { bytes: &bytes[12..bytes.len() - 8] };
-    let config = get_config(&mut r, version)?;
+    let config = get_config(&mut r)?;
     let resident_budget = get_usize(&mut r, "resident budget")?;
 
     let windows_closed = get_usize(&mut r, "windows closed")?;
@@ -210,21 +179,8 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     let next_close_ms = get_opt_u64(&mut r, "next close boundary")?;
     let statements_parsed = r.u64("parse counter")?;
 
-    let n = get_len(&mut r, "buffer length")?;
-    let mut buffer = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sql = r.str("buffered statement")?;
-        let count = r.u64("buffered multiplicity")?;
-        let ts = r.u64("buffered timestamp")?;
-        buffer.push((sql, count, ts));
-    }
-    let n = get_len(&mut r, "pending length")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sql = r.str("pending statement")?;
-        let count = r.u64("pending multiplicity")?;
-        pending.push((sql, count));
-    }
+    let buffer = get_buffer(&mut r)?;
+    let pending = get_pending(&mut r)?;
     let n = get_len(&mut r, "baseline rotation length")?;
     let mut baseline_logs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -234,25 +190,11 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     }
     let baseline = get_log(&mut r)?;
     let history = get_log(&mut r)?;
-    // Version 2 predates pluggable sources: the featurizer was the SQL
-    // path, whose journal is always empty.
-    let source_state =
-        if version >= 3 { get_bytes(&mut r, "featurizer journal")? } else { Vec::new() };
+    let source_state = get_bytes(&mut r, "featurizer journal")?;
 
     let n_features = get_usize(&mut r, "shard universe width")?;
     let total_points = get_usize(&mut r, "shard point total")?;
-    let n = get_len(&mut r, "shard file count")?;
-    let mut shard_files = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str("shard file name")?;
-        // File names are interpreted relative to the store directory; a
-        // name that escapes it (separator or parent component) cannot
-        // come from our writer.
-        if name.is_empty() || name.contains(['/', '\\']) || name == ".." {
-            return Err(corrupt("shard file name escapes the store directory"));
-        }
-        shard_files.push(name);
-    }
+    let shard_files = get_shard_files(&mut r)?;
     if !r.bytes.is_empty() {
         return Err(corrupt("trailing bytes after the shard file list"));
     }
@@ -279,31 +221,21 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     })
 }
 
-/// Atomically and durably write a manifest to `path`: write a `.tmp`
-/// sibling, **fsync it**, rename over the target, then fsync the
-/// directory. The manifest is the store's single recovery root (shard
-/// files are write-once under fresh names, so an old manifest always
-/// points at intact files — but a replaced manifest is gone), which is
-/// why the fsyncs matter: without them a power loss shortly after the
-/// rename can leave a zero-length manifest on journaled filesystems
-/// with delayed allocation, and with them a crash at any point leaves
-/// either the previous checkpoint or the new one.
-pub fn write_file(path: &Path, m: &Manifest) -> Result<(), Error> {
-    write_file_with(&RealFs, path, m)
-}
-
-/// [`write_file`] with every file operation routed through `vfs`.
-/// Transient errors (`EINTR`/`EAGAIN`) are retried with bounded backoff
-/// at each step; any other failure — `ENOSPC` included — aborts with the
-/// `.tmp` sibling swept, leaving the previous manifest untouched (the
-/// store stays openable at its last durable checkpoint).
-pub fn write_file_with(vfs: &dyn Vfs, path: &Path, m: &Manifest) -> Result<(), Error> {
-    write_bytes_with(vfs, path, &encode(m))
-}
-
-/// [`write_file_with`] that also opens a fresh [`DeltaLog`] session bound
-/// to the just-written base — the one encode pass serves both the file
-/// and the binding, so full persists never hash the manifest twice.
+/// Atomically and durably write a manifest to `path` through `vfs` and
+/// open a fresh [`DeltaLog`] session bound to it — the one encode pass
+/// serves both the file and the binding, so full persists never hash the
+/// manifest twice. Protocol: write a `.tmp` sibling, **fsync it**, rename
+/// over the target, then fsync the directory. The manifest is the
+/// store's single recovery root (shard files are write-once under fresh
+/// names, so an old manifest always points at intact files — but a
+/// replaced manifest is gone), which is why the fsyncs matter: without
+/// them a power loss shortly after the rename can leave a zero-length
+/// manifest on journaled filesystems with delayed allocation, and with
+/// them a crash at any point leaves either the previous checkpoint or
+/// the new one. Transient errors (`EINTR`/`EAGAIN`) are retried with
+/// bounded backoff at each step; any other failure — `ENOSPC` included —
+/// aborts with the `.tmp` sibling swept, leaving the previous manifest
+/// untouched (the store stays openable at its last durable checkpoint).
 pub fn write_base_with(vfs: &dyn Vfs, path: &Path, m: &Manifest) -> Result<DeltaLog, Error> {
     let bytes = encode(m);
     write_bytes_with(vfs, path, &bytes)?;
@@ -330,16 +262,6 @@ fn write_bytes_with(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), Erro
     Ok(())
 }
 
-/// Load and validate a manifest from `path`.
-pub fn read_file(path: &Path) -> Result<Manifest, Error> {
-    read_file_with(&RealFs, path)
-}
-
-/// [`read_file`] through `vfs`, riding out transient read errors.
-pub fn read_file_with(vfs: &dyn Vfs, path: &Path) -> Result<Manifest, Error> {
-    decode(&retry_io(|| vfs.read(path))?)
-}
-
 fn corrupt(detail: impl Into<String>) -> Error {
     Error::CorruptManifest { detail: detail.into() }
 }
@@ -352,10 +274,7 @@ pub const DELTA_FILE_NAME: &str = "engine.delta";
 /// First 8 bytes of every delta log.
 pub const DELTA_MAGIC: [u8; 8] = *b"LOGRDLTA";
 
-/// Delta-log format version this build writes and the newest one it
-/// reads. Version 2 appends the close's featurizer-journal increment to
-/// each record; version-1 records decode with an empty increment (the
-/// SQL source, the only one version 1 could carry, journals nothing).
+/// Delta-log format version this build writes and the only one it reads.
 pub const DELTA_VERSION: u32 = 2;
 
 /// Bytes in a delta-log header: magic + version + base checksum + base
@@ -363,52 +282,23 @@ pub const DELTA_VERSION: u32 = 2;
 pub const DELTA_HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
 /// One window close's increment over the base manifest (see the module
-/// docs): everything `close_window` changed, in `O(window)` bytes —
-/// scalars and the window buffer are post-close *values* (overwritten on
-/// replay), the stride log is the exact increment the history absorbed
-/// (re-absorbed on replay) and the pair the baseline rotation pushed
-/// (replayed through [`logr_core::rotate_baseline`], the same function
-/// the live close ran, so the rotation and rebuilt baseline land
-/// bit-identically without being recorded), and the shard-file additions
-/// extend the base's chain.
+/// docs): the summarizer's [`CloseDelta`] — everything `close_window`
+/// changed in the resumable state, in `O(window)` bytes, replayed through
+/// [`StreamState::apply_close`] — plus the shard-chain additions that
+/// extend the base's.
 #[derive(Debug, Clone)]
 pub struct DeltaRecord {
     /// 1-based position in the log (assigned by [`DeltaLog::append_with`],
     /// verified on replay).
     pub seq: u64,
-    /// Post-close [`StreamState::windows_closed`].
-    pub windows_closed: usize,
-    /// Post-close [`StreamState::since_close`].
-    pub since_close: u64,
-    /// Post-close [`StreamState::last_ts_ms`].
-    pub last_ts_ms: u64,
-    /// Post-close [`StreamState::next_close_ms`].
-    pub next_close_ms: Option<u64>,
-    /// Post-close [`StreamState::statements_parsed`].
-    pub statements_parsed: u64,
-    /// Post-close window buffer (the sliding overlap; empty for tumbling).
-    pub buffer: Vec<(String, u64, u64)>,
-    /// Post-close pending stride statements.
-    pub pending: Vec<(String, u64)>,
-    /// The closed window's stride log — the exact increment
-    /// `history.absorb`ed at this close, and the log the baseline
-    /// rotation pushed.
-    pub stride_log: QueryLog,
-    /// Offered-query weight the rotation paired with `stride_log`.
-    pub window_queries: u64,
-    /// Exclusion span the rotation's skip walk used at close time.
-    pub overlap_span: u64,
+    /// What the close changed in the stream state.
+    pub close: CloseDelta,
     /// Shard file names this close added to the chain, in order.
     pub new_shard_files: Vec<String>,
     /// Post-close feature-universe width of the shard set.
     pub n_features: usize,
     /// Post-close total points across the shard chain.
     pub total_points: usize,
-    /// The featurizer-journal increment since the previous record (from
-    /// [`logr_core::CloseDelta::source_events`]); replay appends it to
-    /// the base's journal, so concatenated increments rebuild the full
-    /// journal byte-for-byte. Empty for the SQL source.
-    pub source_events: Vec<u8>,
 }
 
 /// Writer side of one delta log, bound to the base manifest it extends.
@@ -531,7 +421,7 @@ pub fn read_store_with(vfs: &dyn Vfs, dir: &Path) -> Result<(Manifest, DeltaRepl
 /// Replay `delta_bytes` over the manifest decoded from `base_bytes`.
 /// Tolerant exactly where a power cut can tear (short/unsynced header,
 /// torn or checksum-invalid trailing frame: replay stops, the tail was
-/// never acknowledged), loud everywhere else (foreign magic, newer
+/// never acknowledged), loud everywhere else (foreign magic, another
 /// version, checksum-valid but malformed or out-of-sequence records are
 /// typed errors — those are tampering or writer bugs, not crash
 /// artifacts).
@@ -552,7 +442,7 @@ pub fn replay_delta(
     let mut version_le = [0u8; 4];
     version_le.copy_from_slice(&delta_bytes[8..12]);
     let version = u32::from_le_bytes(version_le);
-    if version > DELTA_VERSION {
+    if version != DELTA_VERSION {
         return Err(Error::ManifestVersion { found: version, supported: DELTA_VERSION });
     }
     let mut stored_le = [0u8; 8];
@@ -591,7 +481,7 @@ pub fn replay_delta(
         if u64::from_le_bytes(frame_sum_le) != fnv1a64(payload) {
             break; // torn or unsynced tail — never acknowledged
         }
-        let rec = decode_record(payload, version)?;
+        let rec = decode_record(payload)?;
         if rec.seq != applied + 1 {
             return Err(corrupt(format!(
                 "delta record out of sequence: found {}, expected {}",
@@ -599,7 +489,7 @@ pub fn replay_delta(
                 applied + 1
             )));
         }
-        apply_record(m, &rec);
+        apply_record(m, rec);
         applied += 1;
         off = end;
     }
@@ -607,67 +497,36 @@ pub fn replay_delta(
 }
 
 /// Fold one record into the manifest — the replay side of the recording
-/// `close_window` does (see [`DeltaRecord`] field docs). The baseline
-/// rotation is not stored in the record: it reruns here through the same
-/// [`rotate_baseline`] the live close used, on the manifest's rotation
-/// state, from the record's inputs.
-fn apply_record(m: &mut Manifest, rec: &DeltaRecord) {
-    m.state.windows_closed = rec.windows_closed;
-    m.state.since_close = rec.since_close;
-    m.state.last_ts_ms = rec.last_ts_ms;
-    m.state.next_close_ms = rec.next_close_ms;
-    m.state.statements_parsed = rec.statements_parsed;
-    m.state.buffer = rec.buffer.clone();
-    m.state.pending = rec.pending.clone();
-    m.state.history.absorb(&rec.stride_log);
-    let mut rotation: VecDeque<(QueryLog, u64)> = std::mem::take(&mut m.state.baseline_logs).into();
-    m.state.baseline = rotate_baseline(
-        &mut rotation,
-        rec.stride_log.clone(),
-        rec.window_queries,
-        rec.overlap_span,
-        m.config.baseline_windows,
-    );
-    m.state.baseline_logs = rotation.into();
-    m.shard_files.extend(rec.new_shard_files.iter().cloned());
+/// `close_window` does.
+fn apply_record(m: &mut Manifest, rec: DeltaRecord) {
+    m.state.apply_close(rec.close, m.config.baseline_windows);
+    m.shard_files.extend(rec.new_shard_files);
     m.n_features = rec.n_features;
     m.total_points = rec.total_points;
-    m.state.source_state.extend_from_slice(&rec.source_events);
 }
 
 fn encode_record_payload(rec: &DeltaRecord, seq: u64) -> Vec<u8> {
+    let close = &rec.close;
     let mut out = Vec::with_capacity(1024);
     put_u64(&mut out, seq);
-    put_u64(&mut out, rec.windows_closed as u64);
-    put_u64(&mut out, rec.since_close);
-    put_u64(&mut out, rec.last_ts_ms);
-    put_opt_u64(&mut out, rec.next_close_ms);
-    put_u64(&mut out, rec.statements_parsed);
-    put_u64(&mut out, rec.buffer.len() as u64);
-    for (sql, count, ts) in &rec.buffer {
-        put_str(&mut out, sql);
-        put_u64(&mut out, *count);
-        put_u64(&mut out, *ts);
-    }
-    put_u64(&mut out, rec.pending.len() as u64);
-    for (sql, count) in &rec.pending {
-        put_str(&mut out, sql);
-        put_u64(&mut out, *count);
-    }
-    put_log(&mut out, &rec.stride_log);
-    put_u64(&mut out, rec.window_queries);
-    put_u64(&mut out, rec.overlap_span);
-    put_u64(&mut out, rec.new_shard_files.len() as u64);
-    for name in &rec.new_shard_files {
-        put_str(&mut out, name);
-    }
+    put_u64(&mut out, close.windows_closed as u64);
+    put_u64(&mut out, close.since_close);
+    put_u64(&mut out, close.last_ts_ms);
+    put_opt_u64(&mut out, close.next_close_ms);
+    put_u64(&mut out, close.statements_parsed);
+    put_buffer(&mut out, &close.buffer);
+    put_pending(&mut out, &close.pending);
+    put_log(&mut out, &close.stride_log);
+    put_u64(&mut out, close.window_queries);
+    put_u64(&mut out, close.overlap_span);
+    put_shard_files(&mut out, &rec.new_shard_files);
     put_u64(&mut out, rec.n_features as u64);
     put_u64(&mut out, rec.total_points as u64);
-    put_bytes(&mut out, &rec.source_events);
+    put_bytes(&mut out, &close.source_events);
     out
 }
 
-fn decode_record(payload: &[u8], version: u32) -> Result<DeltaRecord, Error> {
+fn decode_record(payload: &[u8]) -> Result<DeltaRecord, Error> {
     let mut r = Reader { bytes: payload };
     let seq = r.u64("delta sequence number")?;
     let windows_closed = get_usize(&mut r, "delta windows closed")?;
@@ -675,57 +534,36 @@ fn decode_record(payload: &[u8], version: u32) -> Result<DeltaRecord, Error> {
     let last_ts_ms = r.u64("delta last timestamp")?;
     let next_close_ms = get_opt_u64(&mut r, "delta next close boundary")?;
     let statements_parsed = r.u64("delta parse counter")?;
-    let n = get_len(&mut r, "delta buffer length")?;
-    let mut buffer = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sql = r.str("delta buffered statement")?;
-        let count = r.u64("delta buffered multiplicity")?;
-        let ts = r.u64("delta buffered timestamp")?;
-        buffer.push((sql, count, ts));
-    }
-    let n = get_len(&mut r, "delta pending length")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let sql = r.str("delta pending statement")?;
-        let count = r.u64("delta pending multiplicity")?;
-        pending.push((sql, count));
-    }
+    let buffer = get_buffer(&mut r)?;
+    let pending = get_pending(&mut r)?;
     let stride_log = get_log(&mut r)?;
     let window_queries = r.u64("delta rotation weight")?;
     let overlap_span = r.u64("delta rotation exclusion span")?;
-    let n = get_len(&mut r, "delta shard file count")?;
-    let mut new_shard_files = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str("delta shard file name")?;
-        if name.is_empty() || name.contains(['/', '\\']) || name == ".." {
-            return Err(corrupt("delta shard file name escapes the store directory"));
-        }
-        new_shard_files.push(name);
-    }
+    let new_shard_files = get_shard_files(&mut r)?;
     let n_features = get_usize(&mut r, "delta shard universe width")?;
     let total_points = get_usize(&mut r, "delta shard point total")?;
-    // Version 1 predates pluggable sources: SQL journals nothing.
-    let source_events =
-        if version >= 2 { get_bytes(&mut r, "delta journal increment")? } else { Vec::new() };
+    let source_events = get_bytes(&mut r, "delta journal increment")?;
     if !r.bytes.is_empty() {
         return Err(corrupt("trailing bytes after the delta record"));
     }
     Ok(DeltaRecord {
         seq,
-        windows_closed,
-        since_close,
-        last_ts_ms,
-        next_close_ms,
-        statements_parsed,
-        buffer,
-        pending,
-        stride_log,
-        window_queries,
-        overlap_span,
+        close: CloseDelta {
+            buffer,
+            pending,
+            since_close,
+            next_close_ms,
+            last_ts_ms,
+            windows_closed,
+            statements_parsed,
+            stride_log,
+            window_queries,
+            overlap_span,
+            source_events,
+        },
         new_shard_files,
         n_features,
         total_points,
-        source_events,
     })
 }
 
@@ -754,6 +592,32 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The window buffer: `(text, multiplicity, arrival ms)` per statement.
+fn put_buffer(out: &mut Vec<u8>, buffer: &[(String, u64, u64)]) {
+    put_u64(out, buffer.len() as u64);
+    for (text, count, ts) in buffer {
+        put_str(out, text);
+        put_u64(out, *count);
+        put_u64(out, *ts);
+    }
+}
+
+/// The not-yet-absorbed stride: `(text, multiplicity)` per statement.
+fn put_pending(out: &mut Vec<u8>, pending: &[(String, u64)]) {
+    put_u64(out, pending.len() as u64);
+    for (text, count) in pending {
+        put_str(out, text);
+        put_u64(out, *count);
+    }
+}
+
+fn put_shard_files(out: &mut Vec<u8>, names: &[String]) {
+    put_u64(out, names.len() as u64);
+    for name in names {
+        put_str(out, name);
+    }
+}
+
 fn put_config(out: &mut Vec<u8>, c: &StreamConfig) {
     put_u64(out, c.window);
     put_opt_u64(out, c.slide);
@@ -779,8 +643,8 @@ fn put_config(out: &mut Vec<u8>, c: &StreamConfig) {
     put_f64(out, p);
     put_f64(out, c.drift_tolerance);
     put_u64(out, c.seed);
-    // Version 3: the record → feature source. A tag byte keeps the SQL
-    // default one byte wide; the template miner's knobs follow its tag.
+    // The record → feature source. A tag byte keeps the SQL default one
+    // byte wide; the template miner's knobs follow its tag.
     match c.source {
         SourceConfig::Sql => out.push(0),
         SourceConfig::Template(t) => {
@@ -892,7 +756,46 @@ fn get_opt_u64(r: &mut Reader<'_>, what: &str) -> Result<Option<u64>, Error> {
     }
 }
 
-fn get_config(r: &mut Reader<'_>, version: u32) -> Result<StreamConfig, Error> {
+fn get_buffer(r: &mut Reader<'_>) -> Result<Vec<(String, u64, u64)>, Error> {
+    let n = get_len(r, "buffer length")?;
+    let mut buffer = Vec::with_capacity(n);
+    for _ in 0..n {
+        let text = r.str("buffered statement")?;
+        let count = r.u64("buffered multiplicity")?;
+        let ts = r.u64("buffered timestamp")?;
+        buffer.push((text, count, ts));
+    }
+    Ok(buffer)
+}
+
+fn get_pending(r: &mut Reader<'_>) -> Result<Vec<(String, u64)>, Error> {
+    let n = get_len(r, "pending length")?;
+    let mut pending = Vec::with_capacity(n);
+    for _ in 0..n {
+        let text = r.str("pending statement")?;
+        let count = r.u64("pending multiplicity")?;
+        pending.push((text, count));
+    }
+    Ok(pending)
+}
+
+fn get_shard_files(r: &mut Reader<'_>) -> Result<Vec<String>, Error> {
+    let n = get_len(r, "shard file count")?;
+    let mut names = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = r.str("shard file name")?;
+        // File names are interpreted relative to the store directory; a
+        // name that escapes it (separator or parent component) cannot
+        // come from our writer.
+        if name.is_empty() || name.contains(['/', '\\']) || name == ".." {
+            return Err(corrupt("shard file name escapes the store directory"));
+        }
+        names.push(name);
+    }
+    Ok(names)
+}
+
+fn get_config(r: &mut Reader<'_>) -> Result<StreamConfig, Error> {
     let window = r.u64("window size")?;
     let slide = get_opt_u64(r, "slide")?;
     let time = match r.u8("time-window presence")? {
@@ -919,20 +822,15 @@ fn get_config(r: &mut Reader<'_>, version: u32) -> Result<StreamConfig, Error> {
     };
     let drift_tolerance = r.f64("drift tolerance")?;
     let seed = r.u64("seed")?;
-    // Version 2 predates pluggable sources: every store was SQL-fed.
-    let source = if version >= 3 {
-        match r.u8("source tag")? {
-            0 => SourceConfig::Sql,
-            1 => {
-                let depth = get_usize(r, "template depth")?;
-                let max_children = get_usize(r, "template fan-out bound")?;
-                let similarity = r.f64("template similarity threshold")?;
-                SourceConfig::Template(TemplateConfig { depth, max_children, similarity })
-            }
-            tag => return Err(corrupt(format!("unknown source tag {tag}"))),
+    let source = match r.u8("source tag")? {
+        0 => SourceConfig::Sql,
+        1 => {
+            let depth = get_usize(r, "template depth")?;
+            let max_children = get_usize(r, "template fan-out bound")?;
+            let similarity = r.f64("template similarity threshold")?;
+            SourceConfig::Template(TemplateConfig { depth, max_children, similarity })
         }
-    } else {
-        SourceConfig::Sql
+        tag => return Err(corrupt(format!("unknown source tag {tag}"))),
     };
     Ok(StreamConfig {
         window,
@@ -1048,6 +946,14 @@ mod tests {
         }
     }
 
+    /// Recompute the trailing checksum after a deliberate edit, so the
+    /// gate under test — not the checksum — is what fires.
+    fn rechecksum(bytes: &mut [u8]) {
+        let body_end = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[8..body_end]);
+        bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
     fn assert_log_eq(a: &QueryLog, b: &QueryLog) {
         assert_eq!(a.entries(), b.entries());
         assert_eq!(a.num_features(), b.num_features());
@@ -1091,6 +997,22 @@ mod tests {
             Error::ManifestVersion { found, supported } => {
                 assert_eq!(found, VERSION + 1);
                 assert_eq!(supported, VERSION);
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn version_gate_refuses_older_manifests() {
+        // The gate is exact: an otherwise well-formed, re-checksummed
+        // manifest stamped with the previous version is refused whole —
+        // there is no back-compat path to partially decode it through.
+        let mut bytes = encode(&sample_manifest());
+        bytes[8..12].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        rechecksum(&mut bytes);
+        match decode(&bytes).unwrap_err() {
+            Error::ManifestVersion { found, supported } => {
+                assert_eq!((found, supported), (VERSION - 1, VERSION));
             }
             other => panic!("wrong error: {other}"),
         }
@@ -1146,9 +1068,7 @@ mod tests {
         // checksum gate passes and the hostile-count path is what fires.
         let mut bytes = a;
         bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let total = bytes.len();
-        let checksum = fnv1a64(&bytes[8..total - 8]);
-        bytes[total - 8..].copy_from_slice(&checksum.to_le_bytes());
+        rechecksum(&mut bytes);
         match decode(&bytes).unwrap_err() {
             Error::CorruptManifest { detail } => {
                 // The typed rejection must come from the count bound
@@ -1168,15 +1088,16 @@ mod tests {
         let store = logr_cluster::testutil::TempStore::new("manifest");
         let path = store.join(FILE_NAME);
         let m = sample_manifest();
-        write_file(&path, &m).unwrap();
+        write_base_with(&RealFs, &path, &m).unwrap();
         assert!(!path.with_extension("tmp").exists());
-        let back = read_file(&path).unwrap();
+        let (back, _) = read_store_with(&RealFs, store.path()).unwrap();
         assert_eq!(encode(&back), encode(&m));
         // Overwrite with different content: reads see old-or-new, never torn.
         let mut m2 = m.clone();
         m2.state.windows_closed += 1;
-        write_file(&path, &m2).unwrap();
-        assert_eq!(read_file(&path).unwrap().state.windows_closed, m.state.windows_closed + 1);
+        write_base_with(&RealFs, &path, &m2).unwrap();
+        let (back, _) = read_store_with(&RealFs, store.path()).unwrap();
+        assert_eq!(back.state.windows_closed, m.state.windows_closed + 1);
     }
 
     #[test]
@@ -1184,86 +1105,6 @@ mod tests {
         let mut m = sample_manifest();
         m.shard_files = vec!["../../etc/passwd".into()];
         assert!(matches!(decode(&encode(&m)), Err(Error::CorruptManifest { .. })));
-    }
-
-    /// The frozen version-2 body layout — pre-source stores carry no
-    /// source tag in the config and no featurizer journal. Pinned here
-    /// so `decode`'s back-compat path is exercised against real v2
-    /// bytes, not bytes derived from the current writer.
-    fn encode_v2(m: &Manifest) -> Vec<u8> {
-        assert!(matches!(m.config.source, SourceConfig::Sql));
-        assert!(m.state.source_state.is_empty());
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        let c = &m.config;
-        put_u64(&mut out, c.window);
-        put_opt_u64(&mut out, c.slide);
-        match c.time {
-            None => out.push(0),
-            Some(tw) => {
-                out.push(1);
-                put_u64(&mut out, tw.window_ms);
-                put_opt_u64(&mut out, tw.slide_ms);
-            }
-        }
-        put_u64(&mut out, c.baseline_windows as u64);
-        put_u64(&mut out, c.k as u64);
-        let (tag, p) = match c.metric {
-            Distance::Euclidean => (0u8, 0.0),
-            Distance::Manhattan => (1, 0.0),
-            Distance::Minkowski(p) => (2, p),
-            Distance::Hamming => (3, 0.0),
-            Distance::Chebyshev => (4, 0.0),
-            Distance::Canberra => (5, 0.0),
-        };
-        out.push(tag);
-        put_f64(&mut out, p);
-        put_f64(&mut out, c.drift_tolerance);
-        put_u64(&mut out, c.seed);
-        put_u64(&mut out, m.resident_budget as u64);
-        put_u64(&mut out, m.state.windows_closed as u64);
-        put_u64(&mut out, m.state.since_close);
-        put_u64(&mut out, m.state.last_ts_ms);
-        put_opt_u64(&mut out, m.state.next_close_ms);
-        put_u64(&mut out, m.state.statements_parsed);
-        put_u64(&mut out, m.state.buffer.len() as u64);
-        for (sql, count, ts) in &m.state.buffer {
-            put_str(&mut out, sql);
-            put_u64(&mut out, *count);
-            put_u64(&mut out, *ts);
-        }
-        put_u64(&mut out, m.state.pending.len() as u64);
-        for (sql, count) in &m.state.pending {
-            put_str(&mut out, sql);
-            put_u64(&mut out, *count);
-        }
-        put_u64(&mut out, m.state.baseline_logs.len() as u64);
-        for (log, offered) in &m.state.baseline_logs {
-            put_log(&mut out, log);
-            put_u64(&mut out, *offered);
-        }
-        put_log(&mut out, &m.state.baseline);
-        put_log(&mut out, &m.state.history);
-        put_u64(&mut out, m.n_features as u64);
-        put_u64(&mut out, m.total_points as u64);
-        put_u64(&mut out, m.shard_files.len() as u64);
-        for name in &m.shard_files {
-            put_str(&mut out, name);
-        }
-        let checksum = fnv1a64(&out[8..]);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn version_2_stores_decode_as_the_sql_source() {
-        let m = sample_manifest();
-        let decoded = decode(&encode_v2(&m)).unwrap();
-        assert!(matches!(decoded.config.source, SourceConfig::Sql));
-        assert!(decoded.state.source_state.is_empty());
-        // Upgrading rewrites the same state in the version-3 layout.
-        assert_eq!(encode(&decoded), encode(&m));
     }
 
     #[test]
@@ -1295,9 +1136,7 @@ mod tests {
         let off = a.iter().zip(&b).position(|(x, y)| x != y).expect("sources differ");
         let mut bytes = a;
         bytes[off] = 9;
-        let total = bytes.len();
-        let checksum = fnv1a64(&bytes[8..total - 8]);
-        bytes[total - 8..].copy_from_slice(&checksum.to_le_bytes());
+        rechecksum(&mut bytes);
         match decode(&bytes).unwrap_err() {
             Error::CorruptManifest { detail } => {
                 assert!(detail.contains("source tag"), "{detail}")
@@ -1308,7 +1147,7 @@ mod tests {
 
     // ---- delta log ----------------------------------------------------
 
-    use logr_cluster::vfs::{FaultFs, IoOp, Vfs};
+    use logr_cluster::vfs::{FaultFs, IoOp, RealFs, Vfs};
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -1316,20 +1155,22 @@ mod tests {
         let stride = sample_log(&[(&format!("SELECT s{i} FROM t{i} WHERE q{i} = ?"), i + 1)]);
         DeltaRecord {
             seq: 0, // assigned by append_with
-            windows_closed: 9 + i as usize,
-            since_close: i,
-            last_ts_ms: 12000 + i,
-            next_close_ms: Some(13000 + i),
-            statements_parsed: 31 + i,
-            buffer: vec![(format!("SELECT b{i} FROM t"), 1, 90 + i)],
-            pending: vec![(format!("SELECT p{i} FROM t"), 2)],
-            stride_log: stride,
-            window_queries: 7 + i,
-            overlap_span: 0,
+            close: CloseDelta {
+                windows_closed: 9 + i as usize,
+                since_close: i,
+                last_ts_ms: 12000 + i,
+                next_close_ms: Some(13000 + i),
+                statements_parsed: 31 + i,
+                buffer: vec![(format!("SELECT b{i} FROM t"), 1, 90 + i)],
+                pending: vec![(format!("SELECT p{i} FROM t"), 2)],
+                stride_log: stride,
+                window_queries: 7 + i,
+                overlap_span: 0,
+                source_events: format!("journal-increment-{i}").into_bytes(),
+            },
             new_shard_files: vec![format!("shard-0000{i}-1-0000000{i}.bin")],
             n_features: 11 + i as usize,
             total_points: 4 + i as usize,
-            source_events: format!("journal-increment-{i}").into_bytes(),
         }
     }
 
@@ -1360,7 +1201,7 @@ mod tests {
         // the base's one stride rotated out at the third record and the
         // three record strides remain — the rebuilt baseline is their
         // union.
-        let last = sample_record(2);
+        let last = sample_record(2).close;
         assert_eq!(m.state.windows_closed, last.windows_closed);
         assert_eq!(m.state.since_close, last.since_close);
         assert_eq!(m.state.next_close_ms, last.next_close_ms);
@@ -1370,14 +1211,14 @@ mod tests {
         assert_eq!(m.state.baseline_logs.len(), 3);
         let mut expected_baseline = QueryLog::new();
         for i in 0..3u64 {
-            let rec = sample_record(i);
+            let rec = sample_record(i).close;
             assert_log_eq(&m.state.baseline_logs[i as usize].0, &rec.stride_log);
             assert_eq!(m.state.baseline_logs[i as usize].1, rec.window_queries);
             expected_baseline.absorb(&rec.stride_log);
         }
         assert_log_eq(&m.state.baseline, &expected_baseline);
-        assert_eq!(m.n_features, last.n_features);
-        assert_eq!(m.total_points, last.total_points);
+        assert_eq!(m.n_features, sample_record(2).n_features);
+        assert_eq!(m.total_points, sample_record(2).total_points);
         let mut expected_files = base.shard_files.clone();
         for i in 0..3 {
             expected_files.extend(sample_record(i).new_shard_files);
@@ -1385,14 +1226,14 @@ mod tests {
         assert_eq!(m.shard_files, expected_files);
         let mut expected_history = base.state.history.clone();
         for i in 0..3 {
-            expected_history.absorb(&sample_record(i).stride_log);
+            expected_history.absorb(&sample_record(i).close.stride_log);
         }
         assert_log_eq(&m.state.history, &expected_history);
         // Journal increments concatenate in record order onto the base's
         // journal (empty here), rebuilding the full journal.
         let mut expected_journal = base.state.source_state.clone();
         for i in 0..3 {
-            expected_journal.extend_from_slice(&sample_record(i).source_events);
+            expected_journal.extend_from_slice(&sample_record(i).close.source_events);
         }
         assert_eq!(m.state.source_state, expected_journal);
         // Replay is deterministic: a second read applies identically.
@@ -1429,7 +1270,7 @@ mod tests {
         // matches, so replay must apply nothing from it.
         let mut m2 = sample_manifest();
         m2.state.windows_closed = 77;
-        write_file_with(&*fs, &dir.join(FILE_NAME), &m2).unwrap();
+        write_base_with(&*fs, &dir.join(FILE_NAME), &m2).unwrap();
         let (m, replay) = read_store_with(&*fs, &dir).unwrap();
         assert_eq!(replay, DeltaReplay { records_applied: 0, log_present: true, log_bound: false });
         assert_eq!(m.state.windows_closed, 77);
@@ -1451,7 +1292,7 @@ mod tests {
             let expected_windows = if expected == 0 {
                 sample_manifest().state.windows_closed
             } else {
-                sample_record(expected - 1).windows_closed
+                sample_record(expected - 1).close.windows_closed
             };
             assert_eq!(m.state.windows_closed, expected_windows, "cut {cut}");
         }
@@ -1476,19 +1317,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn delta_version_gate_refuses_newer_logs() {
+    /// What replay says about a one-record log whose header is re-stamped
+    /// with `version` (header checksum recomputed, binding intact).
+    fn restamped_delta_error(version: u32) -> Error {
         let (fs, dir, _, _) = delta_store(1);
         let delta_path = dir.join(DELTA_FILE_NAME);
         let mut bytes = fs.files()[&delta_path].clone();
-        bytes[8..12].copy_from_slice(&(DELTA_VERSION + 1).to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let header_sum = fnv1a64(&bytes[8..28]);
         bytes[28..36].copy_from_slice(&header_sum.to_le_bytes());
         fs.write(&delta_path, &bytes).unwrap();
-        match read_store_with(&*fs, &dir).unwrap_err() {
+        read_store_with(&*fs, &dir).unwrap_err()
+    }
+
+    #[test]
+    fn delta_version_gate_refuses_newer_logs() {
+        match restamped_delta_error(DELTA_VERSION + 1) {
             Error::ManifestVersion { found, supported } => {
                 assert_eq!(found, DELTA_VERSION + 1);
                 assert_eq!(supported, DELTA_VERSION);
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn delta_version_gate_refuses_older_logs() {
+        // The gate is exact on the log too: a v1-stamped header is refused
+        // before any record decodes — no back-compat record layout exists.
+        match restamped_delta_error(DELTA_VERSION - 1) {
+            Error::ManifestVersion { found, supported } => {
+                assert_eq!((found, supported), (DELTA_VERSION - 1, DELTA_VERSION));
             }
             other => panic!("wrong error: {other}"),
         }
@@ -1513,19 +1372,5 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
-    }
-
-    #[test]
-    fn version_1_delta_records_decode_with_an_empty_increment() {
-        let rec = sample_record(0);
-        let mut payload = encode_record_payload(&rec, 1);
-        // Version 1 ends at the shard point total: strip the appended
-        // journal increment (length prefix + bytes) to recover the
-        // frozen v1 payload bytes.
-        payload.truncate(payload.len() - 8 - rec.source_events.len());
-        let decoded = decode_record(&payload, 1).unwrap();
-        assert!(decoded.source_events.is_empty());
-        assert_eq!(decoded.windows_closed, rec.windows_closed);
-        assert_eq!(decoded.new_shard_files, rec.new_shard_files);
     }
 }

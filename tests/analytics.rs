@@ -20,7 +20,7 @@ use logr::cluster::{cluster_log, ClusterMethod};
 use logr::core::{CompressionObjective, LogR, LogRConfig, LogRSummary, NaiveMixtureEncoding};
 use logr::feature::{Feature, FeatureClass, LogIngest, QueryVector};
 use logr::workload::{generate_pocketdata, generate_usbank, PocketDataConfig, UsBankConfig};
-use logr::{Engine, Error};
+use logr::{Engine, EngineSnapshot, Error, Record};
 use proptest::prelude::*;
 
 /// The recovery-suite statement pool: repeats, novel queries, garbage,
@@ -37,6 +37,13 @@ fn statement(i: u64) -> String {
     }
 }
 
+/// The slice-path estimator (the §6.2 mixture estimate over raw
+/// features; 0.0 for unknown features or before the first close) that the
+/// typed predicate surface must reproduce.
+fn slice_estimate(snap: &EngineSnapshot, features: &[Feature]) -> f64 {
+    snap.summary().unwrap().map_or(0.0, |s| s.estimate_count_features(snap.history(), features))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -51,14 +58,13 @@ proptest! {
     ) {
         let engine = Engine::builder().window(window).clusters(3).in_memory().unwrap();
         for (s, c) in seeds.iter().zip(counts.iter().cycle()) {
-            engine.ingest_with_count(&statement(*s), *c).unwrap();
+            engine.ingest(&Record::new(statement(*s)).times(*c)).unwrap();
         }
         engine.flush().unwrap();
         let snap = engine.snapshot().unwrap();
         let Some(query) = snap.query().unwrap() else {
             // Nothing parsed — both surfaces must agree on "nothing".
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(&[Feature::select("c1")]).unwrap();
+            let legacy = slice_estimate(&snap, &[Feature::select("c1")]);
             prop_assert_eq!(legacy, 0.0);
             return Ok(());
         };
@@ -66,23 +72,20 @@ proptest! {
         let features: Vec<Feature> =
             snap.history().codebook().iter().map(|(_, f)| f.clone()).collect();
         for f in &features {
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(std::slice::from_ref(f)).unwrap();
+            let legacy = slice_estimate(&snap, std::slice::from_ref(f));
             let typed = query.frequency(&Pred::feature(f.clone())).unwrap();
             prop_assert_eq!(typed.to_bits(), legacy.to_bits(), "feature {}", f);
         }
         // Conjunctions resolve to the identical sorted pattern vector.
         for pair in features.windows(2) {
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(pair).unwrap();
+            let legacy = slice_estimate(&snap, pair);
             let typed = query.frequency(&Pred::all_of(pair.iter().cloned())).unwrap();
             prop_assert_eq!(typed.to_bits(), legacy.to_bits());
         }
         // An unknown feature is a typed error on the new surface and a
         // silent zero on the legacy one.
         let unknown = Feature::from_table("no_such_table_anywhere");
-        #[allow(deprecated)]
-        let legacy = snap.estimate_count_features(std::slice::from_ref(&unknown)).unwrap();
+        let legacy = slice_estimate(&snap, std::slice::from_ref(&unknown));
         prop_assert_eq!(legacy, 0.0);
         prop_assert!(matches!(
             query.frequency(&Pred::feature(unknown)),
@@ -95,7 +98,7 @@ proptest! {
 fn demo_engine() -> Engine {
     let engine = Engine::builder().window(64).clusters(3).in_memory().unwrap();
     for i in 0..400u64 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     engine.flush().unwrap();
     engine
@@ -266,7 +269,7 @@ fn advisor_thresholds_are_validated_as_probabilities() {
 #[test]
 fn advisors_are_empty_not_erroring_before_any_close() {
     let engine = Engine::builder().window(1024).clusters(2).in_memory().unwrap();
-    engine.ingest("SELECT a FROM t WHERE b = ?").unwrap();
+    engine.ingest_record("SELECT a FROM t WHERE b = ?").unwrap();
     // No window closed yet: no summary, so every advisor yields nothing.
     let snap = engine.snapshot().unwrap();
     assert!(snap.query().unwrap().is_none());
@@ -379,10 +382,10 @@ fn all_four_advisors_render_dba_facing_text() {
     let snap = engine.snapshot().unwrap();
     let drifty = Engine::builder().window(32).clusters(2).in_memory().unwrap();
     for _ in 0..32 {
-        drifty.ingest("SELECT id FROM messages WHERE status = ?").unwrap();
+        drifty.ingest_record("SELECT id FROM messages WHERE status = ?").unwrap();
     }
     for _ in 0..32 {
-        drifty.ingest("SELECT total FROM invoices WHERE region = ?").unwrap();
+        drifty.ingest_record("SELECT total FROM invoices WHERE region = ?").unwrap();
     }
     let drifty_snap = drifty.snapshot().unwrap();
     let reports: Vec<(&str, Vec<logr::analytics::Advice>)> = vec![
@@ -425,10 +428,10 @@ fn drift_advisor_mirrors_engine_drift() {
     // feature whose per-feature divergence exceeds the tolerance.
     let engine = Engine::builder().window(32).clusters(2).in_memory().unwrap();
     for _ in 0..32 {
-        engine.ingest("SELECT id, body FROM messages WHERE status = ?").unwrap();
+        engine.ingest_record("SELECT id, body FROM messages WHERE status = ?").unwrap();
     }
     for _ in 0..32 {
-        engine.ingest("SELECT total FROM invoices WHERE region = ?").unwrap();
+        engine.ingest_record("SELECT total FROM invoices WHERE region = ?").unwrap();
     }
     let report = engine.drift().unwrap().expect("second window reports drift");
     assert!(!report.new_features.is_empty(), "workload swap must surface new features");
@@ -462,7 +465,7 @@ fn drift_advisor_mirrors_engine_drift() {
     // A stable workload (identical windows) raises no alarms.
     let calm = Engine::builder().window(32).clusters(2).in_memory().unwrap();
     for _ in 0..64 {
-        calm.ingest("SELECT id, body FROM messages WHERE status = ?").unwrap();
+        calm.ingest_record("SELECT id, body FROM messages WHERE status = ?").unwrap();
     }
     let calm_snap = calm.snapshot().unwrap();
     assert!(DriftAdvisor::new(1e-6).advise(&*calm_snap).unwrap().is_empty());

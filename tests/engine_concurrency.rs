@@ -102,7 +102,7 @@ fn stress(engine: Engine) {
         let writer_engine = Arc::clone(&engine);
         let writer = scope.spawn(move || {
             for i in 0..STREAM_LEN {
-                writer_engine.ingest(&statement(i)).expect("ingest");
+                writer_engine.ingest_record(&statement(i)).expect("ingest");
             }
         });
         writer.join().expect("writer panicked");

@@ -7,9 +7,10 @@
 
 use logr::cluster::spill::{self, fnv1a64};
 use logr::cluster::testutil::TempStore;
+use logr::cluster::vfs::RealFs;
 use logr::cluster::SpillError;
 use logr::core::WindowSummary;
-use logr::{Engine, EngineBuilder, Error};
+use logr::{Engine, EngineBuilder, Error, Record};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -65,7 +66,7 @@ fn assert_windows_identical(a: &WindowSummary, b: &WindowSummary) {
 fn drive(engine: &Engine, stream: &[(String, u64)], from: usize) -> Vec<Arc<WindowSummary>> {
     stream[from..]
         .iter()
-        .filter_map(|(sql, count)| engine.ingest_with_count(sql, *count).expect("ingest"))
+        .filter_map(|(sql, count)| engine.ingest(&Record::new(sql).times(*count)).expect("ingest"))
         .collect()
 }
 
@@ -151,7 +152,7 @@ fn reopen_without_checkpoint_recovers_the_last_window_close() {
     let store = TempStore::new("engine-close-granularity");
     let engine = Engine::builder().window(10).open(store.path()).unwrap();
     for i in 0..27 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     assert_eq!(engine.windows_closed().unwrap(), 2);
     drop(engine);
@@ -168,7 +169,7 @@ fn compacted_store_reopens_bit_identically() {
     let store = TempStore::new("engine-compact");
     let engine = Engine::builder().window(8).clusters(2).open(store.path()).unwrap();
     for i in 0..80 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     let before = engine.summary().unwrap().expect("summary");
     // A reader snapshot taken *before* the compaction: it references the
@@ -232,7 +233,7 @@ fn resume_gc_spares_foreign_files_and_removes_orphaned_shards() {
     let store = TempStore::new("engine-gc-scope");
     let engine = Engine::builder().window(6).open(store.path()).unwrap();
     for i in 0..30 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     engine.checkpoint().unwrap();
     drop(engine);
@@ -258,7 +259,7 @@ fn damaged_store_fixture(tag: &str) -> (TempStore, Vec<std::path::PathBuf>) {
     let store = TempStore::new(tag);
     let engine = Engine::builder().window(6).open(store.path()).unwrap();
     for i in 0..30 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     engine.checkpoint().unwrap();
     drop(engine);
@@ -279,7 +280,7 @@ fn live_store_cannot_be_opened_twice() {
     let store = TempStore::new("engine-lock");
     let engine = Engine::builder().window(6).open(store.path()).unwrap();
     for i in 0..20 {
-        engine.ingest(&statement(i)).unwrap();
+        engine.ingest_record(&statement(i)).unwrap();
     }
     match Engine::open(store.path()).unwrap_err() {
         Error::StoreLocked { pid, .. } => assert_eq!(pid, std::process::id()),
@@ -393,7 +394,7 @@ fn swapped_in_foreign_shard_is_a_store_mismatch_or_chain_error() {
     // Build a foreign-but-valid record and overwrite the last shard file.
     let foreign =
         spill::ShardRecord { n_features: 4, start: 0, intra: vec![], cross: vec![], bits: vec![] };
-    spill::write_file(shards.last().unwrap(), &foreign).unwrap();
+    spill::write_file_with(&RealFs, shards.last().unwrap(), &foreign).unwrap();
     match Engine::open(store.path()).unwrap_err() {
         Error::Spill(SpillError::Corrupt(_)) | Error::StoreMismatch { .. } => {}
         other => panic!("wrong error: {other}"),

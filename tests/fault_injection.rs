@@ -13,11 +13,14 @@
 //!   point is the typed [`Error::ReadOnly`];
 //! * the `O_EXCL` store lock takes over verified-stale (dead-pid) locks,
 //!   refuses live foreign owners, and survives a lost `create_exclusive`
-//!   race.
+//!   race;
+//! * the same IO trace pins what a window close writes: a steady-state
+//!   close appends an `O(window)` delta record and never rewrites the
+//!   base manifest.
 
-use logr::cluster::vfs::{FaultFs, OpKind, Vfs, IO_RETRY_ATTEMPTS};
+use logr::cluster::vfs::{FaultFs, IoOp, OpKind, Vfs, IO_RETRY_ATTEMPTS};
 use logr::cluster::SpillError;
-use logr::{Engine, EngineBuilder, Error};
+use logr::{Engine, EngineBuilder, Error, Record};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -51,7 +54,7 @@ fn transient_eintr_is_retried_transparently() {
     fs.inject(OpKind::Fsync, "shard-", ErrorKind::Interrupted, 2);
     fs.inject(OpKind::Write, "engine.tmp", ErrorKind::Interrupted, 2);
     for i in 0..8 {
-        engine.ingest(&statement(i)).expect("ingest rides out EINTR");
+        engine.ingest_record(&statement(i)).expect("ingest rides out EINTR");
     }
     engine.checkpoint().expect("checkpoint rides out EINTR");
     assert_eq!(engine.windows_closed().unwrap(), 2);
@@ -65,7 +68,7 @@ fn persistent_eintr_is_bounded_not_an_infinite_loop() {
     // give up with a typed error (here inside the shard store), not spin.
     fs.inject(OpKind::Write, "shard-", ErrorKind::Interrupted, IO_RETRY_ATTEMPTS + 10);
     let err = (0..8)
-        .map(|i| engine.ingest(&statement(i)))
+        .map(|i| engine.ingest_record(&statement(i)))
         .find_map(Result::err)
         .expect("a window close must hit the failing shard write");
     match err {
@@ -82,7 +85,7 @@ fn enospc_on_the_shard_store_is_storage_exhausted() {
     // the operator-actionable typed error.
     fs.inject(OpKind::Write, "shard-", ErrorKind::StorageFull, usize::MAX);
     let err = (0..8)
-        .map(|i| engine.ingest(&statement(i)))
+        .map(|i| engine.ingest_record(&statement(i)))
         .find_map(Result::err)
         .expect("a window close must hit the full disk");
     assert!(matches!(err, Error::StorageExhausted { .. }), "wrong error: {err}");
@@ -93,7 +96,7 @@ fn enospc_on_the_manifest_is_storage_exhausted() {
     let dir = PathBuf::from("/vstore-enospc-manifest");
     let (fs, engine) = spilling_engine(&dir);
     for i in 0..8 {
-        engine.ingest(&statement(i)).expect("ingest");
+        engine.ingest_record(&statement(i)).expect("ingest");
     }
     fs.inject(OpKind::Write, "engine.tmp", ErrorKind::StorageFull, usize::MAX);
     match engine.checkpoint().unwrap_err() {
@@ -109,20 +112,20 @@ fn failed_persist_leaves_the_store_openable_at_the_previous_checkpoint() {
     let dir = PathBuf::from("/vstore-failed-close");
     let (fs, engine) = spilling_engine(&dir);
     for i in 0..8 {
-        engine.ingest(&statement(i)).expect("ingest");
+        engine.ingest_record(&statement(i)).expect("ingest");
     }
     engine.checkpoint().expect("good checkpoint");
     // Ingest to the next window close: its auto-persist is the last
     // checkpoint the store will hold durably.
     for i in 8..12 {
-        engine.ingest(&statement(i)).expect("ingest");
+        engine.ingest_record(&statement(i)).expect("ingest");
     }
     let durable_windows = engine.windows_closed().unwrap();
     let durable_queries = engine.total_queries().unwrap();
     // More work lands in the buffer, then the disk starts failing: the
     // checkpoint attempt errors out...
     for i in 12..14 {
-        engine.ingest(&statement(i)).expect("ingest");
+        engine.ingest_record(&statement(i)).expect("ingest");
     }
     fs.inject(OpKind::Write, "engine.tmp", ErrorKind::StorageFull, usize::MAX);
     assert!(engine.checkpoint().is_err(), "checkpoint must fail under ENOSPC");
@@ -141,7 +144,7 @@ fn read_only_engine_serves_reads_beside_a_live_writer() {
     let dir = PathBuf::from("/vstore-ro-beside");
     let (fs, writer) = spilling_engine(&dir);
     for i in 0..9 {
-        writer.ingest(&statement(i)).expect("ingest");
+        writer.ingest_record(&statement(i)).expect("ingest");
     }
     writer.checkpoint().expect("checkpoint");
     // The writer still holds the store lock; a read-only open must not
@@ -170,14 +173,14 @@ fn read_only_engine_rejects_every_write_entry_point() {
     let dir = PathBuf::from("/vstore-ro-writes");
     let (fs, writer) = spilling_engine(&dir);
     for i in 0..9 {
-        writer.ingest(&statement(i)).expect("ingest");
+        writer.ingest_record(&statement(i)).expect("ingest");
     }
     writer.checkpoint().expect("checkpoint");
     drop(writer);
     let reader = EngineBuilder::new().read_only().vfs(fs).resume(&dir).expect("read-only open");
-    assert!(matches!(reader.ingest("SELECT 1"), Err(Error::ReadOnly)));
-    assert!(matches!(reader.ingest_with_count("SELECT 1", 3), Err(Error::ReadOnly)));
-    assert!(matches!(reader.ingest_at_ms("SELECT 1", 1, 99), Err(Error::ReadOnly)));
+    assert!(matches!(reader.ingest_record("SELECT 1"), Err(Error::ReadOnly)));
+    assert!(matches!(reader.ingest(&Record::new("SELECT 1").times(3)), Err(Error::ReadOnly)));
+    assert!(matches!(reader.ingest(&Record::new("SELECT 1").at(99)), Err(Error::ReadOnly)));
     assert!(matches!(reader.flush(), Err(Error::ReadOnly)));
     assert!(matches!(reader.checkpoint(), Err(Error::ReadOnly)));
     assert!(matches!(reader.compact(), Err(Error::ReadOnly)));
@@ -188,7 +191,7 @@ fn read_only_open_takes_no_lock_and_garbage_collects_nothing() {
     let dir = PathBuf::from("/vstore-ro-nogc");
     let (fs, writer) = spilling_engine(&dir);
     for i in 0..9 {
-        writer.ingest(&statement(i)).expect("ingest");
+        writer.ingest_record(&statement(i)).expect("ingest");
     }
     writer.checkpoint().expect("checkpoint");
     drop(writer);
@@ -240,7 +243,7 @@ fn stale_lock_of_a_dead_process_is_taken_over() {
         .vfs(fs.clone())
         .open(&dir)
         .expect("stale lock must be taken over");
-    engine.ingest("SELECT 1").expect("ingest");
+    engine.ingest_record("SELECT 1").expect("ingest");
     drop(engine);
     assert!(!fs.exists(&dir.join("engine.lock")), "lock released on drop");
 }
@@ -275,7 +278,7 @@ fn lost_create_exclusive_race_is_retried_not_fatal() {
         .vfs(fs.clone())
         .open(&dir)
         .expect("lost race must be retried");
-    engine.ingest("SELECT 1").expect("ingest");
+    engine.ingest_record("SELECT 1").expect("ingest");
 }
 
 #[test]
@@ -311,4 +314,53 @@ fn aliased_store_path_spellings_share_one_lock() {
         .vfs(fs)
         .open("/vstore-canon/../vstore-canon")
         .expect("open succeeds under an alias once the owner is gone");
+}
+
+/// Manifest-file bytes in `ops`: `(base writes via engine.tmp, delta-log
+/// writes + appends)`.
+fn manifest_bytes(ops: &[IoOp]) -> (u64, u64) {
+    let (mut base, mut delta) = (0u64, 0u64);
+    for op in ops {
+        let (IoOp::Write { path, bytes } | IoOp::Append { path, bytes }) = op else { continue };
+        match path.file_name().and_then(|n| n.to_str()) {
+            Some("engine.tmp") => base += bytes.len() as u64,
+            Some("engine.delta") => delta += bytes.len() as u64,
+            _ => {}
+        }
+    }
+    (base, delta)
+}
+
+#[test]
+fn steady_state_close_appends_a_delta_far_smaller_than_a_base_rewrite() {
+    // PR 8's acceptance bar: past 1024 distinct statements at window 64,
+    // one more close writes 0 base-manifest bytes and its delta append is
+    // at least 5x smaller than the full rewrite a checkpoint pays at the
+    // same history. The ~8.8M-combination shape space keeps every window
+    // mostly novel.
+    let shape = |i: usize| {
+        format!("SELECT c{}, c{} FROM t{} WHERE a{} = ?", i % 211, (i * 7) % 193, i % 17, i % 127)
+    };
+    let fs = Arc::new(FaultFs::new());
+    let dir = PathBuf::from("/vstore-close-bytes");
+    let engine = Engine::builder().window(64).clusters(4).vfs(fs.clone()).open(&dir).expect("open");
+    for i in 0..17 * 64 {
+        engine.ingest_record(&shape(i)).expect("ingest");
+    }
+    assert!(engine.snapshot().unwrap().history().distinct_count() > 1024);
+    let before = fs.trace_len();
+    for i in 17 * 64..18 * 64 {
+        engine.ingest_record(&shape(i)).expect("ingest");
+    }
+    let (close_base, close_delta) = manifest_bytes(&fs.trace()[before..]);
+    let before = fs.trace_len();
+    engine.checkpoint().expect("checkpoint");
+    let (full_base, _) = manifest_bytes(&fs.trace()[before..]);
+    assert_eq!(close_base, 0, "a steady-state close must not rewrite the base manifest");
+    assert!(close_delta > 0, "the close must have appended its delta record");
+    assert!(
+        full_base >= 5 * close_delta,
+        "delta close ({close_delta} bytes) must be >=5x smaller than the full rewrite \
+         ({full_base} bytes)"
+    );
 }

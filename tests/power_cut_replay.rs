@@ -38,7 +38,7 @@
 use logr::cluster::vfs::{durable_state, FaultFs, IoOp, LastOpVariant};
 use logr::cluster::Clustering;
 use logr::core::TimeWindows;
-use logr::{Engine, EngineBuilder, Error};
+use logr::{Engine, EngineBuilder, Error, Record};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -74,11 +74,11 @@ fn service_line(i: u64) -> String {
 /// One scripted engine operation.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// `ingest(statement(i))`.
+    /// `ingest_record(statement(i))`.
     Sql(u64),
     /// `ingest_record(service_line(i))` for template-source scenarios.
     Record(u64),
-    /// `ingest_at_ms(statement(i), 1, ts)` for time-window scenarios.
+    /// `ingest(&Record::new(statement(i)).at(ts))` for time-window scenarios.
     At(u64, u64),
     Flush,
     Checkpoint,
@@ -136,13 +136,13 @@ fn run_scripted(
     for step in steps {
         match *step {
             Step::Sql(i) => {
-                engine.ingest(&statement(i)).expect("ingest");
+                engine.ingest_record(&statement(i)).expect("ingest");
             }
             Step::Record(i) => {
                 engine.ingest_record(&service_line(i)).expect("ingest_record");
             }
             Step::At(i, ts) => {
-                engine.ingest_at_ms(&statement(i), 1, ts).expect("ingest_at_ms");
+                engine.ingest(&Record::new(statement(i)).at(ts)).expect("ingest at ts");
             }
             Step::Flush => {
                 engine.flush().expect("flush");
@@ -334,7 +334,7 @@ fn every_delta_log_prefix_folds_bit_identically() {
     let fs = Arc::new(FaultFs::new());
     let engine = Engine::builder().window(4).clusters(2).vfs(fs.clone()).open(&dir).expect("open");
     for i in 0..40 {
-        engine.ingest(&statement(i)).expect("ingest");
+        engine.ingest_record(&statement(i)).expect("ingest");
     }
     let final_windows = engine.windows_closed().expect("windows_closed");
     drop(engine);
