@@ -69,6 +69,33 @@ impl Distance {
         self.of_mismatches(a.symmetric_difference_size(b), n)
     }
 
+    /// The `(tag byte, parameter)` pair binary formats store this metric
+    /// as; the parameter is Minkowski's order and 0 for every other
+    /// metric. Persisted stores depend on the tag values.
+    pub fn tag(self) -> (u8, f64) {
+        match self {
+            Distance::Euclidean => (0, 0.0),
+            Distance::Manhattan => (1, 0.0),
+            Distance::Minkowski(p) => (2, p),
+            Distance::Hamming => (3, 0.0),
+            Distance::Chebyshev => (4, 0.0),
+            Distance::Canberra => (5, 0.0),
+        }
+    }
+
+    /// Inverse of [`Distance::tag`]; `None` for a byte no metric owns.
+    pub fn from_tag(tag: u8, p: f64) -> Option<Distance> {
+        Some(match tag {
+            0 => Distance::Euclidean,
+            1 => Distance::Manhattan,
+            2 => Distance::Minkowski(p),
+            3 => Distance::Hamming,
+            4 => Distance::Chebyshev,
+            5 => Distance::Canberra,
+            _ => return None,
+        })
+    }
+
     /// Canonical label used in harness output. Borrowed for the five
     /// non-parameterized metrics; only `Minkowski(p)` allocates.
     pub fn label(self) -> Cow<'static, str> {
@@ -111,6 +138,25 @@ mod tests {
 
     fn qv(ids: &[u32]) -> QueryVector {
         QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())
+    }
+
+    #[test]
+    fn tags_round_trip_and_are_pinned() {
+        let stored = [
+            (Distance::Euclidean, 0),
+            (Distance::Manhattan, 1),
+            (Distance::Minkowski(4.0), 2),
+            (Distance::Hamming, 3),
+            (Distance::Chebyshev, 4),
+            (Distance::Canberra, 5),
+        ];
+        for (metric, byte) in stored {
+            let (tag, p) = metric.tag();
+            assert_eq!(tag, byte, "{metric:?}: stores on disk carry this byte");
+            assert_eq!(Distance::from_tag(tag, p), Some(metric));
+        }
+        assert_eq!(Distance::Minkowski(4.0).tag().1, 4.0);
+        assert_eq!(Distance::from_tag(6, 0.0), None);
     }
 
     #[test]

@@ -155,9 +155,9 @@ pub fn hierarchical_cluster_pointset(
 /// Build the average-linkage dendrogram from a precomputed condensed
 /// distance matrix (consumed: the Lance–Williams updates overwrite it).
 ///
-/// This is the entry point the sharded/streaming path uses: a
-/// [`crate::CondensedShards`] view materializes its merged matrix once and
-/// clustering proceeds without recomputing any pairwise distance.
+/// This is the entry point the sharded/streaming path uses:
+/// [`crate::ShardedPointSet::try_condensed`] materializes the merged matrix
+/// once and clustering proceeds without recomputing any pairwise distance.
 ///
 /// # Panics
 /// Panics if the matrix is empty or its size mismatches `weights`.

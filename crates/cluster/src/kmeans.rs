@@ -15,8 +15,7 @@
 //! * the seeding `d2`/`scores` buffers and the Lloyd `sums`/`wsum`
 //!   accumulators are allocated once and reused across every round;
 //! * assignment (and the seeding distance sweep) run on scoped threads via
-//!   the internal `par` helpers, feature-gated by `parallel` (on by
-//!   default). The RNG
+//!   the internal `par` helpers. The RNG
 //!   only ever runs on the coordinating thread, and the inertia reduction
 //!   uses fixed-width chunks summed in chunk order, so results are
 //!   bit-identical to the serial path on any machine.

@@ -30,8 +30,8 @@
 //!    and write this layout directly.
 //! 3. **Scoped-thread parallelism** — matrix construction, k-means++
 //!    seeding sweeps, and Lloyd assignment fan out over `std::thread::scope`
-//!    workers (no external dependency), gated by the `parallel` cargo
-//!    feature (default on). RNG-dependent decisions stay on the
+//!    workers (no external dependency; `LOGR_THREADS=1` forces the
+//!    serial path). RNG-dependent decisions stay on the
 //!    coordinating thread and floating-point reductions are associated by
 //!    fixed-width chunk, not by worker, so parallel and serial results
 //!    are bit-identical regardless of core count.
@@ -45,9 +45,10 @@
 //! * [`distance`] — the §6.1 distance measures on binary vectors;
 //! * [`pointset`] — the dense popcount engine and condensed matrix;
 //! * [`shard`] — appendable/sharded condensed construction for streaming
-//!   windows: per-shard triangles plus cross blocks, merged through a
-//!   [`CondensedShards`] view that is bit-identical to the monolithic
-//!   build (window-close cost ∝ window, not history), with an optional
+//!   windows: per-shard triangles plus cross blocks, merged by
+//!   [`ShardedPointSet::try_condensed`] into a matrix bit-identical to
+//!   the monolithic build (window-close cost ∝ window, not history), with
+//!   an optional
 //!   out-of-core store ([`SpillConfig`]) that evicts closed shards to
 //!   disk under a resident-byte budget and reloads them transparently;
 //! * [`spill`] — the versioned, checksummed on-disk shard format
@@ -90,7 +91,7 @@ pub use hierarchical::{
 pub use kmeans::{kmeans_binary, kmeans_binary_pointset, kmeans_dense, KMeansConfig};
 pub use method::{cluster_log, ClusterMethod};
 pub use pointset::{CondensedMatrix, PointSet};
-pub use shard::{CompactionStats, CondensedShards, ShardedPointSet, SpillConfig};
+pub use shard::{CompactionStats, ShardedPointSet, SpillConfig};
 pub use spectral::{
     spectral_cluster, spectral_cluster_condensed, spectral_cluster_pointset, SpectralConfig,
 };

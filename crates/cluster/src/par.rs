@@ -2,9 +2,9 @@
 //!
 //! Built directly on `std::thread::scope` so the workspace stays
 //! dependency-free: rayon is the natural fit but is unavailable in offline
-//! builds. The `parallel` cargo feature (default on) enables threading;
-//! without it every helper degrades to the serial loop, so all call sites
-//! are written once and behave identically either way.
+//! builds. With one worker (a single core, or `LOGR_THREADS=1`) every
+//! helper degrades to the serial loop, so all call sites are written once
+//! and behave identically either way.
 //!
 //! Work is distributed round-robin over at most [`threads`] workers, which
 //! balances the triangular row lengths of condensed distance matrices
@@ -15,23 +15,16 @@
 /// matrix build and the spectral affinity fill.
 pub(crate) const PARALLEL_MIN_POINTS: usize = 128;
 
-/// Upper bound on worker threads (1 when the `parallel` feature is off).
+/// Upper bound on worker threads.
 ///
 /// The `LOGR_THREADS` environment variable overrides the detected core
-/// count (still requires the `parallel` feature). CI uses it to exercise
-/// the multi-worker fan-out on single-core runners.
+/// count. CI uses it to exercise the multi-worker fan-out on single-core
+/// runners, and `LOGR_THREADS=1` to exercise the serial path.
 pub(crate) fn threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        if let Some(n) = std::env::var("LOGR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            return n.max(1);
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    if let Some(n) = std::env::var("LOGR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
+        return n.max(1);
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Process `tasks` on up to `n_threads` workers; each worker folds its tasks

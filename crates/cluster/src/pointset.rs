@@ -12,7 +12,7 @@
 //! strict upper triangle, `n·(n−1)/2` doubles, halving memory versus the
 //! full `Matrix` the sparse path builds. Rows of the triangle are
 //! contiguous, so construction parallelizes over scoped threads with no
-//! synchronization (feature `parallel`, on by default).
+//! synchronization.
 
 use crate::distance::Distance;
 use crate::par;

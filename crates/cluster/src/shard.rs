@@ -11,9 +11,9 @@
 //! * the shard's own condensed triangle — `w·(w−1)/2` pairs — and
 //! * the `h × w` cross block against the existing points,
 //!
-//! both on scoped threads via the existing `parallel` feature. Earlier
-//! shards are never touched again — which also makes them **immutable**,
-//! and immutability is what the out-of-core layer exploits.
+//! both on scoped threads. Earlier shards are never touched again — which
+//! also makes them **immutable**, and immutability is what the
+//! out-of-core layer exploits.
 //!
 //! # Out-of-core shards (PR 3)
 //!
@@ -24,10 +24,10 @@
 //! versioned, checksummed [`crate::spill`] format); after every append the
 //! set evicts closed shards oldest-first — the hot tail (the newest
 //! shard) is pinned — until the resident payload fits the budget. Spilled
-//! shards reload transparently on read: point lookups go through a
-//! single-slot reload cache, and bulk merges ([`CondensedShards`]) stream
-//! one spilled shard at a time, so peak memory is the budget plus one
-//! shard. Files are written once (shards are immutable) and re-eviction
+//! shards reload transparently on read: appends and bulk merges
+//! ([`ShardedPointSet::try_condensed`]) stream one spilled shard at a
+//! time and drop it again, so peak memory is the budget plus one shard.
+//! Files are written once (shards are immutable) and re-eviction
 //! after a reload is free. Reloaded payloads are integer mismatch counts
 //! and bit-packed points — no floats touch disk — so a spilled/reloaded
 //! set serves **bit-identical** distances to the all-resident build
@@ -38,15 +38,14 @@
 //! feature universe may still be growing while early shards are built. A
 //! metric is applied only at read time, through the same
 //! [`Distance::of_mismatches`] kernel as the monolithic path — so the merged
-//! view is **bit-identical** to `PointSet::distances` over the concatenated
-//! points at the final universe (property-tested in
+//! matrix is **bit-identical** to `PointSet::distances` over the
+//! concatenated points at the final universe (property-tested in
 //! `tests/proptest_shards.rs`).
 //!
-//! [`CondensedShards`] is the merged read view: it serves the same
-//! `n()`/`get(i, j)` reads as [`CondensedMatrix`], and
-//! [`CondensedShards::try_to_condensed`] materializes a real `CondensedMatrix`
-//! for the consumers that mutate distances in place (hierarchical
-//! Lance–Williams) or scan the raw buffer (spectral's median-σ heuristic).
+//! There is one read: [`ShardedPointSet::try_condensed`] materializes the
+//! whole [`CondensedMatrix`], which is what every consumer wants —
+//! hierarchical Lance–Williams mutates distances in place and spectral's
+//! median-σ heuristic scans the raw buffer. Nothing reads a single pair.
 
 use crate::distance::Distance;
 use crate::par;
@@ -57,7 +56,7 @@ use crate::vfs::{self, Vfs};
 use logr_feature::{BitVec, QueryVector};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Cell-count threshold below which shard fills run serially (the same
 /// break-even as `PARALLEL_MIN_POINTS` points in the monolithic build).
@@ -95,18 +94,12 @@ struct ShardSlot {
     bytes: usize,
 }
 
-/// Single-slot cache for point reads against spilled shards, so repeated
-/// `get(i, j)` probes into the same shard pay one reload, not one per
-/// probe. Bulk merges bypass it (they stream shards explicitly).
-#[derive(Debug, Default)]
-struct ReloadCache {
-    entry: Option<(usize, Arc<ShardRecord>)>,
-}
-
 /// A dataset of binary vectors accumulated shard by shard, with pairwise
 /// mismatch counts maintained incrementally and (optionally) spilled to a
-/// persistent store under a resident-memory budget.
-#[derive(Debug)]
+/// persistent store under a resident-memory budget. Plain data behind
+/// `Arc`s: a clone shares every payload and the store directory, and the
+/// set is `Send + Sync` with no lock.
+#[derive(Debug, Clone)]
 pub struct ShardedPointSet {
     /// Widest universe seen so far; reads normalize against this.
     n_features: usize,
@@ -117,20 +110,6 @@ pub struct ShardedPointSet {
     /// Storage layer all spill reads/writes go through ([`crate::vfs`]);
     /// [`vfs::RealFs`] unless a test injected a fault filesystem.
     vfs: Arc<dyn Vfs>,
-    cache: Mutex<ReloadCache>,
-}
-
-impl Clone for ShardedPointSet {
-    fn clone(&self) -> Self {
-        ShardedPointSet {
-            n_features: self.n_features,
-            shard_starts: self.shard_starts.clone(),
-            shards: self.shards.clone(),
-            spill: self.spill.clone(),
-            vfs: self.vfs.clone(),
-            cache: Mutex::new(ReloadCache { entry: self.cache_lock().entry.clone() }),
-        }
-    }
 }
 
 impl Default for ShardedPointSet {
@@ -150,7 +129,6 @@ impl ShardedPointSet {
             shards: Vec::new(),
             spill: None,
             vfs: vfs::default_vfs(),
-            cache: Mutex::new(ReloadCache::default()),
         }
     }
 
@@ -159,11 +137,6 @@ impl ShardedPointSet {
     /// this ([`vfs::RealFs`] is the default).
     pub fn set_vfs(&mut self, vfs: Arc<dyn Vfs>) {
         self.vfs = vfs;
-    }
-
-    /// The storage layer this set's spill I/O goes through.
-    pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
     }
 
     /// Rebuild a set from a directory of previously spilled shard files —
@@ -215,21 +188,7 @@ impl ShardedPointSet {
                 bytes: record.payload_bytes(),
             });
         }
-        Ok(ShardedPointSet {
-            n_features,
-            shard_starts,
-            shards,
-            spill: Some(config),
-            vfs,
-            cache: Mutex::new(ReloadCache::default()),
-        })
-    }
-
-    /// The single-slot reload cache, with poisoning folded to a panic in
-    /// one place.
-    fn cache_lock(&self) -> std::sync::MutexGuard<'_, ReloadCache> {
-        // lint:allow(no-panic-paths): the cache is pure redundancy (the spill file always exists), but a poisoned lock means another thread panicked mid-reload — propagating the abort is safer than serving a half-updated cache
-        self.cache.lock().expect("reload cache poisoned")
+        Ok(ShardedPointSet { n_features, shard_starts, shards, spill: Some(config), vfs })
     }
 
     /// Total number of points across all shards.
@@ -251,14 +210,6 @@ impl ShardedPointSet {
     /// Current feature-universe size (the widest push so far).
     pub fn n_features(&self) -> usize {
         self.n_features
-    }
-
-    /// The point range covered by shard `s`.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
-        self.shard_starts[s]..self.shard_starts[s + 1]
     }
 
     /// Attach (or reconfigure) the out-of-core store: creates `dir` and
@@ -290,31 +241,17 @@ impl ShardedPointSet {
         }
     }
 
-    /// Bytes of shard payload currently resident (including the reload
-    /// cache). The eviction budget bounds this between appends; a bulk
-    /// merge over spilled shards transiently adds at most one shard.
+    /// Bytes of shard payload currently resident. The eviction budget
+    /// bounds this between appends; an append or bulk merge over spilled
+    /// shards transiently holds one more shard, which this does not count
+    /// and which is gone again when the call returns.
     pub fn resident_bytes(&self) -> usize {
-        let slots: usize = self.shards.iter().filter(|s| s.data.is_some()).map(|s| s.bytes).sum();
-        let cached = match &self.cache_lock().entry {
-            // A cache entry for a shard that is (still) resident would
-            // double-count, but the cache only ever holds spilled shards.
-            Some((s, _)) if self.shards[*s].data.is_none() => self.shards[*s].bytes,
-            _ => 0,
-        };
-        slots + cached
+        self.shards.iter().filter(|s| s.data.is_some()).map(|s| s.bytes).sum()
     }
 
     /// Number of shards whose payload is currently on disk only.
     pub fn spilled_shards(&self) -> usize {
         self.shards.iter().filter(|s| s.data.is_none()).count()
-    }
-
-    /// True when shard `s`'s payload is in memory.
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range.
-    pub fn shard_is_resident(&self, s: usize) -> bool {
-        self.shards[s].data.is_some()
     }
 
     /// Ensure shard `s` has a store file (first write only — shards are
@@ -395,9 +332,9 @@ impl ShardedPointSet {
         self.shards[s].path.as_deref()
     }
 
-    /// Force every shard to disk, including the pinned tail, and clear the
-    /// reload cache — afterwards `resident_bytes() == 0` and every read
-    /// reloads. Returns how many shards this call evicted.
+    /// Force every shard to disk, including the pinned tail — afterwards
+    /// `resident_bytes() == 0` and every read reloads. Returns how many
+    /// shards this call evicted.
     ///
     /// # Panics
     /// Panics if no store was configured via
@@ -410,28 +347,23 @@ impl ShardedPointSet {
                 evicted += 1;
             }
         }
-        self.cache_lock().entry = None;
         Ok(evicted)
     }
 
-    /// Evict until the resident payload fits the budget: drop the reload
-    /// cache first (it is pure redundancy — the file already exists), then
-    /// spill resident shards oldest-first (= least recently appended;
-    /// merges touch every shard equally, so there is no finer per-shard
-    /// recency to act on). The newest shard is pinned — the streaming
-    /// close path reads it immediately — so the budget is honored
-    /// whenever it covers at least that one shard.
+    /// Evict until the resident payload fits the budget: spill resident
+    /// shards oldest-first (= least recently appended; merges touch every
+    /// shard equally, so there is no finer per-shard recency to act on).
+    /// The newest shard is pinned — the streaming close path reads it
+    /// immediately — so the budget is honored whenever it covers at least
+    /// that one shard.
     fn enforce_budget(&mut self) -> Result<(), SpillError> {
         let Some(budget) = self.spill.as_ref().map(|c| c.resident_budget) else {
             return Ok(());
         };
-        if self.resident_bytes() > budget {
-            self.cache_lock().entry = None;
-        }
         // One pass: track the remaining resident total and resume the
         // oldest-first scan where it left off, instead of recomputing
-        // `resident_bytes()` (a full slot scan plus a lock) per eviction
-        // — bulk evictions are O(shards), not O(shards²).
+        // `resident_bytes()` (a full slot scan) per eviction — bulk
+        // evictions are O(shards), not O(shards²).
         let mut resident = self.resident_bytes();
         let mut from = 0;
         while resident > budget {
@@ -448,51 +380,13 @@ impl ShardedPointSet {
         Ok(())
     }
 
-    /// Run `f` over shard `s`'s payload, reloading from the store when it
-    /// is spilled (through the single-slot cache).
-    fn try_with_shard<R>(
-        &self,
-        s: usize,
-        f: impl FnOnce(&ShardRecord) -> R,
-    ) -> Result<R, SpillError> {
-        let data = self.load_shard(s, true)?;
-        Ok(f(&data))
-    }
-
-    /// Infallible [`ShardedPointSet::try_with_shard`] for read paths whose
-    /// signatures predate the store.
-    ///
-    /// # Panics
-    /// Panics if a spilled shard cannot be reloaded (store deleted or
-    /// corrupted underneath the set).
-    fn with_shard<R>(&self, s: usize, f: impl FnOnce(&ShardRecord) -> R) -> R {
-        self.try_with_shard(s, f).unwrap_or_else(|e| self.reload_panic(s, e))
-    }
-
-    /// Panic for an infallible read path whose reload failed, naming the
-    /// shard's file — a store directory holds many pid/sequence-named
-    /// files, so the shard index alone would not say which one to
-    /// inspect or restore.
-    fn reload_panic(&self, s: usize, e: SpillError) -> ! {
-        // lint:allow(no-panic-paths): the one deliberate bridge from pre-store infallible read signatures to store errors; fallible callers use try_with_shard instead
-        panic!("reloading spilled shard {s} ({:?}) failed: {e}", self.shards[s].path)
-    }
-
-    /// The one reload path: shard `s`'s payload from memory, the reload
-    /// cache, or (last) the store — optionally caching a store miss. Both
-    /// the caching and transient read flavors fold through here, so the
-    /// reload invariants ("a spilled shard always has a file"; a
-    /// single-slot cache, only ever holding spilled shards) live in one
-    /// place.
-    fn load_shard(&self, s: usize, populate_cache: bool) -> Result<Arc<ShardRecord>, SpillError> {
+    /// The one reload path: shard `s`'s payload from memory, else one read
+    /// of its store file. The caller holds the returned `Arc` for as long
+    /// as it needs the shard and drops it after — nothing is cached, so a
+    /// read never changes [`ShardedPointSet::resident_bytes`].
+    fn load_shard(&self, s: usize) -> Result<Arc<ShardRecord>, SpillError> {
         if let Some(data) = &self.shards[s].data {
             return Ok(data.clone());
-        }
-        let mut cache = self.cache_lock();
-        if let Some((cached, data)) = &cache.entry {
-            if *cached == s {
-                return Ok(data.clone());
-            }
         }
         // lint:allow(no-panic-paths): spilling writes the file before dropping the payload, so a spilled shard without a path is unreachable by construction
         let path = self.shards[s].path.as_ref().expect("a spilled shard always has a file");
@@ -504,11 +398,7 @@ impl ShardedPointSet {
         // validated) payload without re-hashing it — a budget-bounded
         // workload faults the same immutable files back in constantly,
         // and the checksum pass was the dominant redundant cost.
-        let data = Arc::new(spill::read_file_trusted_with(&*self.vfs, path)?);
-        if populate_cache {
-            cache.entry = Some((s, data.clone()));
-        }
-        Ok(data)
+        Ok(Arc::new(spill::read_file_trusted_with(&*self.vfs, path)?))
     }
 
     /// Append one shard of points over a universe of `n_features`,
@@ -595,14 +485,13 @@ impl ShardedPointSet {
                     continue;
                 }
                 let shard_rows: Vec<(usize, &mut [u32])> = rows.by_ref().take(he - hs).collect();
-                self.try_with_shard(h, |data| {
-                    par::run_tasks(shard_rows, nt, |(i, row)| {
-                        let a = &data.bits[i - hs];
-                        for (j, cell) in row.iter_mut().enumerate() {
-                            *cell = a.xor_count_padded(&nb[j]) as u32;
-                        }
-                    });
-                })?;
+                let data = self.load_shard(h)?;
+                par::run_tasks(shard_rows, nt, |(i, row)| {
+                    let a = &data.bits[i - hs];
+                    for (j, cell) in row.iter_mut().enumerate() {
+                        *cell = a.xor_count_padded(&nb[j]) as u32;
+                    }
+                });
             }
         }
 
@@ -621,58 +510,83 @@ impl ShardedPointSet {
         self.enforce_budget()
     }
 
-    /// Shard containing point `i` (the latest shard when empty shards
-    /// share a boundary, which is always the one that owns the point).
-    fn shard_of(&self, i: usize) -> usize {
-        self.shard_starts.partition_point(|&s| s <= i) - 1
-    }
-
-    /// `|xᵢ ⊕ xⱼ|`, served from the precomputed shard buffers (reloading
-    /// a spilled shard if needed).
-    ///
-    /// # Panics
-    /// Panics if an index is out of range, or if a spilled shard cannot be
-    /// reloaded.
-    pub fn mismatches(&self, i: usize, j: usize) -> usize {
-        let n = self.len();
-        assert!(i < n && j < n, "index ({i}, {j}) out of range {n}");
-        if i == j {
-            return 0;
-        }
-        let (i, j) = if i < j { (i, j) } else { (j, i) };
-        let s = self.shard_of(j);
-        let start = self.shard_starts[s];
-        let w = self.shard_starts[s + 1] - start;
-        self.with_shard(s, |data| {
-            if i >= start {
-                // Same shard: condensed triangle of shard s.
-                let (a, b) = (i - start, j - start);
-                data.intra[condensed_row_start(w, a) + (b - a - 1)] as usize
-            } else {
-                data.cross[i * w + (j - start)] as usize
+    /// The one segment walk behind both bulk reads (the metric merge and
+    /// compaction). `merged` is a condensed strict upper triangle over all
+    /// `len()` points. Shard `t` owns a contiguous segment of every merged
+    /// row it touches — the suffix of its own points' intra rows, plus one
+    /// `w_t`-wide run in each earlier point's row (its cross block) — and
+    /// merged rows are consumed left to right as `t` ascends, so each
+    /// segment is split off exactly once with no per-cell shard lookup.
+    /// `fill` gets each non-empty shard's payload and its `(stored run,
+    /// merged segment)` pairs, equal in length pair by pair. Spilled
+    /// shards are loaded for their turn and dropped again, so a walk over
+    /// a spilled history holds at most one shard's payload beyond what is
+    /// resident.
+    fn merge_into<T>(
+        &self,
+        merged: &mut [T],
+        mut fill: impl FnMut(&ShardRecord, Vec<(&[u32], &mut [T])>),
+    ) -> Result<(), SpillError> {
+        // Each merged row, progressively consumed: rest[i] holds the not-
+        // yet-filled tail of row i.
+        let mut rest: Vec<&mut [T]> =
+            par::triangle_rows(merged, self.len()).into_iter().map(|(_, row)| row).collect();
+        for t in 0..self.shards.len() {
+            let ts = self.shard_starts[t];
+            let te = self.shard_starts[t + 1];
+            let wt = te - ts;
+            if wt == 0 {
+                continue;
             }
-        })
-    }
-
-    /// Distance between points `i` and `j` under `metric`, normalized at
-    /// the **current** universe — identical to what the monolithic
-    /// `PointSet` would report for the concatenated points.
-    #[inline]
-    pub fn distance(&self, i: usize, j: usize, metric: Distance) -> f64 {
-        metric.of_mismatches(self.mismatches(i, j), self.n_features)
-    }
-
-    /// Merged read view under `metric` (borrowing; no materialization).
-    pub fn condensed_shards(&self, metric: Distance) -> CondensedShards<'_> {
-        CondensedShards { set: self, metric }
+            let data = self.load_shard(t)?;
+            let mut segments: Vec<(&[u32], &mut [T])> = Vec::with_capacity(te);
+            for (i, slot) in rest.iter_mut().enumerate().take(te) {
+                // Rows of shard t's own points still need their intra
+                // suffix; every earlier row needs t's cross run.
+                let seg_len = if i >= ts { te - i - 1 } else { wt };
+                if seg_len == 0 {
+                    continue;
+                }
+                let (seg, tail) = std::mem::take(slot).split_at_mut(seg_len);
+                *slot = tail;
+                let run: &[u32] = if i >= ts {
+                    &data.intra[condensed_row_start(wt, i - ts)..][..seg_len]
+                } else {
+                    &data.cross[i * wt..][..seg_len]
+                };
+                segments.push((run, seg));
+            }
+            fill(&data, segments);
+        }
+        debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
+        Ok(())
     }
 
     /// Materialize the merged condensed matrix under `metric` — the exact
-    /// bits `PointSet::distances` would produce for the same points. A
-    /// spilled shard that can no longer be reloaded (store deleted or
-    /// corrupted underneath the set) surfaces as a [`SpillError`].
+    /// bits `PointSet::distances` would produce for the same points —
+    /// filling each shard's segments in parallel. A spilled shard that can
+    /// no longer be reloaded (store deleted or corrupted underneath the
+    /// set) surfaces as a [`SpillError`].
     pub fn try_condensed(&self, metric: Distance) -> Result<CondensedMatrix, SpillError> {
-        self.condensed_shards(metric).try_to_condensed()
+        let mut cm = CondensedMatrix::zeros(self.len());
+        if self.len() < 2 {
+            return Ok(cm);
+        }
+        let nf = self.n_features;
+        let n_threads = par::threads();
+        self.merge_into(cm.data_mut(), |_, segments| {
+            // Fan out per shard, by this shard's own cell count — a
+            // history of many small shards fills serially instead of
+            // paying a scoped spawn/join round per shard.
+            let cells: usize = segments.iter().map(|(run, _)| run.len()).sum();
+            let nt = if cells < PARALLEL_MIN_CELLS { 1 } else { n_threads };
+            par::run_tasks(segments, nt, |(run, seg)| {
+                for (cell, &d) in seg.iter_mut().zip(run) {
+                    *cell = metric.of_mismatches(d as usize, nf);
+                }
+            });
+        })?;
+        Ok(cm)
     }
 
     /// Merge every shard into **one** — same points, same integer
@@ -707,42 +621,15 @@ impl ShardedPointSet {
         let nf = self.n_features;
         let mut intra = vec![0u32; n * n.saturating_sub(1) / 2];
         let mut bits: Vec<BitVec> = Vec::with_capacity(n);
-        {
-            // Same segment walk as the metric merge (`try_to_condensed`),
-            // but copying raw u32 mismatch counts: shard t owns the intra
-            // suffix of its own points' rows plus one w_t-wide run in each
-            // earlier row, consumed left to right as t ascends.
-            let mut rest: Vec<&mut [u32]> =
-                par::triangle_rows(&mut intra, n).into_iter().map(|(_, row)| row).collect();
-            for t in 0..self.shards.len() {
-                let ts = self.shard_starts[t];
-                let te = self.shard_starts[t + 1];
-                let wt = te - ts;
-                if wt == 0 {
-                    continue;
-                }
-                let data = self.load_shard(t, false)?;
-                for b in &data.bits {
-                    bits.push(if b.len() == nf { b.clone() } else { b.widened(nf) });
-                }
-                for (i, slot) in rest.iter_mut().enumerate().take(te) {
-                    let seg_len = if i >= ts { te - i - 1 } else { wt };
-                    if seg_len == 0 {
-                        continue;
-                    }
-                    let (seg, tail) = std::mem::take(slot).split_at_mut(seg_len);
-                    *slot = tail;
-                    let run: &[u32] = if i >= ts {
-                        let a = i - ts;
-                        &data.intra[condensed_row_start(wt, a)..][..wt - 1 - a]
-                    } else {
-                        &data.cross[i * wt..][..wt]
-                    };
-                    seg.copy_from_slice(run);
-                }
+        // The metric merge's walk, copying raw u32 mismatch counts.
+        self.merge_into(&mut intra, |data, segments| {
+            for b in &data.bits {
+                bits.push(if b.len() == nf { b.clone() } else { b.widened(nf) });
             }
-            debug_assert!(rest.iter().all(|r| r.is_empty()), "compaction left unfilled cells");
-        }
+            for (run, seg) in segments {
+                seg.copy_from_slice(run);
+            }
+        })?;
         let record = ShardRecord { n_features: nf, start: 0, intra, cross: Vec::new(), bits };
         let bytes = record.payload_bytes();
         // Write the merged file *before* touching any set state, so an
@@ -762,7 +649,6 @@ impl ShardedPointSet {
         let data = keep_resident.then(|| Arc::new(record));
         self.shards = vec![ShardSlot { data, path, bytes }];
         self.shard_starts = vec![0, n];
-        self.cache_lock().entry = None;
         Ok(CompactionStats { shards_merged: n_shards_before, stale_files })
     }
 }
@@ -777,115 +663,6 @@ pub struct CompactionStats {
     /// deleted by it — clones sharing the directory may still read them;
     /// an exclusive owner may remove them.
     pub stale_files: Vec<PathBuf>,
-}
-
-/// Merged view over a [`ShardedPointSet`]'s per-shard buffers: serves the
-/// same `n()`/`get(i, j)` reads as [`CondensedMatrix`] without copying, and
-/// materializes one on demand for consumers that mutate in place.
-#[derive(Debug, Clone, Copy)]
-pub struct CondensedShards<'a> {
-    set: &'a ShardedPointSet,
-    metric: Distance,
-}
-
-impl CondensedShards<'_> {
-    /// Number of points (side length of the represented square matrix).
-    pub fn n(&self) -> usize {
-        self.set.len()
-    }
-
-    /// The metric this view folds mismatch counts through.
-    pub fn metric(&self) -> Distance {
-        self.metric
-    }
-
-    /// Distance between `i` and `j` (0 on the diagonal) — the same
-    /// contract as [`CondensedMatrix::get`].
-    ///
-    /// # Panics
-    /// Panics if an index is out of range, or if a spilled shard cannot be
-    /// reloaded.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.set.distance(i, j, self.metric)
-    }
-
-    /// Materialize as a [`CondensedMatrix`], filling rows in parallel.
-    ///
-    /// The merge streams **one shard at a time**: shard `t` owns a
-    /// contiguous segment of every merged row it touches — the suffix of
-    /// its own points' intra rows, plus one `w_t`-wide run in each earlier
-    /// point's row (its cross block) — and merged rows are consumed left
-    /// to right as `t` ascends, so each segment is split off and filled
-    /// exactly once, in parallel, with no per-cell shard lookup. Spilled
-    /// shards are reloaded for their turn and dropped again, so
-    /// materializing over a spilled history holds at most one shard's
-    /// payload beyond the resident budget.
-    ///
-    /// A spilled shard that can no longer be reloaded surfaces as a
-    /// [`SpillError`].
-    pub fn try_to_condensed(&self) -> Result<CondensedMatrix, SpillError> {
-        let set = self.set;
-        let n = set.len();
-        let mut cm = CondensedMatrix::zeros(n);
-        if n < 2 {
-            return Ok(cm);
-        }
-        let metric = self.metric;
-        let nf = set.n_features;
-        let n_threads = par::threads();
-        // Each merged row, progressively consumed: rest[i] holds the not-
-        // yet-filled tail of row i.
-        let mut rest: Vec<&mut [f64]> =
-            par::triangle_rows(cm.data_mut(), n).into_iter().map(|(_, row)| row).collect();
-        for t in 0..set.shards.len() {
-            let ts = set.shard_starts[t];
-            let te = set.shard_starts[t + 1];
-            let wt = te - ts;
-            if wt == 0 {
-                continue;
-            }
-            // Loaded without touching the reload cache: a cache hit is
-            // reused, but a miss loads transiently and drops when the
-            // shard's segments are filled — a completed merge leaves
-            // `resident_bytes()` exactly where it found it, so the budget
-            // holds after a `try_history_summary`-style read, not just after
-            // appends.
-            let data = set.load_shard(t, false)?;
-            let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(te);
-            let mut cells = 0usize;
-            for (i, slot) in rest.iter_mut().enumerate().take(te) {
-                // Rows of shard t's own points still need their intra
-                // suffix; every earlier row needs t's cross run.
-                let seg_len = if i >= ts { te - i - 1 } else { wt };
-                if seg_len == 0 {
-                    continue;
-                }
-                let (seg, tail) = std::mem::take(slot).split_at_mut(seg_len);
-                *slot = tail;
-                cells += seg_len;
-                tasks.push((i, seg));
-            }
-            // Fan out per shard, by this shard's own cell count — a
-            // history of many small shards fills serially instead of
-            // paying a scoped spawn/join round per shard.
-            let nt = if cells < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            par::run_tasks(tasks, nt, |(i, seg)| {
-                let run: &[u32] = if i >= ts {
-                    let a = i - ts;
-                    &data.intra[condensed_row_start(wt, a)..][..wt - 1 - a]
-                } else {
-                    &data.cross[i * wt..][..wt]
-                };
-                debug_assert_eq!(seg.len(), run.len());
-                for (cell, &d) in seg.iter_mut().zip(run) {
-                    *cell = metric.of_mismatches(d as usize, nf);
-                }
-            });
-        }
-        debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
-        Ok(cm)
-    }
 }
 
 #[cfg(test)]
@@ -910,6 +687,14 @@ mod tests {
             qv(&[7, 8]),
         ]
     }
+
+    /// The set is shared across reader threads inside `EngineSnapshot`
+    /// with no lock of its own; this fails to compile if a field ever
+    /// stops that.
+    const _: fn() = || {
+        fn check<T: Send + Sync>() {}
+        check::<ShardedPointSet>();
+    };
 
     fn all_metrics() -> [Distance; 6] {
         [
@@ -944,25 +729,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn view_reads_match_materialized_matrix() {
-        let vs = sample();
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let mut sharded = ShardedPointSet::new();
-        for chunk in refs.chunks(3) {
-            sharded.try_push_shard(chunk, 80).unwrap();
-        }
-        let view = sharded.condensed_shards(Distance::Hamming);
-        let cm = view.try_to_condensed().unwrap();
-        assert_eq!(view.n(), cm.n());
-        for i in 0..view.n() {
-            for j in 0..view.n() {
-                assert_eq!(view.get(i, j).to_bits(), cm.get(i, j).to_bits(), "({i}, {j})");
-            }
-        }
-        assert_eq!(view.get(2, 2), 0.0);
     }
 
     #[test]
@@ -1009,8 +775,7 @@ mod tests {
         sharded.try_push_shard(&[], 80).unwrap();
         sharded.try_push_shard(&refs[4..], 80).unwrap();
         assert_eq!(sharded.n_shards(), 4);
-        assert_eq!(sharded.shard_range(1), 0..4);
-        assert!(sharded.shard_range(2).is_empty());
+        assert_eq!(sharded.shard_starts, [0, 0, 4, 4, 7]);
         let monolithic = PointSet::from_vectors(&refs, 80);
         assert_eq!(
             sharded.try_condensed(Distance::Manhattan).unwrap().as_slice(),
@@ -1054,7 +819,6 @@ mod tests {
         let mut one = ShardedPointSet::new();
         one.try_push_shard(&[&v], 4).unwrap();
         assert_eq!(one.len(), 1);
-        assert_eq!(one.mismatches(0, 0), 0);
         let cm = one.try_condensed(Distance::Manhattan).unwrap();
         assert_eq!(cm.n(), 1);
         assert_eq!(cm.get(0, 0), 0.0);
@@ -1074,7 +838,7 @@ mod tests {
             // Budget 0: everything but the pinned tail is spilled, and the
             // tail is always the newest shard.
             let n = sharded.n_shards();
-            assert!(sharded.shard_is_resident(n - 1), "hot tail must stay resident");
+            assert!(sharded.shards[n - 1].data.is_some(), "hot tail must stay resident");
             assert_eq!(sharded.spilled_shards(), n - 1);
         }
         // The resident payload is exactly the tail's.
@@ -1086,7 +850,6 @@ mod tests {
             sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
             monolithic.distances(Distance::Hamming).as_slice()
         );
-        assert_eq!(sharded.mismatches(0, 59), monolithic.mismatches(0, 59));
     }
 
     #[test]
@@ -1114,17 +877,11 @@ mod tests {
                 "{metric:?}"
             );
         }
-        // Bulk merges stream shards transiently: after six full merges
-        // nothing is pinned — the budget holds across reads, not just
-        // appends.
-        assert_eq!(spilled.resident_bytes(), 0, "a merge must not populate the cache");
-        // Point reads reload through the cache; re-evicting afterwards is
-        // free (the files already exist).
-        assert_eq!(spilled.mismatches(1, 6), resident.mismatches(1, 6));
-        assert!(spilled.resident_bytes() > 0, "point read populated the reload cache");
-        let again = spilled.spill_all().unwrap();
-        assert_eq!(again, 0, "payloads were already on disk; only the cache cleared");
-        assert_eq!(spilled.resident_bytes(), 0);
+        // Merges stream shards transiently: after six full merges over a
+        // fully spilled set nothing is resident — the budget holds across
+        // reads, not just appends.
+        assert_eq!(spilled.resident_bytes(), 0, "a merge must leave residency where it found it");
+        assert_eq!(spilled.spill_all().unwrap(), 0, "payloads were already on disk");
     }
 
     #[test]
@@ -1169,17 +926,17 @@ mod tests {
         sharded.try_push_shard(&refs[3..5], 80).unwrap(); // spills shard 0
         assert_eq!(sharded.spilled_shards(), 1);
         let before = sharded.try_condensed(Distance::Hamming).unwrap();
-        for entry in std::fs::read_dir(store.path()).unwrap() {
-            std::fs::remove_file(entry.unwrap().path()).unwrap();
-        }
-        sharded.cache.lock().unwrap().entry = None; // drop the reload cache
+        let file = sharded.shard_file(0).unwrap().to_path_buf();
+        let bytes = std::fs::read(&file).unwrap();
+        std::fs::remove_file(&file).unwrap();
         let err = sharded.try_push_shard(&refs[5..], 120).unwrap_err();
         assert!(matches!(err, SpillError::Io(_)), "{err}");
         assert_eq!(sharded.n_features(), 80, "failed push must not widen the universe");
         assert_eq!(sharded.len(), 5, "failed push must not append points");
-        // Resident reads (shard 1 + the pinned tail) still normalize at
-        // the original width.
-        assert_eq!(sharded.distance(3, 4, Distance::Hamming), before.get(3, 4));
+        // With the store restored, reads still normalize at the original
+        // width.
+        std::fs::write(&file, bytes).unwrap();
+        assert_eq!(sharded.try_condensed(Distance::Hamming).unwrap().as_slice(), before.as_slice());
     }
 
     #[test]
@@ -1202,7 +959,6 @@ mod tests {
         assert!(sharded.spilled_shards() > 0, "budget 0 must have spilled history");
         let before: Vec<CondensedMatrix> =
             all_metrics().iter().map(|&m| sharded.try_condensed(m).unwrap()).collect();
-        let point_before = sharded.mismatches(3, 71);
 
         let stats = sharded.compact().unwrap();
         assert_eq!(stats.shards_merged, 6);
@@ -1217,7 +973,6 @@ mod tests {
                 "{m:?}"
             );
         }
-        assert_eq!(sharded.mismatches(3, 71), point_before);
         // Appends keep working against the compacted history.
         let extra = qv(&[0, 63]);
         let mut grown = sharded.clone();
@@ -1317,7 +1072,6 @@ mod tests {
                 "{metric:?}"
             );
         }
-        assert_eq!(reopened.mismatches(0, 49), original.mismatches(0, 49));
 
         // A reordered chain is a typed error, not a wrong answer.
         let mut swapped = files.clone();
@@ -1352,9 +1106,8 @@ mod tests {
             .unwrap();
         sharded.try_push_shard(&refs[..4], 80).unwrap();
         sharded.try_push_shard(&refs[4..], 80).unwrap(); // spills shard 0
-        assert!(!sharded.shard_is_resident(0));
-        let before = sharded.mismatches(0, 1);
-        sharded.cache.lock().unwrap().entry = None;
+        assert!(sharded.shards[0].data.is_none());
+        let before = sharded.try_condensed(Distance::Hamming).unwrap();
         // Flip a byte of the *stored checksum* (the payload is untouched):
         // a first-open validation rejects the file, but reloads trust it —
         // this process already checksummed these exact payload bytes once,
@@ -1364,7 +1117,11 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(sharded.mismatches(0, 1), before, "trusted reload must serve the payload");
+        assert_eq!(
+            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
+            before.as_slice(),
+            "trusted reload must serve the payload"
+        );
         let err = ShardedPointSet::from_spilled_files_with(
             vfs::default_vfs(),
             SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 },

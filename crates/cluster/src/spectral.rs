@@ -73,8 +73,9 @@ pub fn spectral_cluster_pointset(
 }
 
 /// Cluster spectrally from a precomputed condensed distance matrix (the
-/// sharded/streaming path: a [`crate::CondensedShards`] view materializes
-/// its merged matrix once and the affinity is built from it directly).
+/// sharded/streaming path: [`crate::ShardedPointSet::try_condensed`]
+/// materializes the merged matrix once and the affinity is built from it
+/// directly).
 /// `config.metric` is informational here — the distances are already baked
 /// into the matrix.
 ///

@@ -40,7 +40,7 @@
 //! corruption is a typed error, never a panic or a silently-wrong
 //! distance.
 
-use crate::vfs::{retry_io, Vfs};
+use crate::vfs::{replace_durably, retry_io, Vfs};
 use logr_feature::BitVec;
 use std::fmt;
 use std::path::Path;
@@ -328,37 +328,17 @@ fn decode_inner(bytes: &[u8], verify_checksum: bool) -> Result<ShardRecord, Spil
     Ok(ShardRecord { n_features, start, intra, cross, bits })
 }
 
-/// Durably write a shard record to `path` through `vfs`: encode, write a
-/// `.tmp` sibling, **fsync it**, rename over `path`, then fsync the
-/// parent directory. The fsync before the rename is what makes the
-/// protocol crash-safe — without it a journaling filesystem may commit
-/// the rename before the data, leaving a durable name over unwritten
-/// pages (a zero-length or torn shard) after power loss. Transient
-/// errors (`EINTR`/`EAGAIN`) are retried with bounded backoff; anything
-/// else aborts with the `.tmp` swept so no partial file is orphaned.
-/// Returns the file's byte length.
+/// Durably write a shard record to `path` through `vfs`
+/// ([`replace_durably`] — a retried eviction draws a fresh file name, so
+/// its sweep-on-error is what keeps a failed write from orphaning a
+/// partial `.tmp` forever). Returns the file's byte length.
 pub fn write_file_with(
     vfs: &dyn Vfs,
     path: &Path,
     record: &ShardRecord,
 ) -> Result<u64, SpillError> {
     let bytes = encode(record);
-    let tmp = path.with_extension("tmp");
-    let protocol = (|| {
-        retry_io(|| vfs.write(&tmp, &bytes))?;
-        retry_io(|| vfs.fsync(&tmp))?;
-        retry_io(|| vfs.rename(&tmp, path))?;
-        if let Some(parent) = path.parent() {
-            retry_io(|| vfs.sync_dir(parent))?;
-        }
-        Ok(())
-    })();
-    if let Err(e) = protocol {
-        // A retried eviction draws a fresh file name, so a partial .tmp
-        // left here would be orphaned forever — sweep it now.
-        let _: Result<(), _> = vfs.remove(&tmp);
-        return Err(SpillError::Io(e));
-    }
+    replace_durably(vfs, path, &bytes)?;
     Ok(bytes.len() as u64)
 }
 

@@ -196,6 +196,43 @@ pub fn retry_io<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     }
 }
 
+/// The staging file [`replace_durably`] writes before renaming it over
+/// `path` — what a crash mid-replace can leave behind, and therefore what
+/// a store's garbage collection looks for.
+pub fn tmp_sibling(path: &Path) -> PathBuf {
+    path.with_extension("tmp")
+}
+
+/// Atomically and durably replace `path` with `bytes`, the one protocol
+/// every replaced store file (shard files, the engine manifest) is
+/// written by: write the [`tmp_sibling`], **fsync it**, rename it over
+/// `path`, then fsync the parent directory. The fsync before the rename
+/// is what makes this crash-safe — without it a journaling filesystem may
+/// commit the rename before the data, leaving a durable name over
+/// unwritten pages (a zero-length or torn file) after power loss; the
+/// directory sync persists the rename itself (see [`Vfs::sync_dir`] for
+/// the non-POSIX degradation). A crash at any point leaves either the
+/// previous content or the new one. Each step rides out transient errors
+/// through [`retry_io`]; any other failure — `ENOSPC` included — aborts
+/// with the staging file swept, so no partial file is orphaned and the
+/// previous `path` is untouched.
+pub fn replace_durably(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    let staged = (|| {
+        retry_io(|| vfs.write(&tmp, bytes))?;
+        retry_io(|| vfs.fsync(&tmp))?;
+        retry_io(|| vfs.rename(&tmp, path))?;
+        if let Some(dir) = path.parent() {
+            retry_io(|| vfs.sync_dir(dir))?;
+        }
+        Ok(())
+    })();
+    if staged.is_err() {
+        let _: io::Result<()> = vfs.remove(&tmp);
+    }
+    staged
+}
+
 // ---- the fault-injecting, trace-recording test filesystem -------------
 
 /// One mutating IO operation, as recorded by [`FaultFs`]. Read-only ops

@@ -72,13 +72,6 @@ proptest! {
             for (a, b) in merged.as_slice().iter().zip(whole.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} shard_size={}", metric, shard_size);
             }
-            // The borrowing view serves the same folded reads.
-            let view = sharded.condensed_shards(metric);
-            for i in 0..refs.len() {
-                for j in 0..refs.len() {
-                    prop_assert_eq!(view.get(i, j).to_bits(), whole.get(i, j).to_bits());
-                }
-            }
         }
     }
 
@@ -109,7 +102,7 @@ proptest! {
     /// shards are forced through the on-disk store — budget 0 evicts
     /// everything but the pinned tail during the build, and `spill_all`
     /// then forces *every* shard (tail included) out before reading —
-    /// serves condensed merges and point reads **bit-identical** to the
+    /// serves condensed merges **bit-identical** to the
     /// all-resident `ShardedPointSet` and to the monolithic
     /// `PointSet::distances`, across every §6.1 metric, every shard
     /// partition (size 1 through whole-set), and growing universes.
@@ -152,12 +145,8 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), c.to_bits(), "{:?} disk != monolithic", metric);
             }
         }
-        // Point reads reload through the cache and agree too.
-        for i in (0..refs.len()).step_by(3) {
-            for j in (0..refs.len()).step_by(2) {
-                prop_assert_eq!(spilled.mismatches(i, j), resident.mismatches(i, j));
-            }
-        }
+        // Six full merges over a fully spilled set left nothing resident.
+        prop_assert_eq!(spilled.resident_bytes(), 0);
     }
 
     /// Early shards built under a narrower universe merge identically to a

@@ -61,7 +61,7 @@ pub use refine::{corr_rank, feature_correlation, RefineConfig, RefinedMixture};
 pub use sampling::{ambiguity_dimension, estimate_deviation, DeviationEstimate};
 pub use stream::{
     rotate_baseline, CloseDelta, StreamConfig, StreamState, StreamSummarizer, TimeWindows,
-    WindowSummary,
+    WindowCursor, WindowSummary,
 };
 // Source configuration and the ingest record re-exported so stream
 // callers need not name `logr-source` directly.

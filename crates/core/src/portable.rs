@@ -167,10 +167,11 @@ impl PortableSummary {
                     message: "expected 'f\\t<id>\\t<class>\\t<text>'".into(),
                 });
             }
-            let class = parse_class(parts[2]).ok_or_else(|| PortableError::Format {
-                line: line_no,
-                message: format!("unknown feature class {:?}", parts[2]),
-            })?;
+            let class =
+                FeatureClass::from_label(parts[2]).ok_or_else(|| PortableError::Format {
+                    line: line_no,
+                    message: format!("unknown feature class {:?}", parts[2]),
+                })?;
             let id = codebook.intern(Feature::new(class, unescape(parts[3])));
             let declared: u32 = parts[1].parse().map_err(|_| PortableError::Format {
                 line: line_no,
@@ -264,19 +265,6 @@ fn parse_kv((line_no, line): (usize, String), key: &str) -> Result<u64, Portable
     parts[1]
         .parse()
         .map_err(|_| PortableError::Format { line: line_no, message: format!("bad {key} value") })
-}
-
-fn parse_class(label: &str) -> Option<FeatureClass> {
-    Some(match label {
-        "SELECT" => FeatureClass::Select,
-        "FROM" => FeatureClass::From,
-        "WHERE" => FeatureClass::Where,
-        "GROUPBY" => FeatureClass::GroupBy,
-        "ORDERBY" => FeatureClass::OrderBy,
-        "TEMPLATE" => FeatureClass::Template,
-        "PARAM" => FeatureClass::Param,
-        _ => return None,
-    })
 }
 
 fn escape(s: &str) -> String {

@@ -101,9 +101,8 @@
 //! Closing a window of `w` distinct queries against a history of `h`
 //! costs `O(w²)` for the window's own condensed matrix plus `O(h·w_new)`
 //! for the history shard's cross block (`w_new` = distinct queries never
-//! seen before, typically ≪ `w`) — both on scoped threads under the
-//! `parallel` feature. The monolithic alternative re-pays `O((h + w)²)`
-//! per window.
+//! seen before, typically ≪ `w`) — both on scoped threads. The
+//! monolithic alternative re-pays `O((h + w)²)` per window.
 
 use crate::compress::{CompressionObjective, LogR, LogRConfig, LogRSummary};
 use crate::drift::{feature_drift, novelty_scores, DriftReport};
@@ -292,24 +291,8 @@ struct CacheSlot {
 /// summarizer that never round-tripped.
 #[derive(Debug, Clone)]
 pub struct StreamState {
-    /// Statements in the current window scope: `(sql, multiplicity,
-    /// arrival ms)` in arrival order.
-    pub buffer: Vec<(String, u64, u64)>,
-    /// Statements not yet absorbed into the history (sliding windows).
-    pub pending: Vec<(String, u64)>,
-    /// Queries since the last close.
-    pub since_close: u64,
-    /// Next scheduled time boundary (time mode).
-    pub next_close_ms: Option<u64>,
-    /// Largest timestamp seen.
-    pub last_ts_ms: u64,
-    /// Windows closed so far.
-    pub windows_closed: usize,
-    /// The parse-counter reading (restored for continuity; statements
-    /// still in the buffer re-parse lazily after a restore, so the
-    /// counter may run ahead of a never-restored run — parse *caching* is
-    /// an optimization, never an output bit).
-    pub statements_parsed: u64,
+    /// Where the open window stands.
+    pub cursor: WindowCursor,
     /// The baseline rotation: each closed stride's log with its
     /// offered-query count.
     pub baseline_logs: Vec<(QueryLog, u64)>,
@@ -327,10 +310,37 @@ pub struct StreamState {
     pub source_state: Vec<u8>,
 }
 
+/// Where the open window stands: the part of the resumable state that is
+/// small, changes with every record, and is therefore recorded
+/// **absolutely** — a full [`StreamState`] export and a per-close
+/// [`CloseDelta`] both carry one, and replaying a close overwrites it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowCursor {
+    /// Statements in the current window scope: `(sql, multiplicity,
+    /// arrival ms)` in arrival order.
+    pub buffer: Vec<(String, u64, u64)>,
+    /// Statements not yet absorbed into the history (sliding windows).
+    pub pending: Vec<(String, u64)>,
+    /// Queries since the last close (in a [`CloseDelta`]: 0, unless a
+    /// time-mode arrival already started the next window).
+    pub since_close: u64,
+    /// Next scheduled time boundary (time mode).
+    pub next_close_ms: Option<u64>,
+    /// Largest timestamp seen.
+    pub last_ts_ms: u64,
+    /// Windows closed so far.
+    pub windows_closed: usize,
+    /// The parse-counter reading (restored for continuity; statements
+    /// still in the buffer re-parse lazily after a restore, so the
+    /// counter may run ahead of a never-restored run — parse *caching* is
+    /// an optimization, never an output bit).
+    pub statements_parsed: u64,
+}
+
 /// Everything one window close changed in the resumable state — the
 /// `O(window)` increment a delta-log persister appends instead of
-/// re-encoding the whole [`StreamState`]. Scalars and the window buffer
-/// are recorded **absolutely** (replay overwrites); the history is
+/// re-encoding the whole [`StreamState`]. The [`WindowCursor`] is
+/// recorded **absolutely** (replay overwrites); the history is
 /// recorded as the close's `stride_log` (replay absorbs); the baseline
 /// rotation is recorded as its *inputs* — the same stride plus the
 /// weight and exclusion span the close fed it — and replay reruns the
@@ -343,21 +353,8 @@ pub struct StreamState {
 /// emit.
 #[derive(Debug, Clone)]
 pub struct CloseDelta {
-    /// Post-close buffer: `(sql, multiplicity, arrival ms)`.
-    pub buffer: Vec<(String, u64, u64)>,
-    /// Post-close not-yet-absorbed statements (sliding windows).
-    pub pending: Vec<(String, u64)>,
-    /// Queries since this close (0, unless a time-mode arrival already
-    /// started the next window).
-    pub since_close: u64,
-    /// Next scheduled time boundary (time mode).
-    pub next_close_ms: Option<u64>,
-    /// Largest timestamp seen.
-    pub last_ts_ms: u64,
-    /// Windows closed, including this one.
-    pub windows_closed: usize,
-    /// Parse-counter reading after the close.
-    pub statements_parsed: u64,
+    /// The post-close cursor (its `windows_closed` includes this close).
+    pub cursor: WindowCursor,
     /// The stride this close absorbed into the history and pushed into
     /// the baseline rotation — the one non-scalar piece of the record.
     pub stride_log: QueryLog,
@@ -378,19 +375,13 @@ pub struct CloseDelta {
 
 impl StreamState {
     /// Replay one close onto the pre-close state it was captured against:
-    /// scalars and buffers overwrite, the history absorbs the stride, the
+    /// the cursor overwrites, the history absorbs the stride, the
     /// rotation reruns from its recorded inputs through
     /// [`rotate_baseline`], and the journal increment appends — exactly
     /// what [`StreamSummarizer::export_state`] emitted after that close.
     /// The one definition delta-log replay runs.
     pub fn apply_close(&mut self, delta: CloseDelta, baseline_windows: usize) {
-        self.buffer = delta.buffer;
-        self.pending = delta.pending;
-        self.since_close = delta.since_close;
-        self.next_close_ms = delta.next_close_ms;
-        self.last_ts_ms = delta.last_ts_ms;
-        self.windows_closed = delta.windows_closed;
-        self.statements_parsed = delta.statements_parsed;
+        self.cursor = delta.cursor;
         self.history.absorb(&delta.stride_log);
         let mut rotation: VecDeque<(QueryLog, u64)> =
             std::mem::take(&mut self.baseline_logs).into();
@@ -544,6 +535,18 @@ impl StreamSummarizer {
     /// rebuilds it with [`ShardedPointSet::from_spilled_files_with`].
     pub fn export_state(&self) -> StreamState {
         StreamState {
+            cursor: self.cursor(),
+            baseline_logs: self.baseline_logs.iter().cloned().collect(),
+            baseline: (*self.baseline).clone(),
+            history: (*self.history).clone(),
+            source_state: self.featurizer.export_journal(),
+        }
+    }
+
+    /// The open window's position, as both [`StreamState`] and
+    /// [`CloseDelta`] record it.
+    fn cursor(&self) -> WindowCursor {
+        WindowCursor {
             buffer: self.buffer.iter().cloned().collect(),
             pending: self.pending.clone(),
             since_close: self.since_close,
@@ -551,10 +554,6 @@ impl StreamSummarizer {
             last_ts_ms: self.last_ts_ms,
             windows_closed: self.windows_closed,
             statements_parsed: self.parses,
-            baseline_logs: self.baseline_logs.iter().cloned().collect(),
-            baseline: (*self.baseline).clone(),
-            history: (*self.history).clone(),
-            source_state: self.featurizer.export_journal(),
         }
     }
 
@@ -591,20 +590,21 @@ impl StreamSummarizer {
             state.history.num_features(),
             "shard store and history log disagree on the feature universe"
         );
-        for (sql, count, ts) in &state.buffer {
+        let cursor = state.cursor;
+        for (sql, count, _) in &cursor.buffer {
             s.cache_acquire(sql);
-            s.buffer.push_back((sql.clone(), *count, *ts));
             s.buffer_total += *count;
         }
-        for (sql, count) in &state.pending {
+        for (sql, _) in &cursor.pending {
             s.cache_acquire(sql);
-            s.pending.push((sql.clone(), *count));
         }
-        s.since_close = state.since_close;
-        s.next_close_ms = state.next_close_ms;
-        s.last_ts_ms = state.last_ts_ms;
-        s.windows_closed = state.windows_closed;
-        s.parses = state.statements_parsed;
+        s.buffer = cursor.buffer.into();
+        s.pending = cursor.pending;
+        s.since_close = cursor.since_close;
+        s.next_close_ms = cursor.next_close_ms;
+        s.last_ts_ms = cursor.last_ts_ms;
+        s.windows_closed = cursor.windows_closed;
+        s.parses = cursor.statements_parsed;
         s.baseline_logs = state.baseline_logs.into();
         s.baseline = Arc::new(state.baseline);
         s.history = Arc::new(state.history);
@@ -903,13 +903,7 @@ impl StreamSummarizer {
             None => (QueryLog::new(), 0),
         };
         self.last_close_delta = Some(Box::new(CloseDelta {
-            buffer: self.buffer.iter().cloned().collect(),
-            pending: self.pending.clone(),
-            since_close: self.since_close,
-            next_close_ms: self.next_close_ms,
-            last_ts_ms: self.last_ts_ms,
-            windows_closed: self.windows_closed,
-            statements_parsed: self.parses,
+            cursor: self.cursor(),
             stride_log,
             window_queries,
             overlap_span: self.last_overlap_span,
@@ -1676,13 +1670,7 @@ mod tests {
     }
 
     fn assert_state_eq(a: &StreamState, b: &StreamState, ctx: &str) {
-        assert_eq!(a.buffer, b.buffer, "{ctx}: buffer");
-        assert_eq!(a.pending, b.pending, "{ctx}: pending");
-        assert_eq!(a.since_close, b.since_close, "{ctx}: since_close");
-        assert_eq!(a.next_close_ms, b.next_close_ms, "{ctx}: next_close_ms");
-        assert_eq!(a.last_ts_ms, b.last_ts_ms, "{ctx}: last_ts_ms");
-        assert_eq!(a.windows_closed, b.windows_closed, "{ctx}: windows_closed");
-        assert_eq!(a.statements_parsed, b.statements_parsed, "{ctx}: statements_parsed");
+        assert_eq!(a.cursor, b.cursor, "{ctx}: cursor");
         assert_eq!(a.baseline_logs.len(), b.baseline_logs.len(), "{ctx}: rotation depth");
         for (i, ((la, wa), (lb, wb))) in a.baseline_logs.iter().zip(&b.baseline_logs).enumerate() {
             assert_eq!(wa, wb, "{ctx}: rotation weight {i}");
@@ -1800,25 +1788,25 @@ mod tests {
             }
             let (mut a, mut b) = (by_text.export_state(), by_record.export_state());
             if config.time.is_some() {
-                for state in [&mut a, &mut b] {
-                    assert!(state.last_ts_ms > 0, "{ctx}: time mode stamps the wall clock");
+                for cursor in [&mut a.cursor, &mut b.cursor] {
+                    assert!(cursor.last_ts_ms > 0, "{ctx}: time mode stamps the wall clock");
                     assert!(
-                        state.next_close_ms.is_some(),
+                        cursor.next_close_ms.is_some(),
                         "{ctx}: the first record anchors the grid"
                     );
-                    state.last_ts_ms = 0;
-                    state.next_close_ms = None;
-                    state.buffer.iter_mut().for_each(|entry| entry.2 = 0);
+                    cursor.last_ts_ms = 0;
+                    cursor.next_close_ms = None;
+                    cursor.buffer.iter_mut().for_each(|entry| entry.2 = 0);
                 }
             } else {
-                assert_eq!(a.last_ts_ms, 0, "{ctx}: count mode stamps 0");
+                assert_eq!(a.cursor.last_ts_ms, 0, "{ctx}: count mode stamps 0");
             }
             assert_state_eq(&a, &b, &ctx);
 
             // A zero-multiplicity record changes nothing — not even the
             // time grid an explicit timestamp would otherwise advance.
             let before = by_record.export_state();
-            let far = before.last_ts_ms + 10 * HOUR_MS;
+            let far = before.cursor.last_ts_ms + 10 * HOUR_MS;
             assert!(by_record
                 .try_ingest(&Record::new(messaging(0)).times(0).at(far))
                 .unwrap()
@@ -1840,8 +1828,8 @@ mod tests {
             s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert!(s.spilled_shards() > 0);
-        // Vaporize the store, drop the reload cache via a compact-free
-        // path: the next close's cross block cannot reload history.
+        // Vaporize the store: the next close's cross block cannot reload
+        // history.
         for entry in std::fs::read_dir(store.path()).unwrap() {
             std::fs::remove_file(entry.unwrap().path()).unwrap();
         }
@@ -2024,7 +2012,7 @@ mod tests {
         // The parse counter legitimately runs ahead after a restore (the
         // cache restarts cold) — it is instrumentation, never an output
         // bit. Everything else must match exactly.
-        b.statements_parsed = a.statements_parsed;
+        b.cursor.statements_parsed = a.cursor.statements_parsed;
         assert_state_eq(&a, &b, "post-continue");
     }
 

@@ -8,29 +8,57 @@
 
 use std::fmt;
 
-/// The clause a feature was extracted from.
+/// The clause a feature was extracted from. The discriminants are the
+/// class's stored byte ([`FeatureClass::tag`]) — persisted stores depend
+/// on them, so they never change and new classes only append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FeatureClass {
     /// Projected column / expression.
-    Select,
+    Select = 0,
     /// Source table or derived table.
-    From,
+    From = 1,
     /// Conjunctive WHERE atom.
-    Where,
+    Where = 2,
     /// GROUP BY expression (Makiyama-scheme extension, optional).
-    GroupBy,
+    GroupBy = 3,
     /// ORDER BY key (Makiyama-scheme extension, optional).
-    OrderBy,
+    OrderBy = 4,
     /// Mined log template (free-form service logs; `logr-source`'s
     /// Drain-style miner — the structural skeleton of a record with
     /// variable positions wildcarded).
-    Template,
+    Template = 5,
     /// Parameter class of a variable position in a mined template
     /// (number, hex id, IP, path, …).
-    Param,
+    Param = 6,
 }
 
 impl FeatureClass {
+    /// Every class, indexed by [`FeatureClass::tag`].
+    const ALL: [FeatureClass; 7] = [
+        FeatureClass::Select,
+        FeatureClass::From,
+        FeatureClass::Where,
+        FeatureClass::GroupBy,
+        FeatureClass::OrderBy,
+        FeatureClass::Template,
+        FeatureClass::Param,
+    ];
+
+    /// The byte binary formats store this class as.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`FeatureClass::tag`]; `None` for a byte no class owns.
+    pub fn from_tag(tag: u8) -> Option<FeatureClass> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
+
+    /// Inverse of [`FeatureClass::label`]; `None` for any other string.
+    pub fn from_label(label: &str) -> Option<FeatureClass> {
+        Self::ALL.into_iter().find(|class| class.label() == label)
+    }
+
     /// Short uppercase label used in feature rendering.
     pub fn label(self) -> &'static str {
         match self {
@@ -108,6 +136,21 @@ mod tests {
         assert_eq!(Feature::select("_id").to_string(), "⟨_id, SELECT⟩");
         assert_eq!(Feature::from_table("Messages").to_string(), "⟨Messages, FROM⟩");
         assert_eq!(Feature::where_atom("status = ?").to_string(), "⟨status = ?, WHERE⟩");
+    }
+
+    #[test]
+    fn tags_and_labels_round_trip_and_tags_are_pinned() {
+        for (i, class) in FeatureClass::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(class.tag()), i, "ALL must be in tag order");
+            assert_eq!(FeatureClass::from_tag(class.tag()), Some(class));
+            assert_eq!(FeatureClass::from_label(class.label()), Some(class));
+        }
+        // Stored bytes: these exact values are in every persisted manifest.
+        assert_eq!(FeatureClass::Select.tag(), 0);
+        assert_eq!(FeatureClass::OrderBy.tag(), 4);
+        assert_eq!(FeatureClass::Param.tag(), 6);
+        assert_eq!(FeatureClass::from_tag(7), None);
+        assert_eq!(FeatureClass::from_label("where"), None, "labels are upper-case");
     }
 
     #[test]

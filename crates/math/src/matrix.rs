@@ -190,11 +190,6 @@ impl Matrix {
         }
         worst
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// Dot product of equal-length slices.

@@ -36,8 +36,13 @@ fn profile() -> EngineProfile {
     EngineProfile { window: WINDOW, clusters: 2, seed: 7, source: logr::SourceConfig::Sql }
 }
 
-fn serve(fs: Arc<FaultFs>, budget: usize, interval: Duration) -> ServerHandle {
-    let config = ServerConfig::new("/srv")
+/// Serve `fs` from `root`. Every test passes its own root: the paths are
+/// virtual (each test has its own `FaultFs`), but the engine's in-process
+/// store-lock registry is keyed by path alone, so two tests serving the
+/// same tenant name from one root would lock each other out whenever
+/// cargo runs them on parallel threads.
+fn serve(root: &str, fs: Arc<FaultFs>, budget: usize, interval: Duration) -> ServerHandle {
+    let config = ServerConfig::new(root)
         .vfs(fs)
         .profile(profile())
         .global_budget(budget)
@@ -116,7 +121,7 @@ fn field_u64(doc: &Json, key: &str) -> u64 {
 #[test]
 fn protocol_smoke_and_typed_error_frames() {
     let fs = Arc::new(FaultFs::new());
-    let handle = serve(fs, usize::MAX, Duration::from_millis(2));
+    let handle = serve("/srv/smoke", fs, usize::MAX, Duration::from_millis(2));
     let mut c = Client::connect(handle.addr());
 
     // Liveness and id echo.
@@ -163,7 +168,7 @@ fn one_tenants_enospc_never_touches_the_other() {
     let fs = Arc::new(FaultFs::new());
     // Budget 0: every window close spills shard files — maximum IO
     // surface on the injected-fault path.
-    let handle = serve(fs.clone(), 0, Duration::from_millis(2));
+    let handle = serve("/srv/enospc", fs.clone(), 0, Duration::from_millis(2));
 
     // Open both tenants and land one durable window each.
     let mut a = Client::connect(handle.addr());
@@ -219,7 +224,7 @@ fn group_commit_coalesces_delta_fsyncs_across_acks() {
     let fs = Arc::new(FaultFs::new());
     // A long commit interval relative to ingest latency: many closes
     // park behind each committer tick, so their delta fsyncs coalesce.
-    let handle = serve(fs.clone(), usize::MAX, Duration::from_millis(50));
+    let handle = serve("/srv/group", fs.clone(), usize::MAX, Duration::from_millis(50));
     let addr = handle.addr();
 
     const CONNS: u64 = 4;
@@ -333,7 +338,8 @@ fn normalized_store(fs: &FaultFs, dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
 fn served_stores_are_bit_identical_to_standalone_engines() {
     // Two tenants grown concurrently through the daemon...
     let fs = Arc::new(FaultFs::new());
-    let handle = serve(fs.clone(), 0, Duration::from_millis(2));
+    let root = "/srv/identical";
+    let handle = serve(root, fs.clone(), 0, Duration::from_millis(2));
     let addr = handle.addr();
     let threads: Vec<_> = ["alpha", "beta"]
         .into_iter()
@@ -358,7 +364,7 @@ fn served_stores_are_bit_identical_to_standalone_engines() {
     // streams (same profile, same per-tenant budget share: 0).
     for tenant in ["alpha", "beta"] {
         let solo_fs = Arc::new(FaultFs::new());
-        let dir = PathBuf::from("/srv").join(tenant);
+        let dir = PathBuf::from(root).join(tenant);
         let engine = Engine::builder()
             .window(WINDOW)
             .clusters(2)
@@ -390,7 +396,7 @@ fn served_stores_are_bit_identical_to_standalone_engines() {
 #[test]
 fn template_tenants_mine_free_form_logs_over_the_wire() {
     let fs = Arc::new(FaultFs::new());
-    let handle = serve(fs, usize::MAX, Duration::from_millis(2));
+    let handle = serve("/srv/template", fs, usize::MAX, Duration::from_millis(2));
     let mut c = Client::connect(handle.addr());
 
     // Two windows of free-form service-log lines — not a byte of SQL —
@@ -475,7 +481,7 @@ fn global_budget_is_reapportioned_as_tenants_come_and_go() {
 
     // Serve with exactly that global budget: a lone tenant fits.
     let fs = Arc::new(FaultFs::new());
-    let handle = serve(fs, footprint, Duration::from_millis(2));
+    let handle = serve("/srv/budget", fs, footprint, Duration::from_millis(2));
     let mut c = Client::connect(handle.addr());
     for round in 0..4 {
         c.ingest_window("alpha", round);

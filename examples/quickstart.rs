@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use logr::analytics::Pred;
+use logr::analytics::{Advisor, IndexAdvisor, Pred};
 use logr::core::interpret::{render_mixture, RenderConfig};
 use logr::{Engine, Error};
 
@@ -66,10 +66,10 @@ fn main() -> Result<(), Error> {
 
     // The §2 index-advisor question, answered without touching the log.
     println!("\nadvisor picks (predicate share ≥ 20% of workload):");
-    for pick in snapshot.advise(0.20)? {
+    for pick in IndexAdvisor::new(0.20).advise(&*snapshot)? {
         println!(
             "  CREATE INDEX ON (…{}…)   -- appears in {:.0}% of queries",
-            pick.predicate.split_whitespace().next().unwrap_or(&pick.predicate),
+            pick.subject.split_whitespace().next().unwrap_or(&pick.subject),
             100.0 * pick.share
         );
     }

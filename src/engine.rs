@@ -25,7 +25,7 @@
 //! Batch is the degenerate stream: ingest everything, [`Engine::flush`],
 //! read [`Engine::summary`]. See the crate root for a quickstart.
 
-use crate::analytics::{Advisor, IndexAdvisor, WorkloadQuery, WorkloadView};
+use crate::analytics::{WorkloadQuery, WorkloadView};
 use crate::error::Error;
 use crate::manifest::{self, DeltaLog, DeltaRecord, Manifest};
 use logr_cluster::vfs::{self, retry_io, Vfs};
@@ -126,12 +126,6 @@ impl EngineBuilder {
     /// stored one.
     pub fn resident_budget(mut self, bytes: usize) -> Self {
         self.resident_budget = Some(bytes);
-        self
-    }
-
-    /// The full [`StreamConfig`] escape hatch.
-    pub fn stream_config(mut self, config: StreamConfig) -> Self {
-        self.stream = config;
         self
     }
 
@@ -319,7 +313,7 @@ impl EngineBuilder {
         // Read-only opens hold no lock and therefore never delete
         // anything.
         if lock.is_some() {
-            let manifest_tmp = Path::new(manifest::FILE_NAME).with_extension("tmp");
+            let manifest_tmp = vfs::tmp_sibling(Path::new(manifest::FILE_NAME));
             if let Ok(paths) = vfs.list(&dir) {
                 for path in paths {
                     let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
@@ -511,32 +505,13 @@ fn process_alive(pid: u32) -> bool {
     Path::new("/proc").exists() && Path::new(&format!("/proc/{pid}")).exists()
 }
 
-/// One index-advisor pick: a WHERE predicate and how much of the
-/// workload the summary estimates it covers. The legacy shape of
-/// [`crate::analytics::Advice`] — [`EngineSnapshot::advise`] keeps
-/// returning it, while the full advisor family
-/// ([`crate::analytics::IndexAdvisor`], [`crate::analytics::ViewAdvisor`],
-/// [`crate::analytics::QueryRecommender`]) reports `Advice` directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexAdvice {
-    /// The predicate's canonical text (e.g. `status = ?`).
-    pub predicate: String,
-    /// Estimated queries containing it (from the mixture, not the log).
-    pub estimated: f64,
-    /// `estimated / summarized_queries` — the advisor's ranking signal.
-    /// The denominator is the absorbed-history total the summary covers
-    /// ([`crate::analytics::WorkloadView::summarized_queries`]), not
-    /// [`EngineSnapshot::total_queries`], which also counts the open
-    /// window's still-unsummarized buffer.
-    pub share: f64,
-}
-
 /// An immutable, internally consistent view of the engine at one window
 /// boundary, shared by `Arc`: history and baseline logs, the sharded
 /// distance structure (cheap `Arc`-per-slot clone; spilled shards reload
-/// read-only through the snapshot's own cache), and the last closed
-/// window. Reader threads hold snapshots across any number of queries;
-/// the writer never blocks on them and never mutates what they see.
+/// read-only, one at a time, for the duration of a merge), and the last
+/// closed window. Reader threads hold snapshots across any number of
+/// queries; the writer never blocks on them and never mutates what they
+/// see.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     config: StreamConfig,
@@ -679,23 +654,6 @@ impl EngineSnapshot {
     /// [`WorkloadQuery`]. `None` before the first distinct query.
     pub fn query(&self) -> Result<Option<WorkloadQuery<'_>>, Error> {
         WorkloadQuery::over(self)
-    }
-
-    /// The §2 index-advisor question, answered from the summary: every
-    /// WHERE predicate whose estimated share of the workload is at least
-    /// `min_share`, descending. The raw log is never consulted.
-    ///
-    /// Thin wrapper over [`crate::analytics::IndexAdvisor`] — the one
-    /// implementation this and [`Engine::advise`] share; run the advisor
-    /// directly (or [`crate::analytics::ViewAdvisor`] /
-    /// [`crate::analytics::QueryRecommender`]) for the full family.
-    /// `min_share` outside `[0, 1]` (NaN included) is [`Error::Config`].
-    pub fn advise(&self, min_share: f64) -> Result<Vec<IndexAdvice>, Error> {
-        let picks = IndexAdvisor::new(min_share).advise(self)?;
-        Ok(picks
-            .into_iter()
-            .map(|a| IndexAdvice { predicate: a.subject, estimated: a.estimated, share: a.share })
-            .collect())
     }
 
     /// A self-contained portable artifact of the current summary (ship
@@ -1043,12 +1001,6 @@ impl Engine {
     /// second window).
     pub fn drift(&self) -> Result<Option<DriftReport>, Error> {
         Ok(self.snapshot()?.drift().cloned())
-    }
-
-    /// Index advice from the current summary (see
-    /// [`EngineSnapshot::advise`]).
-    pub fn advise(&self, min_share: f64) -> Result<Vec<IndexAdvice>, Error> {
-        self.snapshot()?.advise(min_share)
     }
 
     /// Windows closed so far.

@@ -241,7 +241,7 @@ mod engine;
 mod error;
 pub mod manifest;
 
-pub use engine::{Engine, EngineBuilder, EngineSnapshot, IndexAdvice};
+pub use engine::{Engine, EngineBuilder, EngineSnapshot};
 pub use error::Error;
 // The source selector and the ingest record ride at the root so
 // `.source(...)` / `.ingest(...)` call sites need not name the backing

@@ -77,9 +77,11 @@
 
 use crate::error::Error;
 use logr_cluster::spill::fnv1a64;
-use logr_cluster::vfs::{retry_io, Vfs};
+use logr_cluster::vfs::{replace_durably, retry_io, Vfs};
 use logr_cluster::Distance;
-use logr_core::{CloseDelta, SourceConfig, StreamConfig, StreamState, TemplateConfig, TimeWindows};
+use logr_core::{
+    CloseDelta, SourceConfig, StreamConfig, StreamState, TemplateConfig, TimeWindows, WindowCursor,
+};
 use logr_feature::{Feature, FeatureClass, FeatureId, QueryLog, QueryVector};
 use std::path::Path;
 
@@ -118,14 +120,7 @@ pub fn encode(m: &Manifest) -> Vec<u8> {
     put_config(&mut out, &m.config);
     put_u64(&mut out, m.resident_budget as u64);
 
-    put_u64(&mut out, m.state.windows_closed as u64);
-    put_u64(&mut out, m.state.since_close);
-    put_u64(&mut out, m.state.last_ts_ms);
-    put_opt_u64(&mut out, m.state.next_close_ms);
-    put_u64(&mut out, m.state.statements_parsed);
-
-    put_buffer(&mut out, &m.state.buffer);
-    put_pending(&mut out, &m.state.pending);
+    put_cursor(&mut out, &m.state.cursor);
     put_u64(&mut out, m.state.baseline_logs.len() as u64);
     for (log, offered) in &m.state.baseline_logs {
         put_log(&mut out, log);
@@ -173,14 +168,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     let config = get_config(&mut r)?;
     let resident_budget = get_usize(&mut r, "resident budget")?;
 
-    let windows_closed = get_usize(&mut r, "windows closed")?;
-    let since_close = r.u64("since-close counter")?;
-    let last_ts_ms = r.u64("last timestamp")?;
-    let next_close_ms = get_opt_u64(&mut r, "next close boundary")?;
-    let statements_parsed = r.u64("parse counter")?;
-
-    let buffer = get_buffer(&mut r)?;
-    let pending = get_pending(&mut r)?;
+    let cursor = get_cursor(&mut r)?;
     let n = get_len(&mut r, "baseline rotation length")?;
     let mut baseline_logs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -202,19 +190,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     Ok(Manifest {
         config,
         resident_budget,
-        state: StreamState {
-            buffer,
-            pending,
-            since_close,
-            next_close_ms,
-            last_ts_ms,
-            windows_closed,
-            statements_parsed,
-            baseline_logs,
-            baseline,
-            history,
-            source_state,
-        },
+        state: StreamState { cursor, baseline_logs, baseline, history, source_state },
         n_features,
         total_points,
         shard_files,
@@ -224,42 +200,18 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
 /// Atomically and durably write a manifest to `path` through `vfs` and
 /// open a fresh [`DeltaLog`] session bound to it — the one encode pass
 /// serves both the file and the binding, so full persists never hash the
-/// manifest twice. Protocol: write a `.tmp` sibling, **fsync it**, rename
-/// over the target, then fsync the directory. The manifest is the
-/// store's single recovery root (shard files are write-once under fresh
-/// names, so an old manifest always points at intact files — but a
-/// replaced manifest is gone), which is why the fsyncs matter: without
-/// them a power loss shortly after the rename can leave a zero-length
-/// manifest on journaled filesystems with delayed allocation, and with
-/// them a crash at any point leaves either the previous checkpoint or
-/// the new one. Transient errors (`EINTR`/`EAGAIN`) are retried with
-/// bounded backoff at each step; any other failure — `ENOSPC` included —
-/// aborts with the `.tmp` sibling swept, leaving the previous manifest
-/// untouched (the store stays openable at its last durable checkpoint).
+/// manifest twice. The write is [`replace_durably`]'s protocol, and here
+/// it carries the whole store: the manifest is the single recovery root
+/// (shard files are write-once under fresh names, so an old manifest
+/// always points at intact files — but a replaced manifest is gone), so
+/// a crash at any point must leave either the previous checkpoint or the
+/// new one, and a failed write (`ENOSPC` included) must leave the
+/// previous manifest untouched — the store stays openable at its last
+/// durable checkpoint.
 pub fn write_base_with(vfs: &dyn Vfs, path: &Path, m: &Manifest) -> Result<DeltaLog, Error> {
     let bytes = encode(m);
-    write_bytes_with(vfs, path, &bytes)?;
+    replace_durably(vfs, path, &bytes)?;
     Ok(DeltaLog::for_base_bytes(&bytes))
-}
-
-fn write_bytes_with(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), Error> {
-    let tmp = path.with_extension("tmp");
-    let write_sync_rename = (|| {
-        retry_io(|| vfs.write(&tmp, bytes))?;
-        retry_io(|| vfs.fsync(&tmp))?;
-        retry_io(|| vfs.rename(&tmp, path))?;
-        // Persist the rename itself (see `Vfs::sync_dir` for the
-        // non-POSIX degradation).
-        if let Some(dir) = path.parent() {
-            retry_io(|| vfs.sync_dir(dir))?;
-        }
-        Ok::<(), std::io::Error>(())
-    })();
-    if let Err(e) = write_sync_rename {
-        let _: Result<(), _> = vfs.remove(&tmp);
-        return Err(e.into());
-    }
-    Ok(())
 }
 
 fn corrupt(detail: impl Into<String>) -> Error {
@@ -509,13 +461,7 @@ fn encode_record_payload(rec: &DeltaRecord, seq: u64) -> Vec<u8> {
     let close = &rec.close;
     let mut out = Vec::with_capacity(1024);
     put_u64(&mut out, seq);
-    put_u64(&mut out, close.windows_closed as u64);
-    put_u64(&mut out, close.since_close);
-    put_u64(&mut out, close.last_ts_ms);
-    put_opt_u64(&mut out, close.next_close_ms);
-    put_u64(&mut out, close.statements_parsed);
-    put_buffer(&mut out, &close.buffer);
-    put_pending(&mut out, &close.pending);
+    put_cursor(&mut out, &close.cursor);
     put_log(&mut out, &close.stride_log);
     put_u64(&mut out, close.window_queries);
     put_u64(&mut out, close.overlap_span);
@@ -529,13 +475,7 @@ fn encode_record_payload(rec: &DeltaRecord, seq: u64) -> Vec<u8> {
 fn decode_record(payload: &[u8]) -> Result<DeltaRecord, Error> {
     let mut r = Reader { bytes: payload };
     let seq = r.u64("delta sequence number")?;
-    let windows_closed = get_usize(&mut r, "delta windows closed")?;
-    let since_close = r.u64("delta since-close counter")?;
-    let last_ts_ms = r.u64("delta last timestamp")?;
-    let next_close_ms = get_opt_u64(&mut r, "delta next close boundary")?;
-    let statements_parsed = r.u64("delta parse counter")?;
-    let buffer = get_buffer(&mut r)?;
-    let pending = get_pending(&mut r)?;
+    let cursor = get_cursor(&mut r)?;
     let stride_log = get_log(&mut r)?;
     let window_queries = r.u64("delta rotation weight")?;
     let overlap_span = r.u64("delta rotation exclusion span")?;
@@ -548,19 +488,7 @@ fn decode_record(payload: &[u8]) -> Result<DeltaRecord, Error> {
     }
     Ok(DeltaRecord {
         seq,
-        close: CloseDelta {
-            buffer,
-            pending,
-            since_close,
-            next_close_ms,
-            last_ts_ms,
-            windows_closed,
-            statements_parsed,
-            stride_log,
-            window_queries,
-            overlap_span,
-            source_events,
-        },
+        close: CloseDelta { cursor, stride_log, window_queries, overlap_span, source_events },
         new_shard_files,
         n_features,
         total_points,
@@ -592,20 +520,24 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The window buffer: `(text, multiplicity, arrival ms)` per statement.
-fn put_buffer(out: &mut Vec<u8>, buffer: &[(String, u64, u64)]) {
-    put_u64(out, buffer.len() as u64);
-    for (text, count, ts) in buffer {
+/// The window cursor, as the base manifest and every delta record carry
+/// it: the five scalars, then the buffer — `(text, multiplicity, arrival
+/// ms)` per statement — then the not-yet-absorbed stride — `(text,
+/// multiplicity)` per statement.
+fn put_cursor(out: &mut Vec<u8>, c: &WindowCursor) {
+    put_u64(out, c.windows_closed as u64);
+    put_u64(out, c.since_close);
+    put_u64(out, c.last_ts_ms);
+    put_opt_u64(out, c.next_close_ms);
+    put_u64(out, c.statements_parsed);
+    put_u64(out, c.buffer.len() as u64);
+    for (text, count, ts) in &c.buffer {
         put_str(out, text);
         put_u64(out, *count);
         put_u64(out, *ts);
     }
-}
-
-/// The not-yet-absorbed stride: `(text, multiplicity)` per statement.
-fn put_pending(out: &mut Vec<u8>, pending: &[(String, u64)]) {
-    put_u64(out, pending.len() as u64);
-    for (text, count) in pending {
+    put_u64(out, c.pending.len() as u64);
+    for (text, count) in &c.pending {
         put_str(out, text);
         put_u64(out, *count);
     }
@@ -631,14 +563,7 @@ fn put_config(out: &mut Vec<u8>, c: &StreamConfig) {
     }
     put_u64(out, c.baseline_windows as u64);
     put_u64(out, c.k as u64);
-    let (tag, p) = match c.metric {
-        Distance::Euclidean => (0u8, 0.0),
-        Distance::Manhattan => (1, 0.0),
-        Distance::Minkowski(p) => (2, p),
-        Distance::Hamming => (3, 0.0),
-        Distance::Chebyshev => (4, 0.0),
-        Distance::Canberra => (5, 0.0),
-    };
+    let (tag, p) = c.metric.tag();
     out.push(tag);
     put_f64(out, p);
     put_f64(out, c.drift_tolerance);
@@ -665,16 +590,7 @@ fn put_log(out: &mut Vec<u8>, log: &QueryLog) {
     put_u64(out, log.num_features() as u64);
     put_u64(out, log.codebook().len() as u64);
     for (_, feature) in log.codebook().iter() {
-        let tag = match feature.class {
-            FeatureClass::Select => 0u8,
-            FeatureClass::From => 1,
-            FeatureClass::Where => 2,
-            FeatureClass::GroupBy => 3,
-            FeatureClass::OrderBy => 4,
-            FeatureClass::Template => 5,
-            FeatureClass::Param => 6,
-        };
-        out.push(tag);
+        out.push(feature.class.tag());
         put_str(out, &feature.text);
     }
     put_u64(out, log.entries().len() as u64);
@@ -756,7 +672,12 @@ fn get_opt_u64(r: &mut Reader<'_>, what: &str) -> Result<Option<u64>, Error> {
     }
 }
 
-fn get_buffer(r: &mut Reader<'_>) -> Result<Vec<(String, u64, u64)>, Error> {
+fn get_cursor(r: &mut Reader<'_>) -> Result<WindowCursor, Error> {
+    let windows_closed = get_usize(r, "windows closed")?;
+    let since_close = r.u64("since-close counter")?;
+    let last_ts_ms = r.u64("last timestamp")?;
+    let next_close_ms = get_opt_u64(r, "next close boundary")?;
+    let statements_parsed = r.u64("parse counter")?;
     let n = get_len(r, "buffer length")?;
     let mut buffer = Vec::with_capacity(n);
     for _ in 0..n {
@@ -765,10 +686,6 @@ fn get_buffer(r: &mut Reader<'_>) -> Result<Vec<(String, u64, u64)>, Error> {
         let ts = r.u64("buffered timestamp")?;
         buffer.push((text, count, ts));
     }
-    Ok(buffer)
-}
-
-fn get_pending(r: &mut Reader<'_>) -> Result<Vec<(String, u64)>, Error> {
     let n = get_len(r, "pending length")?;
     let mut pending = Vec::with_capacity(n);
     for _ in 0..n {
@@ -776,7 +693,15 @@ fn get_pending(r: &mut Reader<'_>) -> Result<Vec<(String, u64)>, Error> {
         let count = r.u64("pending multiplicity")?;
         pending.push((text, count));
     }
-    Ok(pending)
+    Ok(WindowCursor {
+        buffer,
+        pending,
+        since_close,
+        next_close_ms,
+        last_ts_ms,
+        windows_closed,
+        statements_parsed,
+    })
 }
 
 fn get_shard_files(r: &mut Reader<'_>) -> Result<Vec<String>, Error> {
@@ -811,15 +736,8 @@ fn get_config(r: &mut Reader<'_>) -> Result<StreamConfig, Error> {
     let k = get_usize(r, "cluster count")?;
     let tag = r.u8("metric tag")?;
     let p = r.f64("metric parameter")?;
-    let metric = match tag {
-        0 => Distance::Euclidean,
-        1 => Distance::Manhattan,
-        2 => Distance::Minkowski(p),
-        3 => Distance::Hamming,
-        4 => Distance::Chebyshev,
-        5 => Distance::Canberra,
-        _ => return Err(corrupt(format!("unknown metric tag {tag}"))),
-    };
+    let metric =
+        Distance::from_tag(tag, p).ok_or_else(|| corrupt(format!("unknown metric tag {tag}")))?;
     let drift_tolerance = r.f64("drift tolerance")?;
     let seed = r.u64("seed")?;
     let source = match r.u8("source tag")? {
@@ -856,16 +774,8 @@ fn get_log(r: &mut Reader<'_>) -> Result<QueryLog, Error> {
     let n_features = get_len(r, "codebook length")?;
     for i in 0..n_features {
         let tag = r.u8("feature class tag")?;
-        let class = match tag {
-            0 => FeatureClass::Select,
-            1 => FeatureClass::From,
-            2 => FeatureClass::Where,
-            3 => FeatureClass::GroupBy,
-            4 => FeatureClass::OrderBy,
-            5 => FeatureClass::Template,
-            6 => FeatureClass::Param,
-            _ => return Err(corrupt(format!("unknown feature class tag {tag}"))),
-        };
+        let class = FeatureClass::from_tag(tag)
+            .ok_or_else(|| corrupt(format!("unknown feature class tag {tag}")))?;
         let text = r.str("feature text")?;
         let id = log.codebook_mut().intern(Feature::new(class, text));
         if id.index() != i {
@@ -928,13 +838,15 @@ mod tests {
             },
             resident_budget: 65536,
             state: StreamState {
-                buffer: vec![("SELECT tab\there FROM t".into(), 3, 17)],
-                pending: vec![("SELECT 1 FROM t".into(), 1)],
-                since_close: 3,
-                next_close_ms: Some(12345),
-                last_ts_ms: 12000,
-                windows_closed: 9,
-                statements_parsed: 31,
+                cursor: WindowCursor {
+                    buffer: vec![("SELECT tab\there FROM t".into(), 3, 17)],
+                    pending: vec![("SELECT 1 FROM t".into(), 1)],
+                    since_close: 3,
+                    next_close_ms: Some(12345),
+                    last_ts_ms: 12000,
+                    windows_closed: 9,
+                    statements_parsed: 31,
+                },
                 baseline_logs: vec![(baseline.clone(), 40)],
                 baseline,
                 history,
@@ -970,12 +882,7 @@ mod tests {
         let decoded = decode(&encode(&m)).unwrap();
         assert_eq!(format!("{:?}", decoded.config), format!("{:?}", m.config));
         assert_eq!(decoded.resident_budget, m.resident_budget);
-        assert_eq!(decoded.state.buffer, m.state.buffer);
-        assert_eq!(decoded.state.pending, m.state.pending);
-        assert_eq!(decoded.state.since_close, m.state.since_close);
-        assert_eq!(decoded.state.next_close_ms, m.state.next_close_ms);
-        assert_eq!(decoded.state.windows_closed, m.state.windows_closed);
-        assert_eq!(decoded.state.statements_parsed, m.state.statements_parsed);
+        assert_eq!(decoded.state.cursor, m.state.cursor);
         assert_eq!(decoded.state.baseline_logs.len(), 1);
         assert_eq!(decoded.state.baseline_logs[0].1, 40);
         assert_log_eq(&decoded.state.baseline_logs[0].0, &m.state.baseline_logs[0].0);
@@ -986,6 +893,23 @@ mod tests {
         assert_eq!(decoded.shard_files, m.shard_files);
         // Re-encoding the decoded manifest is byte-identical.
         assert_eq!(encode(&decoded), encode(&m));
+    }
+
+    #[test]
+    fn written_bytes_match_the_golden_hashes() {
+        // FNV-1a 64 of the encoded sample manifest and of the delta log
+        // `delta_store(1)` writes (header bound to that manifest + one
+        // framed record), computed at the commit *before* the cursor, tag
+        // and replace-protocol code was shared — a refactor of the
+        // encoders must not move a stored byte while VERSION and
+        // DELTA_VERSION stand still.
+        let bytes = encode(&sample_manifest());
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (835, 0x88f3_0f89_f879_612a));
+        let (fs, dir, _, _) = delta_store(1);
+        let log = fs.files()[&dir.join(DELTA_FILE_NAME)].clone();
+        assert_eq!((log.len(), fnv1a64(&log)), (379, 0x68df_ee32_1b3a_9ec0));
+        let frame = &log[DELTA_HEADER_LEN..];
+        assert_eq!((frame.len(), fnv1a64(frame)), (343, 0xce93_4af6_2692_7095));
     }
 
     #[test]
@@ -1061,7 +985,7 @@ mod tests {
         // byte of the buffer-length u64.
         let m = sample_manifest();
         let mut m2 = m.clone();
-        m2.state.buffer.push(("SELECT 2 FROM t".into(), 1, 18));
+        m2.state.cursor.buffer.push(("SELECT 2 FROM t".into(), 1, 18));
         let (a, b) = (encode(&m), encode(&m2));
         let off = a.iter().zip(&b).position(|(x, y)| x != y).expect("buffers differ");
         // Overwrite the count with u64::MAX and re-checksum, so the
@@ -1094,10 +1018,10 @@ mod tests {
         assert_eq!(encode(&back), encode(&m));
         // Overwrite with different content: reads see old-or-new, never torn.
         let mut m2 = m.clone();
-        m2.state.windows_closed += 1;
+        m2.state.cursor.windows_closed += 1;
         write_base_with(&RealFs, &path, &m2).unwrap();
         let (back, _) = read_store_with(&RealFs, store.path()).unwrap();
-        assert_eq!(back.state.windows_closed, m.state.windows_closed + 1);
+        assert_eq!(back.state.cursor.windows_closed, m.state.cursor.windows_closed + 1);
     }
 
     #[test]
@@ -1156,13 +1080,15 @@ mod tests {
         DeltaRecord {
             seq: 0, // assigned by append_with
             close: CloseDelta {
-                windows_closed: 9 + i as usize,
-                since_close: i,
-                last_ts_ms: 12000 + i,
-                next_close_ms: Some(13000 + i),
-                statements_parsed: 31 + i,
-                buffer: vec![(format!("SELECT b{i} FROM t"), 1, 90 + i)],
-                pending: vec![(format!("SELECT p{i} FROM t"), 2)],
+                cursor: WindowCursor {
+                    windows_closed: 9 + i as usize,
+                    since_close: i,
+                    last_ts_ms: 12000 + i,
+                    next_close_ms: Some(13000 + i),
+                    statements_parsed: 31 + i,
+                    buffer: vec![(format!("SELECT b{i} FROM t"), 1, 90 + i)],
+                    pending: vec![(format!("SELECT p{i} FROM t"), 2)],
+                },
                 stride_log: stride,
                 window_queries: 7 + i,
                 overlap_span: 0,
@@ -1195,19 +1121,14 @@ mod tests {
         let (fs, dir, base, _) = delta_store(3);
         let (m, replay) = read_store_with(&*fs, &dir).unwrap();
         assert_eq!(replay, DeltaReplay { records_applied: 3, log_present: true, log_bound: true });
-        // Scalars come from the *last* record; shard files accumulate;
+        // The cursor comes from the *last* record; shard files accumulate;
         // the history absorbed every stride in order; the rotation
         // replayed each record's push (exclusion span 0, capacity 3), so
         // the base's one stride rotated out at the third record and the
         // three record strides remain — the rebuilt baseline is their
         // union.
         let last = sample_record(2).close;
-        assert_eq!(m.state.windows_closed, last.windows_closed);
-        assert_eq!(m.state.since_close, last.since_close);
-        assert_eq!(m.state.next_close_ms, last.next_close_ms);
-        assert_eq!(m.state.statements_parsed, last.statements_parsed);
-        assert_eq!(m.state.buffer, last.buffer);
-        assert_eq!(m.state.pending, last.pending);
+        assert_eq!(m.state.cursor, last.cursor);
         assert_eq!(m.state.baseline_logs.len(), 3);
         let mut expected_baseline = QueryLog::new();
         for i in 0..3u64 {
@@ -1269,11 +1190,11 @@ mod tests {
         // A full rewrite supersedes the log: its binding no longer
         // matches, so replay must apply nothing from it.
         let mut m2 = sample_manifest();
-        m2.state.windows_closed = 77;
+        m2.state.cursor.windows_closed = 77;
         write_base_with(&*fs, &dir.join(FILE_NAME), &m2).unwrap();
         let (m, replay) = read_store_with(&*fs, &dir).unwrap();
         assert_eq!(replay, DeltaReplay { records_applied: 0, log_present: true, log_bound: false });
-        assert_eq!(m.state.windows_closed, 77);
+        assert_eq!(m.state.cursor.windows_closed, 77);
     }
 
     #[test]
@@ -1290,11 +1211,11 @@ mod tests {
             assert_eq!(replay.records_applied, expected, "cut {cut}");
             assert_eq!(replay.log_bound, cut >= DELTA_HEADER_LEN, "cut {cut}");
             let expected_windows = if expected == 0 {
-                sample_manifest().state.windows_closed
+                sample_manifest().state.cursor.windows_closed
             } else {
-                sample_record(expected - 1).close.windows_closed
+                sample_record(expected - 1).close.cursor.windows_closed
             };
-            assert_eq!(m.state.windows_closed, expected_windows, "cut {cut}");
+            assert_eq!(m.state.cursor.windows_closed, expected_windows, "cut {cut}");
         }
     }
 

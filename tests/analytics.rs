@@ -9,8 +9,7 @@
 //!   `examples/view_advisor.rs`, and the conditional-marginal ranking
 //!   from `examples/query_recommendation.rs`.
 //! * `min_share` (and every advisor probability threshold) is validated:
-//!   NaN or out-of-`[0,1]` is a typed `Error::Config`, on the engine and
-//!   snapshot paths alike — which are one implementation.
+//!   NaN or out-of-`[0,1]` is a typed `Error::Config`.
 
 use logr::analytics::{
     AdviceKind, Advisor, DriftAdvisor, IndexAdvisor, Pred, QueryRecommender, SummaryView,
@@ -134,17 +133,6 @@ fn index_advisor_reproduces_the_legacy_advise_loop() {
         assert_eq!(a.share.to_bits(), share.to_bits());
         assert_eq!(a.features, vec![Feature::where_atom(text.clone())]);
     }
-
-    // Engine and snapshot paths are the same implementation.
-    let via_engine = engine.advise(0.01).unwrap();
-    let via_snapshot = snap.advise(0.01).unwrap();
-    assert_eq!(via_engine, via_snapshot);
-    assert_eq!(via_engine.len(), advice.len());
-    for (legacy, a) in via_engine.iter().zip(&advice) {
-        assert_eq!(legacy.predicate, a.subject);
-        assert_eq!(legacy.estimated.to_bits(), a.estimated.to_bits());
-        assert_eq!(legacy.share.to_bits(), a.share.to_bits());
-    }
 }
 
 #[test]
@@ -247,14 +235,9 @@ fn advisor_thresholds_are_validated_as_probabilities() {
     let snap = engine.snapshot().unwrap();
     for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
         assert!(
-            matches!(engine.advise(bad), Err(Error::Config { .. })),
-            "Engine::advise accepted {bad}"
+            matches!(IndexAdvisor::new(bad).advise(&*snap), Err(Error::Config { .. })),
+            "IndexAdvisor accepted {bad}"
         );
-        assert!(
-            matches!(snap.advise(bad), Err(Error::Config { .. })),
-            "EngineSnapshot::advise accepted {bad}"
-        );
-        assert!(matches!(IndexAdvisor::new(bad).advise(&*snap), Err(Error::Config { .. })));
         assert!(matches!(ViewAdvisor::new(bad).advise(&*snap), Err(Error::Config { .. })));
         assert!(matches!(
             QueryRecommender::new("SELECT balance FROM accounts", bad).advise(&*snap),
@@ -262,8 +245,8 @@ fn advisor_thresholds_are_validated_as_probabilities() {
         ));
     }
     // The boundary values are legal.
-    assert!(engine.advise(0.0).is_ok());
-    assert!(engine.advise(1.0).is_ok());
+    assert!(IndexAdvisor::new(0.0).advise(&*snap).is_ok());
+    assert!(IndexAdvisor::new(1.0).advise(&*snap).is_ok());
 }
 
 #[test]
@@ -276,7 +259,6 @@ fn advisors_are_empty_not_erroring_before_any_close() {
     assert!(IndexAdvisor::new(0.0).advise(&*snap).unwrap().is_empty());
     assert!(ViewAdvisor::new(0.0).advise(&*snap).unwrap().is_empty());
     assert!(QueryRecommender::new("SELECT a FROM t", 0.0).advise(&*snap).unwrap().is_empty());
-    assert!(snap.advise(0.0).unwrap().is_empty());
     assert!(snap.multiresolution(&[1, 2]).unwrap().is_empty());
     assert!(snap.summary_with(CompressionObjective::FixedK(2)).unwrap().is_none());
 }
