@@ -37,8 +37,7 @@
 //!    are bit-identical regardless of core count.
 //!
 //! The sparse reference implementation ([`distance_matrix`]) is retained
-//! for A/B benchmarking (`logr-bench/benches/ablation_distance.rs`) and as
-//! the property-test oracle.
+//! as the property-test oracle.
 //!
 //! # Modules
 //!

@@ -34,7 +34,7 @@ pub enum FeatureClass {
 
 impl FeatureClass {
     /// Every class, indexed by [`FeatureClass::tag`].
-    const ALL: [FeatureClass; 7] = [
+    pub const ALL: [FeatureClass; 7] = [
         FeatureClass::Select,
         FeatureClass::From,
         FeatureClass::Where,

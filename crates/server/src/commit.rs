@@ -52,11 +52,6 @@ impl GroupCommitVfs {
         GroupCommitVfs { inner, pending: Mutex::new(Vec::new()) }
     }
 
-    /// The wrapped vfs.
-    pub fn inner(&self) -> &Arc<dyn Vfs> {
-        &self.inner
-    }
-
     /// Number of deferred fsync targets not yet flushed.
     pub fn pending_len(&self) -> usize {
         match self.pending.lock() {

@@ -3,9 +3,9 @@
 //!
 //! One daemon owns N tenant engines (per-tenant subdirectories under one
 //! root, lazily opened, exclusively locked through the engine's own store
-//! lock), ingests query-log statements with **group commit** — per-tenant
-//! write queues whose window-close delta fsyncs are coalesced across
-//! tenants within a configurable commit interval — and serves the whole
+//! lock), ingests query-log statements with **group commit** —
+//! window-close delta fsyncs are coalesced within and across tenants
+//! over a configurable commit interval — and serves the whole
 //! `logr::analytics` read surface off lock-free snapshots. Built on
 //! `std::net` only: no runtime, no serialization dependency.
 //!
@@ -88,10 +88,13 @@
 //!
 //! ## Commit/ack semantics
 //!
-//! Writes (`ingest`, `flush`, `checkpoint`, `compact`) are executed by
-//! per-tenant writer workers in arrival order. When a write appends to
-//! the tenant's delta log (a window close), its fsync is **deferred**
-//! into the tenant's [`commit::GroupCommitVfs`] and the response is
+//! Writes (`ingest`, `flush`, `checkpoint`, `compact`) run on the worker
+//! serving the connection that sent them, under the tenant's write gate
+//! ([`tenant::Tenant::gate`]): one tenant's writes apply one at a time,
+//! a connection's in the order it sent them, and two tenants' writes
+//! never wait on each other. When a write appends to the tenant's delta
+//! log (a window close), its fsync is **deferred** into the tenant's
+//! [`commit::GroupCommitVfs`], the gate is released and the response is
 //! parked; the committer thread flushes each tenant once per
 //! [`server::ServerConfig::commit_interval`] and only then releases the
 //! parked responses — so one fsync covers every batch the interval
@@ -109,7 +112,7 @@
 //! * [`protocol`] — frame parsing, [`ServerError`], response encoding.
 //! * [`commit`] — [`commit::GroupCommitVfs`]: the delta-fsync deferral.
 //! * [`tenant`] — lazy tenant registry + global budget apportionment.
-//! * [`server`] — accept loop, worker pools, committer, dispatch.
+//! * [`server`] — accept loop, the one worker pool, committer, dispatch.
 
 #![warn(missing_docs)]
 

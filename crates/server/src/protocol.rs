@@ -135,9 +135,24 @@ pub enum Request {
     },
 }
 
-/// A tenant-scoped operation.
+/// A tenant-scoped operation, split by what it needs from the tenant:
+/// the write gate, a snapshot, or neither.
 #[derive(Debug)]
 pub enum TenantOp {
+    /// Runs under the tenant's write gate; acked after the covering fsync.
+    Write(WriteOp),
+    /// Answered off the tenant's published snapshot.
+    Read(ReadOp),
+    /// Per-tenant statistics (budget, windows, resident bytes).
+    Stats,
+    /// Flush, release the tenant's engine and store lock, and
+    /// re-apportion the global budget over the remaining tenants.
+    Close,
+}
+
+/// An operation that mutates the tenant's engine.
+#[derive(Debug)]
+pub enum WriteOp {
     /// Ingest a batch of records; acked only after the covering fsync.
     Ingest {
         /// The raw records, applied in order — SQL statements for
@@ -152,9 +167,11 @@ pub enum TenantOp {
     Checkpoint,
     /// Merge spilled shards (returns the shards merged away).
     Compact,
-    /// Flush, release the tenant's engine and store lock, and
-    /// re-apportion the global budget over the remaining tenants.
-    Close,
+}
+
+/// An analytics read over the tenant's snapshot.
+#[derive(Debug)]
+pub enum ReadOp {
     /// Estimated number of workload queries satisfying the predicate.
     Frequency {
         /// The predicate to estimate.
@@ -194,11 +211,9 @@ pub enum TenantOp {
         /// Stability tolerance evaluated into the response's `"stable"`.
         tolerance: f64,
     },
-    /// Per-tenant statistics (budget, windows, resident bytes).
-    Stats,
 }
 
-/// Advisor selection for [`TenantOp::Advise`].
+/// Advisor selection for [`ReadOp::Advise`].
 #[derive(Debug)]
 pub enum AdvisorSpec {
     /// [`logr::analytics::IndexAdvisor`].
@@ -265,14 +280,7 @@ fn decode_request(doc: &Json) -> Result<Request, ServerError> {
     match op {
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        "stats" => match tenant {
-            None => Ok(Request::GlobalStats),
-            Some(name) => Ok(Request::Tenant {
-                name: name.to_owned(),
-                source: source_config(doc)?,
-                op: TenantOp::Stats,
-            }),
-        },
+        "stats" if tenant.is_none() => Ok(Request::GlobalStats),
         _ => {
             let name = tenant
                 .ok_or_else(|| protocol(format!("op \"{op}\" requires a \"tenant\"")))?
@@ -334,22 +342,21 @@ fn source_kind(kind: &str) -> Result<SourceConfig, ServerError> {
 }
 
 fn decode_tenant_op(op: &str, doc: &Json) -> Result<TenantOp, ServerError> {
-    match op {
-        "ingest" => {
-            let statements = ingest_statements(doc)?;
-            Ok(TenantOp::Ingest { statements })
-        }
-        "flush" => Ok(TenantOp::Flush),
-        "checkpoint" => Ok(TenantOp::Checkpoint),
-        "compact" => Ok(TenantOp::Compact),
-        "close" => Ok(TenantOp::Close),
-        "frequency" => Ok(TenantOp::Frequency { pred: required_pred(doc, "pred")? }),
-        "share" => Ok(TenantOp::Share { pred: required_pred(doc, "pred")? }),
-        "conditional" => Ok(TenantOp::Conditional {
+    use TenantOp::{Read, Write};
+    Ok(match op {
+        "ingest" => Write(WriteOp::Ingest { statements: ingest_statements(doc)? }),
+        "flush" => Write(WriteOp::Flush),
+        "checkpoint" => Write(WriteOp::Checkpoint),
+        "compact" => Write(WriteOp::Compact),
+        "stats" => TenantOp::Stats,
+        "close" => TenantOp::Close,
+        "frequency" => Read(ReadOp::Frequency { pred: required_pred(doc, "pred")? }),
+        "share" => Read(ReadOp::Share { pred: required_pred(doc, "pred")? }),
+        "conditional" => Read(ReadOp::Conditional {
             given: required_pred(doc, "given")?,
             pred: required_pred(doc, "pred")?,
         }),
-        "cooccurrence" => Ok(TenantOp::Cooccurrence { class: required_class(doc)? }),
+        "cooccurrence" => Read(ReadOp::Cooccurrence { class: required_class(doc)? }),
         "top_k" => {
             let k = doc
                 .get("k")
@@ -358,12 +365,12 @@ fn decode_tenant_op(op: &str, doc: &Json) -> Result<TenantOp, ServerError> {
             if k == 0 || k > 10_000 {
                 return Err(protocol("\"k\" must be in 1..=10000"));
             }
-            Ok(TenantOp::TopK { class: required_class(doc)?, k: k as usize })
+            Read(ReadOp::TopK { class: required_class(doc)?, k: k as usize })
         }
-        "advise" => Ok(TenantOp::Advise { spec: advisor_spec(doc)? }),
-        "drift" => Ok(TenantOp::Drift { tolerance: optional_f64(doc, "tolerance", 0.0)? }),
-        _ => Err(protocol(format!("unknown op \"{op}\""))),
-    }
+        "advise" => Read(ReadOp::Advise { spec: advisor_spec(doc)? }),
+        "drift" => Read(ReadOp::Drift { tolerance: optional_f64(doc, "tolerance", 0.0)? }),
+        _ => return Err(protocol(format!("unknown op \"{op}\""))),
+    })
 }
 
 fn ingest_statements(doc: &Json) -> Result<Vec<String>, ServerError> {
@@ -448,18 +455,9 @@ fn required_class(doc: &Json) -> Result<FeatureClass, ServerError> {
     class_from_name(name).ok_or_else(|| protocol(format!("unknown feature class \"{name}\"")))
 }
 
-/// Parses a wire feature-class name.
+/// Parses a wire feature-class name (the inverse of [`class_name`]).
 pub fn class_from_name(name: &str) -> Option<FeatureClass> {
-    match name {
-        "select" => Some(FeatureClass::Select),
-        "from" => Some(FeatureClass::From),
-        "where" => Some(FeatureClass::Where),
-        "group_by" => Some(FeatureClass::GroupBy),
-        "order_by" => Some(FeatureClass::OrderBy),
-        "template" => Some(FeatureClass::Template),
-        "param" => Some(FeatureClass::Param),
-        _ => None,
-    }
+    FeatureClass::ALL.into_iter().find(|&class| class_name(class) == name)
 }
 
 /// The wire name of a feature class.
@@ -630,7 +628,11 @@ mod tests {
 
         let f = parse_frame(r#"{"id":2,"op":"ingest","tenant":"a","sql":"SELECT x FROM t"}"#);
         match f.request {
-            Ok(Request::Tenant { name, source: None, op: TenantOp::Ingest { statements } }) => {
+            Ok(Request::Tenant {
+                name,
+                source: None,
+                op: TenantOp::Write(WriteOp::Ingest { statements }),
+            }) => {
                 assert_eq!(name, "a");
                 assert_eq!(statements, vec!["SELECT x FROM t".to_owned()]);
             }
@@ -640,7 +642,10 @@ mod tests {
         let f = parse_frame(r#"{"op":"top_k","tenant":"a","class":"where","k":3}"#);
         assert!(matches!(
             f.request,
-            Ok(Request::Tenant { op: TenantOp::TopK { class: FeatureClass::Where, k: 3 }, .. })
+            Ok(Request::Tenant {
+                op: TenantOp::Read(ReadOp::TopK { class: FeatureClass::Where, k: 3 }),
+                ..
+            })
         ));
     }
 
@@ -667,14 +672,14 @@ mod tests {
         // `record`/`records` carry the same batch as `sql`/`statements`.
         let f = parse_frame(r#"{"op":"ingest","tenant":"svc","records":["a b","c d"]}"#);
         match f.request {
-            Ok(Request::Tenant { op: TenantOp::Ingest { statements }, .. }) => {
+            Ok(Request::Tenant { op: TenantOp::Write(WriteOp::Ingest { statements }), .. }) => {
                 assert_eq!(statements, vec!["a b".to_owned(), "c d".to_owned()]);
             }
             other => panic!("unexpected: {other:?}"),
         }
         let f = parse_frame(r#"{"op":"ingest","tenant":"svc","record":"one line"}"#);
         match f.request {
-            Ok(Request::Tenant { op: TenantOp::Ingest { statements }, .. }) => {
+            Ok(Request::Tenant { op: TenantOp::Write(WriteOp::Ingest { statements }), .. }) => {
                 assert_eq!(statements, vec!["one line".to_owned()]);
             }
             other => panic!("unexpected: {other:?}"),
@@ -742,6 +747,15 @@ mod tests {
             let v = json::parse(bad).unwrap();
             assert!(pred_from_json(&v).is_err(), "accepted {bad}");
         }
+    }
+
+    #[test]
+    fn class_names_round_trip_over_every_class() {
+        for class in FeatureClass::ALL {
+            assert_eq!(class_from_name(class_name(class)), Some(class));
+        }
+        assert_eq!(class_from_name("SELECT"), None, "wire names are lowercase");
+        assert_eq!(class_from_name(""), None);
     }
 
     #[test]

@@ -1,35 +1,39 @@
-//! The daemon: TCP accept loop, connection workers, per-tenant write
-//! queues, and the group-commit committer.
+//! The daemon: TCP accept loop, one worker pool, and the group-commit
+//! committer.
 //!
 //! # Thread topology
 //!
-//! * **1 accept thread** — hands accepted sockets to the connection pool.
-//! * **`threads` connection workers** (sized by [`ServerConfig::threads`],
-//!   defaulting to the `LOGR_THREADS` environment variable) — parse
-//!   frames, serve reads directly off lock-free [`logr::EngineSnapshot`]s,
-//!   and enqueue writes.
-//! * **`threads` writer workers** — drain per-tenant write queues
-//!   (tenants are hashed onto workers, so one tenant's writes stay
-//!   ordered) and run ingest/flush/checkpoint/compact against the
-//!   tenant's engine.
+//! * **1 accept thread** — hands accepted sockets to the pool.
+//! * **`threads` workers** (sized by [`ServerConfig::threads`],
+//!   defaulting to the `LOGR_THREADS` environment variable) — each serves
+//!   one connection at a time: parses its frames, answers reads off
+//!   lock-free [`logr::EngineSnapshot`]s, and runs writes itself under
+//!   the tenant's write gate ([`Tenant::gate`]), so one tenant's writes
+//!   stay ordered while different tenants' writes run side by side. A
+//!   connection that stays silent for a poll interval while another
+//!   waits for a worker goes to the back of the queue.
 //! * **1 committer thread** — every [`ServerConfig::commit_interval`] it
 //!   flushes each tenant's deferred delta fsyncs once and only then
 //!   releases the acks parked behind them (group commit).
 //!
-//! Reads never block the writers: they clone the engine's published
-//! snapshot `Arc` and compute on it outside any engine lock.
+//! Reads never wait on a writer: they clone the engine's published
+//! snapshot `Arc` and compute on it outside any engine lock, and nothing
+//! on the way to a read — the registry lookup included — takes a
+//! tenant's gate or its engine's writer lock. (Admitting or closing a
+//! tenant still re-budgets every engine under the registry lock; for
+//! that moment lookups wait behind it, as they always have.)
 
 use crate::json::{n, obj, s, Json};
 use crate::protocol::{
     advice_json, class_name, drift_json, err_frame, feature_json, ok_frame, parse_frame, protocol,
-    AdvisorSpec, Frame, Request, ServerError, TenantOp, MAX_FRAME_BYTES,
+    AdvisorSpec, Frame, ReadOp, Request, ServerError, TenantOp, WriteOp, MAX_FRAME_BYTES,
 };
 use crate::tenant::{EngineProfile, Tenant, TenantRegistry};
 use logr::analytics::{
     Advisor, DriftAdvisor, IndexAdvisor, QueryRecommender, ViewAdvisor, WorkloadQuery,
 };
 use logr::cluster::vfs::{RealFs, Vfs};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -41,9 +45,10 @@ use std::time::Duration;
 /// it would otherwise block indefinitely (socket reads, queue waits).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Upper bound a connection worker waits for a write ack before failing
-/// the request (the committer releases acks every commit interval, so
-/// hitting this means a writer died or the disk hung past retries).
+/// Upper bound a worker waits for the committer to release a parked
+/// write ack before failing the request (acks are released every commit
+/// interval, so hitting this means the committer died or the disk hung
+/// past retries).
 const ACK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Server configuration. Construct with [`ServerConfig::new`], then
@@ -60,8 +65,9 @@ pub struct ServerConfig {
     /// Global resident-byte budget apportioned across tenants' spill
     /// stores. Defaults to `usize::MAX` (everything stays resident).
     pub global_budget: usize,
-    /// Connection-worker and writer-worker pool size. Defaults to the
-    /// `LOGR_THREADS` environment variable, else 2; clamped to ≥ 1.
+    /// Worker pool size: how many connections are served (and so how
+    /// many writes run) at once. Defaults to the `LOGR_THREADS`
+    /// environment variable, else 2; clamped to ≥ 1.
     pub threads: usize,
     /// Group-commit interval: how long delta fsyncs may coalesce before
     /// the covering flush releases their acks.
@@ -117,21 +123,14 @@ impl ServerConfig {
     }
 }
 
-/// One write operation queued for a tenant's writer worker.
-enum WriteKind {
-    Ingest(Vec<String>),
-    Flush,
-    Checkpoint,
-    Compact,
+/// An accepted socket plus the bytes read off it that do not yet end a
+/// line — they travel together when the connection changes workers.
+struct Connection {
+    stream: TcpStream,
+    pending: Vec<u8>,
 }
 
-struct WriteJob {
-    tenant: Arc<Tenant>,
-    kind: WriteKind,
-    ack: mpsc::Sender<Result<Json, ServerError>>,
-}
-
-/// A condvar-fronted FIFO drained by one worker.
+/// A condvar-fronted FIFO drained by the worker pool.
 struct JobQueue<T> {
     jobs: Mutex<VecDeque<T>>,
     wake: Condvar,
@@ -147,6 +146,11 @@ impl<T> JobQueue<T> {
             jobs.push_back(job);
             self.wake.notify_one();
         }
+    }
+
+    /// True when a job is waiting for a worker.
+    fn has_waiting(&self) -> bool {
+        self.jobs.lock().map(|jobs| !jobs.is_empty()).unwrap_or(false)
     }
 
     /// Pops one job, waiting up to [`POLL_INTERVAL`]; `None` on timeout
@@ -169,16 +173,13 @@ struct ParkedAck {
 
 struct Shared {
     registry: TenantRegistry,
-    writers: Vec<JobQueue<WriteJob>>,
-    connections: JobQueue<TcpStream>,
+    connections: JobQueue<Connection>,
     parked: Mutex<Vec<ParkedAck>>,
     stop: AtomicBool,
-    /// Set by [`Server::run`] once every connection worker has joined —
-    /// only then may writers exit on an empty queue (no late enqueues).
-    conns_done: AtomicBool,
-    /// Set once every writer worker has joined — only then may the
-    /// committer run its final tick and exit (no late parked acks).
-    writers_done: AtomicBool,
+    /// Set by [`Server::run`] once every worker has joined — only then
+    /// may the committer run its final tick and exit (no late parked
+    /// acks).
+    workers_done: AtomicBool,
     addr: SocketAddr,
     commit_interval: Duration,
 }
@@ -192,18 +193,6 @@ impl Shared {
         self.stop.store(true, Ordering::Release);
         // Wake the accept loop: it blocks in accept(), so connect to it.
         let _ = TcpStream::connect(self.addr);
-    }
-
-    fn writer_for(&self, tenant: &str) -> &JobQueue<WriteJob> {
-        // FNV-1a keeps one tenant's writes on one worker (ordered) while
-        // spreading tenants across the pool.
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for b in tenant.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        let idx = (hash % self.writers.len() as u64) as usize;
-        &self.writers[idx]
     }
 
     fn park(&self, parked: ParkedAck) {
@@ -224,38 +213,31 @@ impl Shared {
             Ok(mut list) => std::mem::take(&mut *list),
             Err(_) => return,
         };
-        if parked.is_empty() {
-            return;
-        }
-        // One flush per distinct tenant this tick — this is the fsync
-        // coalescing: every ack parked behind the same tenant shares one
-        // covering fsync.
-        let mut flushed: Vec<(String, Option<(std::io::ErrorKind, String)>)> = Vec::new();
-        for entry in &parked {
-            if flushed.iter().any(|(name, _)| name == &entry.tenant.name) {
-                continue;
-            }
-            let outcome = match entry.tenant.commit.flush() {
-                Ok(()) => None,
-                Err(e) => {
-                    entry.tenant.set_needs_rebase(true);
-                    Some((e.kind(), e.to_string()))
-                }
-            };
-            flushed.push((entry.tenant.name.clone(), outcome));
-        }
+        // Two live tenants never share a name: the store lock is keyed by
+        // path, and a parked ack keeps its tenant's engine alive.
+        let mut by_tenant: BTreeMap<String, Vec<ParkedAck>> = BTreeMap::new();
         for entry in parked {
-            let outcome = flushed
-                .iter()
-                .find(|(name, _)| name == &entry.tenant.name)
-                .and_then(|(_, err)| err.clone());
-            let response = match outcome {
-                None => Ok(entry.result),
-                Some((kind, msg)) => {
-                    Err(ServerError::Engine(logr::Error::from(std::io::Error::new(kind, msg))))
-                }
-            };
-            let _ = entry.ack.send(response);
+            by_tenant.entry(entry.tenant.name.clone()).or_default().push(entry);
+        }
+        for acks in by_tenant.into_values() {
+            let Some(first) = acks.first() else { continue };
+            // One flush per distinct tenant this tick — this is the fsync
+            // coalescing: every ack parked behind the same tenant shares
+            // one covering fsync.
+            let failure = first.tenant.commit.flush().err();
+            if failure.is_some() {
+                first.tenant.set_needs_rebase(true);
+            }
+            for entry in acks {
+                let response = match &failure {
+                    None => Ok(entry.result),
+                    Some(e) => Err(ServerError::Engine(logr::Error::from(std::io::Error::new(
+                        e.kind(),
+                        e.to_string(),
+                    )))),
+                };
+                let _ = entry.ack.send(response);
+            }
         }
     }
 }
@@ -286,7 +268,6 @@ impl Server {
     /// Runs the daemon until a `shutdown` frame arrives, then drains
     /// queues, flushes every tenant, and returns.
     pub fn run(self) -> Result<(), ServerError> {
-        let threads = self.config.threads;
         let shared = Arc::new(Shared {
             registry: TenantRegistry::new(
                 self.config.root.clone(),
@@ -294,25 +275,18 @@ impl Server {
                 self.config.profile.clone(),
                 self.config.global_budget,
             ),
-            writers: (0..threads).map(|_| JobQueue::new()).collect(),
             connections: JobQueue::new(),
             parked: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
-            conns_done: AtomicBool::new(false),
-            writers_done: AtomicBool::new(false),
+            workers_done: AtomicBool::new(false),
             addr: self.addr,
             commit_interval: self.config.commit_interval,
         });
 
-        let mut conn_workers = Vec::new();
-        for _ in 0..threads {
+        let mut workers = Vec::new();
+        for _ in 0..self.config.threads {
             let shared = shared.clone();
-            conn_workers.push(std::thread::spawn(move || connection_worker(&shared)));
-        }
-        let mut writer_workers = Vec::new();
-        for w in 0..threads {
-            let shared = shared.clone();
-            writer_workers.push(std::thread::spawn(move || writer_worker(&shared, w)));
+            workers.push(std::thread::spawn(move || worker(&shared)));
         }
         let committer = {
             let shared = shared.clone();
@@ -326,22 +300,21 @@ impl Server {
                 break;
             }
             if let Ok(stream) = stream {
-                shared.connections.push(stream);
+                // The read timeout is what lets a worker notice the stop
+                // flag, or a waiting connection, behind a silent socket.
+                if stream.set_read_timeout(Some(POLL_INTERVAL)).is_ok() {
+                    shared.connections.push(Connection { stream, pending: Vec::new() });
+                }
             }
         }
 
-        // Orderly drain: connections finish (their in-flight acks are
-        // released by the still-running committer), then writers drain
-        // their queues, then the committer's final tick covers any last
-        // parked acks.
-        for handle in conn_workers {
+        // Orderly drain: workers finish (their in-flight acks are
+        // released by the still-running committer), then the committer's
+        // final tick covers any last parked acks.
+        for handle in workers {
             let _ = handle.join();
         }
-        shared.conns_done.store(true, Ordering::Release);
-        for handle in writer_workers {
-            let _ = handle.join();
-        }
-        shared.writers_done.store(true, Ordering::Release);
+        shared.workers_done.store(true, Ordering::Release);
         let _ = committer.join();
         for tenant in shared.registry.list()? {
             tenant.commit.flush().map_err(|e| ServerError::Engine(logr::Error::from(e)))?;
@@ -386,33 +359,31 @@ impl ServerHandle {
     }
 }
 
-fn connection_worker(shared: &Shared) {
+fn worker(shared: &Shared) {
     loop {
         match shared.connections.pop() {
-            Some(stream) => serve_connection(shared, stream),
+            Some(conn) => serve_connection(shared, conn),
             None if shared.stopping() => return,
             None => {}
         }
     }
 }
 
-/// Reads newline-delimited frames off one socket until EOF, shutdown, or
-/// an unrecoverable frame, answering each in order.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let mut pending: Vec<u8> = Vec::new();
+/// Reads newline-delimited frames off one socket, answering each in
+/// order, until EOF, shutdown, an unrecoverable frame — or until the
+/// socket has been silent for a poll interval while another connection
+/// waits for a worker, in which case this one requeues behind it.
+fn serve_connection(shared: &Shared, mut conn: Connection) {
     let mut chunk = [0u8; 4096];
     loop {
         // Serve every complete line already buffered.
-        while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = pending.drain(..=nl).collect();
+        while let Some(nl) = conn.pending.iter().position(|&b| b == b'\n') {
+            let line: Vec<u8> = conn.pending.drain(..=nl).collect();
             let line = String::from_utf8_lossy(&line[..nl]);
             let frame = parse_frame(line.trim_end_matches('\r'));
             let shutdown = matches!(frame.request, Ok(Request::Shutdown));
             let reply = answer(shared, frame);
-            if stream.write_all(reply.as_bytes()).is_err() {
+            if conn.stream.write_all(reply.as_bytes()).is_err() {
                 return;
             }
             if shutdown {
@@ -420,22 +391,32 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         }
-        if pending.len() > MAX_FRAME_BYTES {
+        if conn.pending.len() > MAX_FRAME_BYTES {
             let err =
                 protocol(format!("unterminated frame exceeds the {MAX_FRAME_BYTES}-byte cap"));
-            let _ = stream.write_all(err_frame(&Json::Null, &err).as_bytes());
+            let _ = conn.stream.write_all(err_frame(&Json::Null, &err).as_bytes());
             return;
         }
         if shared.stopping() {
             return;
         }
-        match stream.read(&mut chunk) {
+        match conn.stream.read(&mut chunk) {
             Ok(0) => return,
-            Ok(read) => pending.extend_from_slice(&chunk[..read]),
+            Ok(read) => conn.pending.extend_from_slice(&chunk[..read]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                // A worker owns one socket at a time, so without this an
+                // idle client per worker would starve every later
+                // connection (the shutdown frame's included). With no one
+                // waiting the worker just keeps polling this socket.
+                if shared.connections.has_waiting() {
+                    shared.connections.push(conn);
+                    return;
+                }
+            }
             Err(_) => return,
         }
     }
@@ -461,64 +442,67 @@ fn handle(shared: &Shared, request: Request) -> Result<Json, ServerError> {
         Request::Shutdown => Ok(obj(vec![("stopping", Json::Bool(true))])),
         Request::GlobalStats => global_stats(shared),
         Request::Tenant { name, source, op } => {
-            // Close must not lazily open a store just to close it.
-            if matches!(op, TenantOp::Close) {
-                shared.registry.close(&name)?;
-                return Ok(obj(vec![("closed", Json::Bool(true))]));
-            }
-            let tenant = shared.registry.get_or_open(&name, source)?;
+            let open = || shared.registry.get_or_open(&name, source);
             match op {
-                TenantOp::Ingest { statements } => {
-                    dispatch_write(shared, tenant, WriteKind::Ingest(statements))
+                // Close must not lazily open a store just to close it.
+                TenantOp::Close => {
+                    shared.registry.close(&name)?;
+                    Ok(obj(vec![("closed", Json::Bool(true))]))
                 }
-                TenantOp::Flush => dispatch_write(shared, tenant, WriteKind::Flush),
-                TenantOp::Checkpoint => dispatch_write(shared, tenant, WriteKind::Checkpoint),
-                TenantOp::Compact => dispatch_write(shared, tenant, WriteKind::Compact),
-                TenantOp::Close => Ok(Json::Null),
+                TenantOp::Write(op) => write(shared, &open()?, op),
+                TenantOp::Read(op) => read(open()?.as_ref(), op),
                 TenantOp::Stats => {
-                    let share = shared.registry.share_at(shared.registry.len()?);
-                    tenant_stats(&tenant, share)
+                    let tenant = open()?;
+                    tenant_stats(&tenant, shared.registry.share()?)
                 }
-                read_op => read(&tenant, read_op),
             }
         }
     }
 }
 
-/// Enqueues a write on the tenant's writer worker and waits for its ack
-/// — which the committer releases only after the covering fsync.
-fn dispatch_write(
-    shared: &Shared,
-    tenant: Arc<Tenant>,
-    kind: WriteKind,
-) -> Result<Json, ServerError> {
-    let (tx, rx) = mpsc::channel();
-    shared.writer_for(&tenant.name).push(WriteJob { tenant, kind, ack: tx });
-    match rx.recv_timeout(ACK_TIMEOUT) {
-        Ok(result) => result,
-        Err(_) => Err(protocol("write ack timed out")),
+/// Runs one write on the calling worker, under the tenant's gate, and
+/// returns its ack — which, when the write appended to the delta log, the
+/// committer releases only after the covering fsync.
+fn write(shared: &Shared, tenant: &Arc<Tenant>, op: WriteOp) -> Result<Json, ServerError> {
+    let gate = tenant.gate.lock().map_err(|_| logr::Error::Poisoned)?;
+    // fsync-failure hygiene: after a failed flush the delta log's durable
+    // prefix is unknown, so rebase onto a fresh base manifest (full
+    // synchronous checkpoint) before acknowledging anything else.
+    if tenant.needs_rebase() {
+        tenant.engine.checkpoint()?;
+        tenant.set_needs_rebase(false);
     }
+    let result = run_write(tenant, op)?;
+    if tenant.commit.pending_len() == 0 {
+        return Ok(result);
+    }
+    // A window close appended to the delta log; the ack waits for the
+    // committer's covering fsync — but the gate does not, so the tenant's
+    // next write runs (and parks behind the same fsync) meanwhile.
+    let (ack, released) = mpsc::channel();
+    shared.park(ParkedAck { tenant: tenant.clone(), result, ack });
+    drop(gate);
+    released.recv_timeout(ACK_TIMEOUT).unwrap_or_else(|_| Err(protocol("write ack timed out")))
 }
 
 /// Serves a read off the tenant's published snapshot — no engine lock is
 /// held while computing, so reads never block ingestion.
-fn read(tenant: &Tenant, op: TenantOp) -> Result<Json, ServerError> {
+fn read(tenant: &Tenant, op: ReadOp) -> Result<Json, ServerError> {
     let snapshot = tenant.engine.snapshot()?;
     let query = WorkloadQuery::over(&*snapshot)?;
     // Analytics over an engine that has summarized nothing yet answer
     // `null` rather than failing — an empty tenant is not an error.
     let Some(query) = query else {
         return match op {
-            TenantOp::Drift { .. } => Ok(Json::Null),
-            TenantOp::Advise { .. } => Ok(Json::Arr(Vec::new())),
+            ReadOp::Advise { .. } => Ok(Json::Arr(Vec::new())),
             _ => Ok(Json::Null),
         };
     };
     match op {
-        TenantOp::Frequency { pred } => Ok(n(query.frequency(&pred)?)),
-        TenantOp::Share { pred } => Ok(n(query.share(&pred)?)),
-        TenantOp::Conditional { given, pred } => Ok(n(query.conditional(&given, &pred)?)),
-        TenantOp::Cooccurrence { class } => Ok(Json::Arr(
+        ReadOp::Frequency { pred } => Ok(n(query.frequency(&pred)?)),
+        ReadOp::Share { pred } => Ok(n(query.share(&pred)?)),
+        ReadOp::Conditional { given, pred } => Ok(n(query.conditional(&given, &pred)?)),
+        ReadOp::Cooccurrence { class } => Ok(Json::Arr(
             query
                 .cooccurrence(class)?
                 .into_iter()
@@ -531,7 +515,7 @@ fn read(tenant: &Tenant, op: TenantOp) -> Result<Json, ServerError> {
                 })
                 .collect(),
         )),
-        TenantOp::TopK { class, k } => Ok(Json::Arr(
+        ReadOp::TopK { class, k } => Ok(Json::Arr(
             query
                 .top_k(class, k)?
                 .into_iter()
@@ -544,7 +528,7 @@ fn read(tenant: &Tenant, op: TenantOp) -> Result<Json, ServerError> {
                 })
                 .collect(),
         )),
-        TenantOp::Advise { spec } => {
+        ReadOp::Advise { spec } => {
             let advice = match spec {
                 AdvisorSpec::Index { min_share } => {
                     IndexAdvisor::new(min_share).advise(&*snapshot)?
@@ -561,62 +545,21 @@ fn read(tenant: &Tenant, op: TenantOp) -> Result<Json, ServerError> {
             };
             Ok(advice_json(&advice))
         }
-        TenantOp::Drift { tolerance } => match snapshot.drift() {
+        ReadOp::Drift { tolerance } => match snapshot.drift() {
             None => Ok(Json::Null),
             Some(report) => Ok(drift_json(report, tolerance, Some(snapshot.baseline().codebook()))),
         },
-        // Write ops and stats are routed before `read` is called.
-        _ => Err(protocol("internal: non-read op in read path")),
     }
 }
 
-fn writer_worker(shared: &Shared, index: usize) {
-    let queue = &shared.writers[index];
-    loop {
-        match queue.pop() {
-            Some(job) => execute_write(shared, job),
-            None if shared.conns_done.load(Ordering::Acquire) => return,
-            None => {}
-        }
-    }
-}
-
-fn execute_write(shared: &Shared, job: WriteJob) {
-    let WriteJob { tenant, kind, ack } = job;
-    // fsync-failure hygiene: after a failed flush the delta log's durable
-    // prefix is unknown, so rebase onto a fresh base manifest (full
-    // synchronous checkpoint) before acknowledging anything else.
-    if tenant.needs_rebase() {
-        if let Err(e) = tenant.engine.checkpoint() {
-            let _ = ack.send(Err(ServerError::Engine(e)));
-            return;
-        }
-        tenant.set_needs_rebase(false);
-    }
-    match run_write(&tenant, kind) {
-        Err(e) => {
-            let _ = ack.send(Err(e));
-        }
-        Ok(result) => {
-            if tenant.commit.pending_len() > 0 {
-                // A window close appended to the delta log; the ack waits
-                // for the committer's covering fsync.
-                shared.park(ParkedAck { tenant, result, ack });
-            } else {
-                let _ = ack.send(Ok(result));
-            }
-        }
-    }
-}
-
-fn run_write(tenant: &Tenant, kind: WriteKind) -> Result<Json, ServerError> {
-    match kind {
-        WriteKind::Ingest(records) => {
-            let count = records.len();
+fn run_write(tenant: &Tenant, op: WriteOp) -> Result<Json, ServerError> {
+    match op {
+        WriteOp::Ingest { statements } => {
+            let count = statements.len();
             let mut closed = 0u64;
             // The source-agnostic entry point: the tenant's configured
             // featurizer decides whether a record is SQL or a log line.
-            for record in &records {
+            for record in &statements {
                 if tenant.engine.ingest_record(record)?.is_some() {
                     closed += 1;
                 }
@@ -627,15 +570,15 @@ fn run_write(tenant: &Tenant, kind: WriteKind) -> Result<Json, ServerError> {
                 ("windows_closed", n(tenant.engine.windows_closed()? as f64)),
             ]))
         }
-        WriteKind::Flush => {
+        WriteOp::Flush => {
             let closed = tenant.engine.flush()?.is_some();
             Ok(obj(vec![("closed", Json::Bool(closed))]))
         }
-        WriteKind::Checkpoint => {
+        WriteOp::Checkpoint => {
             tenant.engine.checkpoint()?;
             Ok(obj(vec![("durable", Json::Bool(true))]))
         }
-        WriteKind::Compact => {
+        WriteOp::Compact => {
             let merged = tenant.engine.compact()?;
             Ok(obj(vec![("merged", n(merged as f64))]))
         }
@@ -643,11 +586,11 @@ fn run_write(tenant: &Tenant, kind: WriteKind) -> Result<Json, ServerError> {
 }
 
 fn committer_loop(shared: &Shared) {
-    while !shared.writers_done.load(Ordering::Acquire) {
+    while !shared.workers_done.load(Ordering::Acquire) {
         std::thread::sleep(shared.commit_interval);
         shared.commit_tick();
     }
-    // Final tick after the writers joined: nothing can park behind it.
+    // Final tick after the workers joined: nothing can park behind it.
     shared.commit_tick();
 }
 

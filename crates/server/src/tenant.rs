@@ -67,8 +67,9 @@ impl Default for EngineProfile {
     }
 }
 
-/// One live tenant: its engine, its group-commit wrapper, and the
-/// rebase-needed flag the committer raises when a flush fails.
+/// One live tenant: its engine, its group-commit wrapper, its write
+/// gate, and the rebase-needed flag the committer raises when a flush
+/// fails.
 #[derive(Debug)]
 pub struct Tenant {
     /// The validated tenant name.
@@ -78,6 +79,12 @@ pub struct Tenant {
     /// The group-commit vfs wrapper holding this tenant's deferred
     /// delta fsyncs.
     pub commit: Arc<GroupCommitVfs>,
+    /// Held by a worker from a write's rebase check to its park decision,
+    /// so those happen on one thread at a time: no close can append to a
+    /// delta log whose durable prefix is unknown, and one tenant's writes
+    /// apply in gate order. Released before waiting for the committer;
+    /// reads, stats and the registry never take it.
+    pub gate: Mutex<()>,
     needs_rebase: AtomicBool,
 }
 
@@ -181,17 +188,12 @@ impl TenantRegistry {
             name: name.to_owned(),
             engine,
             commit,
+            gate: Mutex::new(()),
             needs_rebase: AtomicBool::new(false),
         });
         tenants.insert(name.to_owned(), tenant.clone());
         Self::apportion(&tenants, share)?;
         Ok(tenant)
-    }
-
-    /// The tenant if it is currently open.
-    pub fn get(&self, name: &str) -> Result<Option<Arc<Tenant>>, ServerError> {
-        validate_name(name)?;
-        Ok(self.lock_tenants()?.get(name).cloned())
     }
 
     /// Closes a tenant: flushes its deferred fsyncs, releases its engine
@@ -218,14 +220,9 @@ impl TenantRegistry {
         Ok(self.lock_tenants()?.values().cloned().collect())
     }
 
-    /// Number of live tenants.
-    pub fn len(&self) -> Result<usize, ServerError> {
-        Ok(self.lock_tenants()?.len())
-    }
-
-    /// True when no tenant is open.
-    pub fn is_empty(&self) -> Result<bool, ServerError> {
-        Ok(self.lock_tenants()?.is_empty())
+    /// The per-tenant budget share over the tenants live right now.
+    pub fn share(&self) -> Result<usize, ServerError> {
+        Ok(self.share_at(self.lock_tenants()?.len()))
     }
 
     /// Errors when a request's explicit source disagrees with the source

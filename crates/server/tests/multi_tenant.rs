@@ -13,7 +13,13 @@
 //!   a standalone [`Engine`] fed the same stream (modulo the
 //!   process-global spill-file sequence numbers, which are normalized);
 //! * the global resident budget is re-apportioned live as tenants come
-//!   and go, evicting resident shards when a newcomer halves the share.
+//!   and go, evicting resident shards when a newcomer halves the share;
+//! * more open connections than workers starve no one, the shutdown
+//!   frame included;
+//! * a failed covering fsync fails the parked ack typed and rebases the
+//!   tenant before its next write, whichever connection sends it;
+//! * reads for any tenant answer while one tenant's close sits inside
+//!   its engine's writer lock.
 
 use logr::cluster::vfs::{FaultFs, IoOp, OpKind, Vfs};
 use logr::Engine;
@@ -23,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const WINDOW: u64 = 8;
@@ -100,16 +106,33 @@ impl Client {
             .to_owned()
     }
 
+    /// A connection whose reads give up after `WAIT`, so a daemon that
+    /// never answers fails the test instead of hanging it.
+    fn impatient(addr: SocketAddr) -> Client {
+        let client = Client::connect(addr);
+        client.stream.set_read_timeout(Some(WAIT)).expect("set read timeout");
+        client
+    }
+
     /// Ingest one window-sized batch for `tenant` drawn from its stream
     /// at offset `round`.
     fn ingest_window(&mut self, tenant: &str, round: u64) -> Json {
-        let stmts: Vec<String> =
-            (0..WINDOW).map(|i| format!("\"{}\"", statement(tenant, round * WINDOW + i))).collect();
-        self.ok(&format!(
-            "{{\"id\":{round},\"op\":\"ingest\",\"tenant\":\"{tenant}\",\"statements\":[{}]}}",
-            stmts.join(",")
-        ))
+        self.ok(&window_frame(tenant, round))
     }
+}
+
+/// How long the concurrency tests wait for something that must happen
+/// before declaring it hung.
+const WAIT: Duration = Duration::from_secs(20);
+
+/// The `ingest` frame carrying `tenant`'s window-sized batch at `round`.
+fn window_frame(tenant: &str, round: u64) -> String {
+    let stmts: Vec<String> =
+        (0..WINDOW).map(|i| format!("\"{}\"", statement(tenant, round * WINDOW + i))).collect();
+    format!(
+        "{{\"id\":{round},\"op\":\"ingest\",\"tenant\":\"{tenant}\",\"statements\":[{}]}}",
+        stmts.join(",")
+    )
 }
 
 fn field_u64(doc: &Json, key: &str) -> u64 {
@@ -507,6 +530,180 @@ fn global_budget_is_reapportioned_as_tenants_come_and_go() {
     let global = c.ok("{\"op\":\"stats\"}");
     assert_eq!(field_u64(&global, "tenants"), 1);
     assert_eq!(field_u64(&global, "global_budget"), footprint as u64);
+
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
+fn idle_connections_starve_neither_later_ones_nor_shutdown() {
+    let fs = Arc::new(FaultFs::new());
+    let config = ServerConfig::new("/srv/rotate").vfs(fs).profile(profile()).threads(1);
+    let handle = Server::bind(config, "127.0.0.1:0").expect("bind").spawn();
+    let addr = handle.addr();
+
+    // A holds the only worker: served once, then silent with half a
+    // frame sent.
+    let mut a = Client::impatient(addr);
+    assert_eq!(a.ok("{\"op\":\"ping\"}").as_str(), Some("pong"));
+    a.stream.write_all(b"{\"id\":7,\"op\":\"pi").expect("send half a frame");
+
+    // B arrives while A is open and idle — and is answered.
+    let mut b = Client::impatient(addr);
+    assert_eq!(b.ok("{\"op\":\"ping\"}").as_str(), Some("pong"));
+
+    // A's half frame went to the back of the queue with its socket: the
+    // rest of the line completes it.
+    let resp = a.call("ng\"}");
+    assert_eq!(resp.get("id").and_then(Json::as_u64), Some(7));
+    assert_eq!(resp.get("result").and_then(Json::as_str), Some("pong"));
+
+    // Shutdown opens a third connection; it must get its turn too, with
+    // A and B both still connected.
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(handle.join());
+    });
+    joined.recv_timeout(WAIT).expect("shutdown hung behind idle connections").expect("clean");
+    drop((a, b));
+}
+
+#[test]
+fn a_failed_covering_fsync_fails_the_ack_and_rebases_before_the_next_write() {
+    let fs = Arc::new(FaultFs::new());
+    let handle = serve("/srv/rebase", fs.clone(), usize::MAX, Duration::from_millis(2));
+    let mut a = Client::connect(handle.addr());
+    a.ingest_window("alpha", 0);
+
+    // The committer's next covering fsync fails: the ack parked behind
+    // it fails typed, and the tenant is marked for a rebase.
+    fs.inject(OpKind::Fsync, "alpha/engine.delta", std::io::ErrorKind::Other, 1);
+    assert_eq!(a.err(&window_frame("alpha", 1)), "Io");
+    let stats = a.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(stats.get("needs_rebase").and_then(Json::as_bool), Some(true));
+
+    // The next write — from another connection, so another worker — first
+    // rewrites the base manifest, and only then logs its own close.
+    let mark = fs.trace_len();
+    let mut b = Client::connect(handle.addr());
+    b.ingest_window("alpha", 2);
+    let trace = fs.trace();
+    let rebased = trace[mark..].iter().position(|op| {
+        matches!(op, IoOp::Rename { from, to }
+            if from.ends_with("alpha/engine.tmp") && to.ends_with("alpha/engine.manifest"))
+    });
+    // The rebase started a new log, so this record creates the file (a
+    // `Write`); later ones extend it (`Append`).
+    let logged = trace[mark..].iter().position(|op| {
+        matches!(op, IoOp::Write { path, .. } | IoOp::Append { path, .. }
+            if path.ends_with("alpha/engine.delta"))
+    });
+    assert!(rebased.is_some(), "the write after a failed flush must rewrite the base");
+    assert!(rebased < logged, "base rename at {rebased:?}, delta record at {logged:?}");
+    let stats = b.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(stats.get("needs_rebase").and_then(Json::as_bool), Some(false));
+
+    // Close + reopen recovers every acked window — and the one whose ack
+    // failed, which the rebase made durable after all.
+    b.ok("{\"op\":\"close\",\"tenant\":\"alpha\"}");
+    let stats = b.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(field_u64(&stats, "windows_closed"), 3);
+    assert_eq!(field_u64(&stats, "total_queries"), 3 * WINDOW);
+
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+/// A [`FaultFs`] whose next `fsync` of an `alpha/shard-*` file, once
+/// `stall` is armed, reports in and then blocks until released — a close
+/// held inside alpha's engine writer lock for as long as the test likes.
+#[derive(Debug)]
+struct StallFs {
+    inner: FaultFs,
+    stall: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl Vfs for StallFs {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write(path, bytes)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+    fn fsync(&self, path: &Path) -> std::io::Result<()> {
+        if path.to_string_lossy().contains("alpha/shard-") {
+            let armed = self.stall.lock().expect("stall lock").take();
+            if let Some((entered, release)) = armed {
+                entered.send(()).expect("test is waiting for the stall");
+                release.recv().expect("test releases the stall");
+            }
+        }
+        self.inner.fsync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+        self.inner.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.create_exclusive(path, bytes)
+    }
+}
+
+#[test]
+fn reads_answer_while_a_close_holds_the_writer_lock() {
+    let fs = Arc::new(StallFs { inner: FaultFs::new(), stall: Mutex::new(None) });
+    let config = ServerConfig::new("/srv/stall")
+        .vfs(fs.clone())
+        .profile(profile())
+        .threads(4)
+        .commit_interval(Duration::from_millis(2));
+    let handle = Server::bind(config, "127.0.0.1:0").expect("bind").spawn();
+    let addr = handle.addr();
+    let mut setup = Client::connect(addr);
+    setup.ingest_window("alpha", 0);
+    setup.ingest_window("beta", 0);
+
+    // Alpha's second close stalls in its shard fsync — after the engine
+    // published the close, before it persisted it, writer lock held.
+    let (entered, stalled) = mpsc::channel();
+    let (release, released) = mpsc::channel();
+    *fs.stall.lock().expect("stall lock") = Some((entered, released));
+    let writer = std::thread::spawn(move || Client::connect(addr).ingest_window("alpha", 1));
+    stalled.recv_timeout(WAIT).expect("alpha's close reaches its shard fsync");
+
+    // Other connections read both tenants meanwhile; alpha's own answers
+    // already show the window whose ack is still waiting.
+    let mut reader = Client::impatient(addr);
+    let freq =
+        reader.ok("{\"op\":\"frequency\",\"tenant\":\"alpha\",\"pred\":{\"table\":\"alpha_t0\"}}");
+    assert!(freq.as_f64().expect("frequency is a number") > 0.0);
+    let stats = reader.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(field_u64(&stats, "windows_closed"), 2);
+    let freq = Client::impatient(addr)
+        .ok("{\"op\":\"frequency\",\"tenant\":\"beta\",\"pred\":{\"table\":\"beta_t0\"}}");
+    assert!(freq.as_f64().expect("frequency is a number") > 0.0);
+
+    release.send(()).expect("writer is stalled");
+    let acked = writer.join().expect("alpha's writer");
+    assert_eq!(field_u64(&acked, "closed"), 1);
 
     handle.shutdown();
     handle.join().expect("clean shutdown");

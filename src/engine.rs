@@ -728,9 +728,20 @@ const DELTA_FOLD_MIN_BYTES: u64 = 64 * 1024;
 /// `&self` (one writer at a time proceeds; they serialize on an internal
 /// lock), and [`Engine::snapshot`] hands any number of reader threads a
 /// consistent view without blocking the writer.
+///
+/// The writer lock is taken by exactly four things — the ingest/flush
+/// write path, [`Engine::checkpoint`], [`Engine::compact`] and
+/// [`Engine::set_resident_budget`] — and each republishes whenever it
+/// changed what a snapshot shows (a close, a fold, a merge, an
+/// eviction). Every accessor ([`Engine::source`],
+/// [`Engine::windows_closed`], [`Engine::total_queries`],
+/// [`Engine::spilled_shards`], [`Engine::resident_shard_bytes`], …)
+/// answers from the published snapshot, so a reader never queues behind
+/// a close in progress.
 #[derive(Debug)]
 pub struct Engine {
     dir: Option<PathBuf>,
+    /// The writer lock (see the type docs for its only four takers).
     state: Mutex<WriterState>,
     published: RwLock<Arc<EngineSnapshot>>,
     /// Storage layer every manifest write/read goes through (shard I/O
@@ -1012,8 +1023,7 @@ impl Engine {
     /// builder's [`EngineBuilder::source`] on fresh stores, the
     /// manifest's stored source after [`EngineBuilder::resume`].
     pub fn source(&self) -> Result<SourceConfig, Error> {
-        let st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        Ok(st.summarizer.config().source)
+        Ok(self.snapshot()?.source())
     }
 
     /// Total queries seen (absorbed plus buffered).
@@ -1062,15 +1072,17 @@ impl Engine {
     }
 
     /// History shards currently on disk only (0 for in-memory engines).
+    /// Answered from the published snapshot — like every accessor here,
+    /// it never waits on the writer lock.
     pub fn spilled_shards(&self) -> Result<usize, Error> {
-        let st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        Ok(st.summarizer.spilled_shards())
+        Ok(self.snapshot()?.shards.spilled_shards())
     }
 
-    /// Resident history-shard payload bytes.
+    /// Resident history-shard payload bytes, as of the published
+    /// snapshot (which is also what pins them: a snapshot shares every
+    /// resident payload with the writer's store).
     pub fn resident_shard_bytes(&self) -> Result<usize, Error> {
-        let st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        Ok(st.summarizer.resident_shard_bytes())
+        Ok(self.snapshot()?.shards.resident_bytes())
     }
 
     /// Re-bound the resident-byte budget of this engine's spill store,
@@ -1083,6 +1095,9 @@ impl Engine {
     pub fn set_resident_budget(&self, bytes: usize) -> Result<(), Error> {
         let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
         st.summarizer.set_resident_budget(bytes)?;
-        Ok(())
+        // The previous snapshot shares every payload just evicted;
+        // republishing is what actually frees them (and keeps the
+        // snapshot-backed shard accessors current) on an idle engine.
+        self.publish(&st)
     }
 }

@@ -205,6 +205,42 @@ fn compacted_store_reopens_bit_identically() {
 }
 
 #[test]
+fn rebounding_the_budget_frees_memory_on_an_idle_engine() {
+    // A snapshot shares every resident shard payload with the writer's
+    // store, so evicting on the store alone frees nothing until the next
+    // close republishes — on an idle engine, never. `set_resident_budget`
+    // publishes; the shard accessors read that snapshot, so they report
+    // what is really pinned.
+    let feed = |engine: &Engine| {
+        for i in 0..48 {
+            engine.ingest_record(&statement(i)).unwrap();
+        }
+    };
+    let store = TempStore::new("engine-rebound");
+    let engine = Engine::builder().window(8).clusters(2).open(store.path()).unwrap();
+    feed(&engine);
+    let closes = engine.windows_closed().unwrap();
+    assert_eq!(engine.spilled_shards().unwrap(), 0, "unbounded budget keeps every shard");
+    let unbounded = engine.resident_shard_bytes().unwrap();
+
+    engine.set_resident_budget(0).unwrap();
+    assert_eq!(engine.spilled_shards().unwrap(), closes - 1, "all but the pinned tail evicted");
+    // Re-bounded equals always-bounded: an engine that ran the same
+    // stream under budget 0 from the start holds exactly its tail shard.
+    let reference_store = TempStore::new("engine-rebound-reference");
+    let reference = Engine::builder()
+        .window(8)
+        .clusters(2)
+        .resident_budget(0)
+        .open(reference_store.path())
+        .unwrap();
+    feed(&reference);
+    let tail = reference.resident_shard_bytes().unwrap();
+    assert!(tail > 0 && tail < unbounded, "tail {tail} of {unbounded} resident bytes");
+    assert_eq!(engine.resident_shard_bytes().unwrap(), tail);
+}
+
+#[test]
 fn corrupt_stored_config_is_rejected_not_panicked() {
     // A checksum-valid manifest carrying a configuration the summarizer
     // would refuse (here: window 0) must surface as CorruptManifest.
