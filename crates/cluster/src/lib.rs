@@ -47,9 +47,11 @@
 //!   windows: per-shard triangles plus cross blocks, merged by
 //!   [`ShardedPointSet::try_condensed`] into a matrix bit-identical to
 //!   the monolithic build (window-close cost ∝ window, not history), with
-//!   an optional
-//!   out-of-core store ([`SpillConfig`]) that evicts closed shards to
-//!   disk under a resident-byte budget and reloads them transparently;
+//!   an optional out-of-core store ([`SpillConfig`]) whose budget bounds
+//!   the quadratic part — closed shards' distances are evicted to disk
+//!   and reloaded by the merge, the store's one reader — while the
+//!   points, linear in the history, stay resident so appends never read
+//!   the store;
 //! * [`spill`] — the versioned, checksummed on-disk shard format
 //!   (magic + header + condensed triangle + cross block + bit-packed
 //!   points + FNV-1a 64 checksum) with typed [`SpillError`] decoding;

@@ -10,6 +10,8 @@
 //! balances the triangular row lengths of condensed distance matrices
 //! without a work-stealing queue.
 
+use std::sync::OnceLock;
+
 /// Below this many points, row/chunk-parallel fills run serially; the
 /// thread handshake would dominate the work. Shared by the condensed
 /// matrix build and the spectral affinity fill.
@@ -19,12 +21,17 @@ pub(crate) const PARALLEL_MIN_POINTS: usize = 128;
 ///
 /// The `LOGR_THREADS` environment variable overrides the detected core
 /// count. CI uses it to exercise the multi-worker fan-out on single-core
-/// runners, and `LOGR_THREADS=1` to exercise the serial path.
+/// runners, and `LOGR_THREADS=1` to exercise the serial path. Resolved
+/// once per process: every close asks two or three times, the probe reads
+/// cgroup files, and nothing changes the variable after start-up.
 pub(crate) fn threads() -> usize {
-    if let Some(n) = std::env::var("LOGR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        match std::env::var("LOGR_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
+            Some(n) => n.max(1),
+            None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        }
+    })
 }
 
 /// Process `tasks` on up to `n_threads` workers; each worker folds its tasks

@@ -17,21 +17,25 @@
 //!
 //! # Out-of-core shards (PR 3)
 //!
-//! Shard payloads grow quadratically with the history (`Σ hₛ·wₛ` cross
-//! cells), so an unbounded stream eventually cannot keep every closed
-//! shard resident. [`ShardedPointSet::set_spill`] attaches a persistent
-//! store ([`SpillConfig`]: a directory plus a resident-byte budget in the
-//! versioned, checksummed [`crate::spill`] format); after every append the
-//! set evicts closed shards oldest-first — the hot tail (the newest
-//! shard) is pinned — until the resident payload fits the budget. Spilled
-//! shards reload transparently on read: appends and bulk merges
-//! ([`ShardedPointSet::try_condensed`]) stream one spilled shard at a
-//! time and drop it again, so peak memory is the budget plus one shard.
-//! Files are written once (shards are immutable) and re-eviction
-//! after a reload is free. Reloaded payloads are integer mismatch counts
-//! and bit-packed points — no floats touch disk — so a spilled/reloaded
-//! set serves **bit-identical** distances to the all-resident build
-//! (property-tested in `tests/proptest_shards.rs`).
+//! A shard's **distances** grow quadratically with the history (`Σ hₛ·wₛ`
+//! cross cells), so an unbounded stream eventually cannot keep every
+//! closed shard resident. [`ShardedPointSet::set_spill`] attaches a
+//! persistent store ([`SpillConfig`]: a directory plus a resident-byte
+//! budget in the versioned, checksummed [`crate::spill`] format); after
+//! every append the set evicts closed shards oldest-first — the hot tail
+//! (the newest shard) is pinned — until the resident distances fit the
+//! budget. The **points** are linear in the history (`8·⌈features/64⌉ +
+//! 24` bytes each) and stay resident at set level, outside the budget:
+//! they are all an append needs of the history, so **appends never read
+//! the store**. The one reader is the bulk merge
+//! ([`ShardedPointSet::try_condensed`]; compaction runs the same walk),
+//! which streams one spilled shard at a time and drops it again, so peak
+//! memory is the budget plus one shard. Files are written once (shards
+//! are immutable) and re-eviction after a reload is free. Reloaded
+//! payloads are integer mismatch counts and bit-packed points — no floats
+//! touch disk — so a spilled/reloaded set serves **bit-identical**
+//! distances to the all-resident build (property-tested in
+//! `tests/proptest_shards.rs`).
 //!
 //! Shards store **integer mismatch counts** (`d = |x ⊕ y|`), not metric
 //! values: every §6.1 metric is a function of `(d, n_features)`, and the
@@ -75,7 +79,8 @@ pub struct SpillConfig {
     /// are never deleted by the set — a shard's file outlives reloads, so
     /// re-evicting it later costs no I/O.
     pub dir: PathBuf,
-    /// Resident shard-payload budget in bytes. After every append the set
+    /// Resident budget in bytes for the shards' distances (what eviction
+    /// can free; the points stay resident). After every append the set
     /// evicts closed shards oldest-first (hot tail pinned) until resident
     /// bytes fit; `0` keeps only the pinned tail resident. Oldest-first
     /// *is* least-recently-appended, and merges touch every shard
@@ -90,7 +95,8 @@ struct ShardSlot {
     data: Option<Arc<ShardRecord>>,
     /// The shard's spill file, once it has ever been written.
     path: Option<PathBuf>,
-    /// Payload heap size (stable across spill/reload).
+    /// What evicting the shard frees: its distances
+    /// ([`ShardRecord::payload_bytes`], stable across spill/reload).
     bytes: usize,
 }
 
@@ -106,6 +112,12 @@ pub struct ShardedPointSet {
     /// Shard `s` spans points `shard_starts[s] .. shard_starts[s + 1]`.
     shard_starts: Vec<usize>,
     shards: Vec<ShardSlot>,
+    /// Every point, resident whatever the budget: one chunk per non-empty
+    /// shard, in shard order, sharing its allocation with the shard's
+    /// record while that is resident. Kept at set level rather than per
+    /// slot because every snapshot publication clones every slot, and a
+    /// saturated stream's slots are mostly empty shards.
+    points: Vec<Arc<[BitVec]>>,
     spill: Option<SpillConfig>,
     /// Storage layer all spill reads/writes go through ([`crate::vfs`]);
     /// [`vfs::RealFs`] unless a test injected a fault filesystem.
@@ -127,6 +139,7 @@ impl ShardedPointSet {
             // so this must never be empty (Default delegates here).
             shard_starts: vec![0],
             shards: Vec::new(),
+            points: Vec::new(),
             spill: None,
             vfs: vfs::default_vfs(),
         }
@@ -145,11 +158,11 @@ impl ShardedPointSet {
     /// **once-per-open validation**; later reloads of these write-once
     /// files skip the checksum pass ([`spill::decode_trusted`]) — and the
     /// chain is validated — each record's `start` must equal the points
-    /// before it and the feature universe may only grow — then dropped
-    /// again, so
-    /// the rebuilt set starts with **zero resident bytes** regardless of
-    /// the budget and every read reloads transparently, exactly as after
-    /// a long-running eviction.
+    /// before it and the feature universe may only grow. The decoded
+    /// points are kept (they are the set-level state appends run on); the
+    /// distances are dropped again, so the rebuilt set starts with **zero
+    /// resident bytes** regardless of the budget and every read reloads
+    /// transparently, exactly as after a long-running eviction.
     ///
     /// Any invalid file surfaces as the [`SpillError`] the decoder
     /// reports (missing → `Io`, cut short → `Truncated`, rotted →
@@ -165,6 +178,7 @@ impl ShardedPointSet {
         vfs.create_dir_all(&config.dir)?;
         let mut shard_starts = vec![0usize];
         let mut shards = Vec::with_capacity(files.len());
+        let mut points = Vec::new();
         let mut n_features = 0usize;
         let mut len = 0usize;
         for path in files {
@@ -187,8 +201,11 @@ impl ShardedPointSet {
                 path: Some(path.clone()),
                 bytes: record.payload_bytes(),
             });
+            if !record.is_empty() {
+                points.push(record.bits);
+            }
         }
-        Ok(ShardedPointSet { n_features, shard_starts, shards, spill: Some(config), vfs })
+        Ok(ShardedPointSet { n_features, shard_starts, shards, points, spill: Some(config), vfs })
     }
 
     /// Total number of points across all shards.
@@ -241,10 +258,12 @@ impl ShardedPointSet {
         }
     }
 
-    /// Bytes of shard payload currently resident. The eviction budget
-    /// bounds this between appends; an append or bulk merge over spilled
-    /// shards transiently holds one more shard, which this does not count
-    /// and which is gone again when the call returns.
+    /// Bytes of shard distances currently resident — what eviction can
+    /// free; the points (linear in the history) are always resident and
+    /// not counted. The eviction budget bounds this between appends; a
+    /// bulk merge over spilled shards transiently holds one more shard,
+    /// which this does not count and which is gone again when the call
+    /// returns.
     pub fn resident_bytes(&self) -> usize {
         self.shards.iter().filter(|s| s.data.is_some()).map(|s| s.bytes).sum()
     }
@@ -350,7 +369,7 @@ impl ShardedPointSet {
         Ok(evicted)
     }
 
-    /// Evict until the resident payload fits the budget: spill resident
+    /// Evict until the resident distances fit the budget: spill resident
     /// shards oldest-first (= least recently appended; merges touch every
     /// shard equally, so there is no finer per-shard recency to act on).
     /// The newest shard is pinned — the streaming close path reads it
@@ -380,10 +399,11 @@ impl ShardedPointSet {
         Ok(())
     }
 
-    /// The one reload path: shard `s`'s payload from memory, else one read
-    /// of its store file. The caller holds the returned `Arc` for as long
-    /// as it needs the shard and drops it after — nothing is cached, so a
-    /// read never changes [`ShardedPointSet::resident_bytes`].
+    /// The one reload path, called by the one reader (`merge_into`): shard
+    /// `s`'s payload from memory, else one read of its store file. The
+    /// caller holds the returned `Arc` for as long as it needs the shard
+    /// and drops it after — nothing is cached, so a read never changes
+    /// [`ShardedPointSet::resident_bytes`].
     fn load_shard(&self, s: usize) -> Result<Arc<ShardRecord>, SpillError> {
         if let Some(data) = &self.shards[s].data {
             return Ok(data.clone());
@@ -406,12 +426,10 @@ impl ShardedPointSet {
     /// earlier points. Cost: `O(w² + h·w)` popcounts for a shard of `w`
     /// points over a history of `h` — never `O((h + w)²)`.
     ///
-    /// Appending against spilled history reads the store (and may evict
-    /// afterwards). Error semantics: a failure while **reloading
-    /// history** for the cross block leaves the set untouched (safe to
-    /// retry); a failure while **evicting** afterwards means the append
-    /// itself already succeeded — check `len()` before retrying, or
-    /// points double-append.
+    /// The cross block runs on the resident points, so an append never
+    /// reads the store; it may evict afterwards, and that is the only
+    /// `Err`: the append itself already succeeded — check `len()` before
+    /// retrying, or points double-append.
     ///
     /// # Panics
     /// Panics if `n_features` is smaller than a previous push's universe
@@ -443,7 +461,7 @@ impl ShardedPointSet {
         );
         let start = self.len();
         let w = vectors.len();
-        let new_bits: Vec<BitVec> =
+        let new_bits: Arc<[BitVec]> =
             vectors.iter().map(|v| BitVec::from_query_vector(v, n_features)).collect();
 
         // Intra-shard strict upper triangle: rows (i, i+1..w) partition the
@@ -462,47 +480,26 @@ impl ShardedPointSet {
             });
         }
 
-        // Cross block against the history: one row per earlier point,
-        // streamed one history shard at a time so spilled shards are
-        // reloaded once each (and dropped again — peak memory stays at
-        // the budget plus one shard). Earlier bitsets may be narrower
-        // (the universe grew); the padded xor zero-extends them, which
-        // preserves mismatch counts exactly.
+        // Cross block against the history: one row per earlier point, in
+        // one fan-out over the resident points. Earlier bitsets may be
+        // narrower (the universe grew); the padded xor zero-extends them,
+        // which preserves mismatch counts exactly.
         let mut cross = vec![0u32; start * w];
         if start > 0 && w > 0 {
-            let mut rows = cross.chunks_mut(w).enumerate();
-            let nb = &new_bits;
-            // Gate parallelism on the *total* cross size, not per shard:
-            // a long stream's history is many small shards, and per-shard
-            // gating would serialize the whole block even when start·w is
-            // huge. (Each shard still pays its own spawn round; the fill
-            // dominates once the total crosses the threshold.)
-            let nt = if start * w < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            for h in 0..self.shards.len() {
-                let hs = self.shard_starts[h];
-                let he = self.shard_starts[h + 1];
-                if he == hs {
-                    continue;
+            let nt = if cross.len() < PARALLEL_MIN_CELLS { 1 } else { n_threads };
+            let history = self.points.iter().flat_map(|chunk| chunk.iter());
+            let rows: Vec<(&BitVec, &mut [u32])> = history.zip(cross.chunks_mut(w)).collect();
+            par::run_tasks(rows, nt, |(a, row)| {
+                for (cell, b) in row.iter_mut().zip(new_bits.iter()) {
+                    *cell = a.xor_count_padded(b) as u32;
                 }
-                let shard_rows: Vec<(usize, &mut [u32])> = rows.by_ref().take(he - hs).collect();
-                let data = self.load_shard(h)?;
-                par::run_tasks(shard_rows, nt, |(i, row)| {
-                    let a = &data.bits[i - hs];
-                    for (j, cell) in row.iter_mut().enumerate() {
-                        *cell = a.xor_count_padded(&nb[j]) as u32;
-                    }
-                });
-            }
+            });
         }
 
-        // The fallible cross-block reloads are done: only now may
-        // set-level state change, so an `Err` up to this point leaves the
-        // set exactly as it was — in particular the universe width, which
-        // every later distance read normalizes by. (The one later
-        // fallible step, `enforce_budget`, can still fail — but by then
-        // the append has succeeded, which is what its `Err` means; see
-        // `try_push_shard`'s docs.)
         self.n_features = n_features;
+        if w > 0 {
+            self.points.push(new_bits.clone());
+        }
         let record = ShardRecord { n_features, start, intra, cross, bits: new_bits };
         let bytes = record.payload_bytes();
         self.shards.push(ShardSlot { data: Some(Arc::new(record)), path: None, bytes });
@@ -517,15 +514,14 @@ impl ShardedPointSet {
     /// `w_t`-wide run in each earlier point's row (its cross block) — and
     /// merged rows are consumed left to right as `t` ascends, so each
     /// segment is split off exactly once with no per-cell shard lookup.
-    /// `fill` gets each non-empty shard's payload and its `(stored run,
-    /// merged segment)` pairs, equal in length pair by pair. Spilled
-    /// shards are loaded for their turn and dropped again, so a walk over
-    /// a spilled history holds at most one shard's payload beyond what is
-    /// resident.
+    /// `fill` gets each non-empty shard's `(stored run, merged segment)`
+    /// pairs, equal in length pair by pair. Spilled shards are loaded for
+    /// their turn and dropped again, so a walk over a spilled history
+    /// holds at most one shard's payload beyond what is resident.
     fn merge_into<T>(
         &self,
         merged: &mut [T],
-        mut fill: impl FnMut(&ShardRecord, Vec<(&[u32], &mut [T])>),
+        mut fill: impl FnMut(Vec<(&[u32], &mut [T])>),
     ) -> Result<(), SpillError> {
         // Each merged row, progressively consumed: rest[i] holds the not-
         // yet-filled tail of row i.
@@ -556,7 +552,7 @@ impl ShardedPointSet {
                 };
                 segments.push((run, seg));
             }
-            fill(&data, segments);
+            fill(segments);
         }
         debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
         Ok(())
@@ -574,7 +570,7 @@ impl ShardedPointSet {
         }
         let nf = self.n_features;
         let n_threads = par::threads();
-        self.merge_into(cm.data_mut(), |_, segments| {
+        self.merge_into(cm.data_mut(), |segments| {
             // Fan out per shard, by this shard's own cell count — a
             // history of many small shards fills serially instead of
             // paying a scoped spawn/join round per shard.
@@ -620,21 +616,20 @@ impl ShardedPointSet {
         let n = self.len();
         let nf = self.n_features;
         let mut intra = vec![0u32; n * n.saturating_sub(1) / 2];
-        let mut bits: Vec<BitVec> = Vec::with_capacity(n);
         // The metric merge's walk, copying raw u32 mismatch counts.
-        self.merge_into(&mut intra, |data, segments| {
-            for b in &data.bits {
-                bits.push(if b.len() == nf { b.clone() } else { b.widened(nf) });
-            }
+        self.merge_into(&mut intra, |segments| {
             for (run, seg) in segments {
                 seg.copy_from_slice(run);
             }
         })?;
+        let history = self.points.iter().flat_map(|chunk| chunk.iter());
+        let bits: Arc<[BitVec]> =
+            history.map(|b| if b.len() == nf { b.clone() } else { b.widened(nf) }).collect();
+        let points = if n > 0 { vec![bits.clone()] } else { Vec::new() };
         let record = ShardRecord { n_features: nf, start: 0, intra, cross: Vec::new(), bits };
         let bytes = record.payload_bytes();
         // Write the merged file *before* touching any set state, so an
-        // `Err` anywhere in compaction leaves the set exactly as it was
-        // (same contract as `try_push_shard`'s pre-append reloads).
+        // `Err` anywhere in compaction leaves the set exactly as it was.
         let mut path = None;
         let mut keep_resident = true;
         if let Some(cfg) = &self.spill {
@@ -648,6 +643,7 @@ impl ShardedPointSet {
             self.shards.iter().filter_map(|slot| slot.path.clone()).collect();
         let data = keep_resident.then(|| Arc::new(record));
         self.shards = vec![ShardSlot { data, path, bytes }];
+        self.points = points;
         self.shard_starts = vec![0, n];
         Ok(CompactionStats { shards_merged: n_shards_before, stale_files })
     }
@@ -898,7 +894,7 @@ mod tests {
             .unwrap();
         for chunk in refs.chunks(40) {
             resident.try_push_shard(chunk, 24).unwrap();
-            spilled.try_push_shard(chunk, 24).unwrap(); // cross block reloads history shards
+            spilled.try_push_shard(chunk, 24).unwrap(); // cross block runs on the resident points
         }
         assert_eq!(spilled.spilled_shards(), spilled.n_shards() - 1);
         assert_eq!(
@@ -908,14 +904,14 @@ mod tests {
     }
 
     #[test]
-    fn failed_push_does_not_widen_the_universe() {
-        // Regression: a push that dies reloading spilled history (here:
-        // the store vanishes underneath the set) must leave the set
-        // exactly as it was — in particular `n_features`, which every
-        // later read normalizes distances by. The buggy version widened
-        // the universe before the fallible reload, silently shrinking
-        // all Hamming/Canberra distances after a handled error.
-        let store = TempStore::new("rollback");
+    fn push_against_a_vanished_store_succeeds_and_the_next_read_fails_typed() {
+        // An append runs on the resident points and never reads the
+        // store, so a store that vanishes underneath the set cannot fail
+        // it: the push appends and widens the universe. The damage
+        // surfaces at the one reader — the next merge is the typed `Io`
+        // error — and restoring the file restores reads bit-identical to
+        // a set whose store never vanished.
+        let store = TempStore::new("vanished");
         let vs = sample();
         let refs: Vec<&QueryVector> = vs.iter().collect();
         let mut sharded = ShardedPointSet::new();
@@ -925,18 +921,23 @@ mod tests {
         sharded.try_push_shard(&refs[..3], 80).unwrap();
         sharded.try_push_shard(&refs[3..5], 80).unwrap(); // spills shard 0
         assert_eq!(sharded.spilled_shards(), 1);
-        let before = sharded.try_condensed(Distance::Hamming).unwrap();
         let file = sharded.shard_file(0).unwrap().to_path_buf();
         let bytes = std::fs::read(&file).unwrap();
         std::fs::remove_file(&file).unwrap();
-        let err = sharded.try_push_shard(&refs[5..], 120).unwrap_err();
+        sharded.try_push_shard(&refs[5..], 120).unwrap();
+        assert_eq!(sharded.n_features(), 120);
+        assert_eq!(sharded.len(), refs.len());
+        let err = sharded.try_condensed(Distance::Hamming).unwrap_err();
         assert!(matches!(err, SpillError::Io(_)), "{err}");
-        assert_eq!(sharded.n_features(), 80, "failed push must not widen the universe");
-        assert_eq!(sharded.len(), 5, "failed push must not append points");
-        // With the store restored, reads still normalize at the original
-        // width.
         std::fs::write(&file, bytes).unwrap();
-        assert_eq!(sharded.try_condensed(Distance::Hamming).unwrap().as_slice(), before.as_slice());
+        let monolithic = PointSet::from_vectors(&refs, 120);
+        for metric in all_metrics() {
+            assert_eq!(
+                sharded.try_condensed(metric).unwrap().as_slice(),
+                monolithic.distances(metric).as_slice(),
+                "{metric:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! condensed triangle covers only its own points and its cross block only
 //! earlier ones, so later pushes never touch it. That makes closed shards
 //! the natural spill unit for bounded-memory streaming: serialize the
-//! shard to disk, drop its buffers, and reload on demand. Reloaded shards
+//! shard to disk, drop its distances (the quadratic part; the set keeps
+//! the points, which are linear, resident), and reload on demand — only
+//! the bulk merge ever does; appends never read the store. Reloaded shards
 //! are byte-for-byte the structures that were written (integer mismatch
 //! counts and bit-packed point payloads — no floats are stored), so every
 //! distance served across a mix of resident and spilled shards is
@@ -44,6 +46,7 @@ use crate::vfs::{replace_durably, retry_io, Vfs};
 use logr_feature::BitVec;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// First 8 bytes of every shard spill file.
 pub const MAGIC: [u8; 8] = *b"LOGRSHRD";
@@ -141,8 +144,10 @@ pub struct ShardRecord {
     /// (`start · w` entries).
     pub cross: Vec<u32>,
     /// The shard's points as dense bitsets (`w` entries, each
-    /// `n_features` wide).
-    pub bits: Vec<BitVec>,
+    /// `n_features` wide). Shared, not owned: the set keeps every point
+    /// resident for appends and a resident record points at the same
+    /// allocation.
+    pub bits: Arc<[BitVec]>,
 }
 
 impl ShardRecord {
@@ -156,15 +161,12 @@ impl ShardRecord {
         self.bits.is_empty()
     }
 
-    /// Heap bytes this record pins while resident — the quantity the
-    /// [`crate::ShardedPointSet`] eviction budget is measured in.
+    /// Heap bytes evicting this record frees — its distances, the
+    /// quadratic part; the quantity the [`crate::ShardedPointSet`]
+    /// eviction budget is measured in. The points are linear in the
+    /// history and stay resident with the set either way.
     pub fn payload_bytes(&self) -> usize {
         4 * (self.intra.len() + self.cross.len())
-            + self
-                .bits
-                .iter()
-                .map(|b| 8 * b.blocks().len() + std::mem::size_of::<BitVec>())
-                .sum::<usize>()
     }
 }
 
@@ -204,7 +206,7 @@ pub fn encode(record: &ShardRecord) -> Vec<u8> {
     for &d in &record.cross {
         out.extend_from_slice(&d.to_le_bytes());
     }
-    for b in &record.bits {
+    for b in record.bits.iter() {
         b.write_bytes(&mut out);
     }
     let checksum = fnv1a64(&out[8..]);
@@ -325,7 +327,7 @@ fn decode_inner(bytes: &[u8], verify_checksum: bool) -> Result<ShardRecord, Spil
         bits.push(b);
         rest = &rest[used..];
     }
-    Ok(ShardRecord { n_features, start, intra, cross, bits })
+    Ok(ShardRecord { n_features, start, intra, cross, bits: bits.into() })
 }
 
 /// Durably write a shard record to `path` through `vfs`
@@ -372,7 +374,7 @@ mod tests {
             start: 2,
             intra: vec![5, 3, 4],          // 3·2/2
             cross: vec![1, 2, 3, 4, 5, 6], // 2·3
-            bits,
+            bits: bits.into(),
         }
     }
 
@@ -402,8 +404,13 @@ mod tests {
 
     #[test]
     fn empty_shard_round_trips() {
-        let record =
-            ShardRecord { n_features: 0, start: 7, intra: vec![], cross: vec![], bits: vec![] };
+        let record = ShardRecord {
+            n_features: 0,
+            start: 7,
+            intra: vec![],
+            cross: vec![],
+            bits: vec![].into(),
+        };
         assert_eq!(decode(&encode(&record)).unwrap(), record);
     }
 

@@ -23,7 +23,7 @@ fn record() -> ShardRecord {
         start: 3,
         intra: vec![4, 5, 3, 6, 2, 1],                   // 4·3/2
         cross: vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2], // 3·4
-        bits,
+        bits: bits.into(),
     }
 }
 

@@ -60,11 +60,12 @@
 //! ([`logr_feature::anonymized_branches`]): a statement is parsed once
 //! when first summarized and replayed from the cache for every later
 //! close that still spans it, so a sliding window's parse cost is
-//! proportional to the *stride*, not the window. The cache is reference-
-//! counted by buffer membership (entries leave with the statements that
-//! carried them), so it is bounded by the live window — and
-//! [`StreamSummarizer::statements_parsed`] exposes the instrumented
-//! parse counter the regression tests pin.
+//! proportional to the *stride*, not the window. Every entry a close
+//! uses is stamped with that close's index and the rest are swept when
+//! the close has featurized its window and its stride (a tumbling close
+//! clears the lot), so the cache is bounded by the retained buffer plus
+//! one stride — and [`StreamSummarizer::statements_parsed`] exposes the
+//! instrumented parse counter the regression tests pin.
 //!
 //! # Bounded memory (out-of-core history shards)
 //!
@@ -72,12 +73,12 @@
 //! distinct-query count, so an unbounded run eventually cannot keep them
 //! all resident. [`StreamSummarizer::spill_to_with`] attaches the persistent
 //! shard store (`logr-cluster::spill`) with a resident-byte budget:
-//! after every window close, the oldest closed shards are
-//! evicted to disk and reload transparently when
-//! [`StreamSummarizer::try_history_summary`] (or any distance read) needs
-//! them. Window summaries, drift reports, and history summaries are
-//! **bit-identical** to an unbounded run — the store holds integer
-//! mismatch counts and bit-packed points, never floats — and
+//! after every window close, the oldest closed shards are evicted to disk
+//! and reload transparently when [`StreamSummarizer::try_history_summary`]
+//! needs them (a close never reads the store: the points, linear in the
+//! history, stay resident). Window summaries, drift reports, and history
+//! summaries are **bit-identical** to an unbounded run — the store holds
+//! integer mismatch counts and bit-packed points, never floats — and
 //! [`StreamSummarizer::resident_shard_bytes`] stays within the budget
 //! between closes (bulk merges transiently add at most one shard).
 //!
@@ -271,16 +272,6 @@ impl WindowSummary {
     }
 }
 
-/// Cached featurization of one distinct statement: its feature branches
-/// (from the configured [`Featurizer`]), computed lazily at first
-/// summarization, plus a reference count of how many live buffer/pending
-/// entries carry it.
-#[derive(Debug, Default)]
-struct CacheSlot {
-    branches: Option<Vec<FeatureBranch>>,
-    refs: usize,
-}
-
 /// Everything a [`StreamSummarizer`] needs beyond its configuration and
 /// shard store to resume mid-stream: the complete, plain-data snapshot
 /// `logr::Engine` persists in its store manifest and feeds back through
@@ -319,7 +310,9 @@ pub struct WindowCursor {
     /// Statements in the current window scope: `(sql, multiplicity,
     /// arrival ms)` in arrival order.
     pub buffer: Vec<(String, u64, u64)>,
-    /// Statements not yet absorbed into the history (sliding windows).
+    /// Statements not yet absorbed into the history (sliding windows):
+    /// the text and multiplicity of the buffer's newest entries, in the
+    /// same order ([`WindowCursor::validate`]).
     pub pending: Vec<(String, u64)>,
     /// Queries since the last close (in a [`CloseDelta`]: 0, unless a
     /// time-mode arrival already started the next window).
@@ -335,6 +328,24 @@ pub struct WindowCursor {
     /// counter may run ahead of a never-restored run — parse *caching* is
     /// an optimization, never an output bit).
     pub statements_parsed: u64,
+}
+
+impl WindowCursor {
+    /// Check the one condition the fields hold among themselves: `pending`
+    /// is the tail of `buffer`. A summarizer keeps the unabsorbed
+    /// statements only as that tail, so a cursor from outside the program
+    /// (a checksum-valid manifest from a foreign or hand-edited store)
+    /// must be checked before [`StreamSummarizer::try_from_state`], which
+    /// treats a violation as a caller bug.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        // Newest first; a `pending` longer than `buffer` runs out of tail.
+        let tail = self.buffer.iter().rev().map(|(text, count, _)| (text, count));
+        let pending = self.pending.iter().rev().map(|(text, count)| (text, count));
+        if !pending.eq(tail.take(self.pending.len())) {
+            return Err("pending statements are not the buffer's tail");
+        }
+        Ok(())
+    }
 }
 
 /// Everything one window close changed in the resumable state — the
@@ -439,21 +450,23 @@ pub fn rotate_baseline(
 pub struct StreamSummarizer {
     config: StreamConfig,
     /// Statements in the current window scope (sliding keeps the overlap),
-    /// with multiplicity and arrival timestamp (ms; 0 in count mode).
+    /// with multiplicity and arrival timestamp (ms; 0 in count mode) —
+    /// the one copy of every buffered text.
     buffer: VecDeque<(String, u64, u64)>,
     /// Multiplicity-weighted total of `buffer`.
     buffer_total: u64,
     /// Queries since the last close (tumbling: equals `buffer_total`).
     since_close: u64,
-    /// Statements not yet absorbed into the history (sliding only;
-    /// tumbling reuses the window log). Kept separately from `buffer`
-    /// rather than derived from its tail: a close's trim can evict a
-    /// not-yet-absorbed statement when a single huge-multiplicity
-    /// statement covers the whole window, and history absorption must
+    /// How many of `buffer`'s newest entries arrived since the last close
+    /// and are not yet absorbed into the history (sliding only; tumbling
+    /// reuses the window log). A close absorbs that tail *before* it
+    /// drops the expired front: one huge-multiplicity arrival can expire
+    /// a statement that was never absorbed, and history absorption must
     /// never lose statements.
-    pending: Vec<(String, u64)>,
-    /// Per-statement featurization cache (see the module docs).
-    cache: HashMap<String, CacheSlot>,
+    unabsorbed: usize,
+    /// Per-statement featurization cache (see the module docs): the
+    /// index of the last close that used the entry, and its branches.
+    cache: HashMap<String, (usize, Vec<FeatureBranch>)>,
     /// Statements actually parsed (cache misses) — the instrumented
     /// counter behind [`StreamSummarizer::statements_parsed`].
     parses: u64,
@@ -513,7 +526,7 @@ impl StreamSummarizer {
             buffer: VecDeque::new(),
             buffer_total: 0,
             since_close: 0,
-            pending: Vec::new(),
+            unabsorbed: 0,
             cache: HashMap::new(),
             parses: 0,
             next_close_ms: None,
@@ -546,9 +559,10 @@ impl StreamSummarizer {
     /// The open window's position, as both [`StreamState`] and
     /// [`CloseDelta`] record it.
     fn cursor(&self) -> WindowCursor {
+        let tail = self.buffer.range(self.buffer.len() - self.unabsorbed..);
         WindowCursor {
             buffer: self.buffer.iter().cloned().collect(),
-            pending: self.pending.clone(),
+            pending: tail.map(|(text, count, _)| (text.clone(), *count)).collect(),
             since_close: self.since_close,
             next_close_ms: self.next_close_ms,
             last_ts_ms: self.last_ts_ms,
@@ -567,8 +581,9 @@ impl StreamSummarizer {
     ///
     /// # Panics
     /// Panics on an invalid `config` (same contract as
-    /// [`StreamSummarizer::new`]) or when `shards` and `state.history`
-    /// disagree on point count or universe width (callers validate both
+    /// [`StreamSummarizer::new`]), when `shards` and `state.history`
+    /// disagree on point count or universe width, or when `state.cursor`
+    /// fails [`WindowCursor::validate`] (callers validate all three
     /// first).
     pub fn try_from_state(
         config: StreamConfig,
@@ -591,15 +606,10 @@ impl StreamSummarizer {
             "shard store and history log disagree on the feature universe"
         );
         let cursor = state.cursor;
-        for (sql, count, _) in &cursor.buffer {
-            s.cache_acquire(sql);
-            s.buffer_total += *count;
-        }
-        for (sql, _) in &cursor.pending {
-            s.cache_acquire(sql);
-        }
+        assert_eq!(cursor.validate(), Ok(()), "window cursor is inconsistent");
+        s.buffer_total = cursor.buffer.iter().map(|(_, count, _)| count).sum();
+        s.unabsorbed = cursor.pending.len();
         s.buffer = cursor.buffer.into();
-        s.pending = cursor.pending;
         s.since_close = cursor.since_close;
         s.next_close_ms = cursor.next_close_ms;
         s.last_ts_ms = cursor.last_ts_ms;
@@ -678,7 +688,7 @@ impl StreamSummarizer {
 
     /// Bound resident memory: spill closed history shards to `dir` in the
     /// `logr-cluster::spill` format, keeping at most `resident_budget`
-    /// payload bytes in memory (the newest shard is pinned; see
+    /// bytes of shard distances in memory (the newest shard is pinned; see
     /// [`ShardedPointSet::set_spill`]), with shard I/O routed through
     /// `vfs` (see [`logr_cluster::vfs`]). Summaries are bit-identical to
     /// an unbounded run. Can be called before or during a stream.
@@ -700,7 +710,7 @@ impl StreamSummarizer {
         self.shards.set_resident_budget(bytes)
     }
 
-    /// Resident history-shard payload bytes (see
+    /// Resident history-shard distance bytes (see
     /// [`ShardedPointSet::resident_bytes`]).
     pub fn resident_shard_bytes(&self) -> usize {
         self.shards.resident_bytes()
@@ -793,15 +803,13 @@ impl StreamSummarizer {
             }
         }
 
-        self.cache_acquire(sql);
         self.buffer.push_back((sql.to_string(), count, ts));
         self.buffer_total += count;
         self.since_close += count;
         if self.is_sliding() {
             // Sliding only: the unseen stride differs from the (overlapping)
             // window buffer. Tumbling absorbs the window log itself.
-            self.cache_acquire(sql);
-            self.pending.push((sql.to_string(), count));
+            self.unabsorbed += 1;
         }
 
         if self.config.time.is_none() {
@@ -918,59 +926,31 @@ impl StreamSummarizer {
             .unwrap_or(0)
     }
 
-    /// Take a reference on `sql`'s cache slot (parse stays lazy). The
-    /// repeat path avoids `HashMap::entry` — it would clone the SQL text
-    /// on every ingest just to probe for a key that already exists.
-    fn cache_acquire(&mut self, sql: &str) {
-        if let Some(slot) = self.cache.get_mut(sql) {
-            slot.refs += 1;
-        } else {
-            self.cache.insert(sql.to_string(), CacheSlot { branches: None, refs: 1 });
-        }
-    }
-
-    /// Drop a reference; the slot (and its parsed branches) leaves the
-    /// cache with its last carrier, keeping the cache bounded by the live
-    /// window.
-    fn cache_release(&mut self, sql: &str) {
-        if let Some(slot) = self.cache.get_mut(sql) {
-            slot.refs = slot.refs.saturating_sub(1);
-            if slot.refs == 0 {
-                self.cache.remove(sql);
-            }
-        }
-    }
-
-    /// Featurize statements into a fresh log, replaying cached branches
-    /// and featurizing (once) on miss. With the SQL source this produces
-    /// the log `LogIngest` would, bit for bit (`branch_features` is the
-    /// factored statement half of ingestion, and `add_features` reruns
-    /// `add_conjunctive`'s interning; equality is regression-tested).
-    fn cached_log<'a>(
-        cache: &mut HashMap<String, CacheSlot>,
-        parses: &mut u64,
-        featurizer: &mut dyn Featurizer,
-        statements: impl Iterator<Item = (&'a str, u64)>,
-    ) -> QueryLog {
+    /// Featurize `buffer[entries]` into a fresh log, replaying cached
+    /// branches and featurizing (once) on miss; every entry used is
+    /// stamped with the closing window's index for the sweep that follows.
+    /// With the SQL source this produces the log `LogIngest` would, bit
+    /// for bit (`branch_features` is the factored statement half of
+    /// ingestion, and `add_features` reruns `add_conjunctive`'s
+    /// interning; equality is regression-tested).
+    fn cached_log(&mut self, entries: std::ops::Range<usize>) -> QueryLog {
+        let close = self.windows_closed;
         let mut log = QueryLog::new();
-        for (text, count) in statements {
-            let fallback;
-            let branches: &[FeatureBranch] = match cache.get_mut(text) {
-                Some(slot) => slot.branches.get_or_insert_with(|| {
-                    *parses += 1;
-                    featurizer.featurize(text)
-                }),
-                // Unreachable from the summarizer (every summarized
-                // statement holds a cache reference), but harmless:
-                // featurize without caching.
+        for (text, count, _) in self.buffer.range(entries) {
+            // One hash lookup per hit; only a miss copies the text.
+            let branches: &[FeatureBranch] = match self.cache.get_mut(text) {
+                Some((used, branches)) => {
+                    *used = close;
+                    branches
+                }
                 None => {
-                    *parses += 1;
-                    fallback = featurizer.featurize(text);
-                    &fallback
+                    self.parses += 1;
+                    let branches = self.featurizer.featurize(text);
+                    &self.cache.entry(text.clone()).or_insert((close, branches)).1
                 }
             };
             for branch in branches {
-                log.add_features(&branch.features, count);
+                log.add_features(&branch.features, *count);
             }
         }
         log
@@ -982,47 +962,33 @@ impl StreamSummarizer {
     /// summarizer — see [`StreamSummarizer::try_ingest`].
     fn close_window(&mut self, boundary: Option<u64>) -> Result<WindowSummary, SpillError> {
         let window_queries = self.since_close;
+        let index = self.windows_closed;
+        // Count the front entries that fell out of the window span, at
+        // statement granularity — they leave the buffer only once the
+        // stride below has been absorbed. Count mode: whole statements
+        // while the remainder still covers a full window. Time mode:
+        // statements before `[boundary − window_ms, boundary)`.
+        let mut expired = 0;
         if self.is_sliding() {
-            // Trim to the window span before summarizing, at statement
-            // granularity. Count mode: pop whole statements while the
-            // remainder still covers a full window. Time mode: pop
-            // statements that fell out of `[boundary − window_ms,
-            // boundary)`.
-            match self.config.time {
-                None => {
-                    while let Some(&(_, front, _)) = self.buffer.front() {
-                        if self.buffer_total - front < self.config.window {
-                            break;
-                        }
-                        self.buffer_total -= front;
-                        // lint:allow(no-panic-paths): front() just returned Some on this same locked-out &mut self, so pop_front cannot miss
-                        let (sql, _, _) = self.buffer.pop_front().expect("front exists");
-                        self.cache_release(&sql);
-                    }
+            let horizon = self.config.time.map(|tw| {
+                boundary
+                    // lint:allow(no-panic-paths): close_window always passes Some in time mode (the only mode reaching this arm) — invariant of the one caller
+                    .expect("time closes carry a boundary")
+                    .saturating_sub(tw.window_ms)
+            });
+            for &(_, count, ts) in &self.buffer {
+                let in_span = match horizon {
+                    Some(horizon) => ts >= horizon,
+                    None => self.buffer_total - count < self.config.window,
+                };
+                if in_span {
+                    break;
                 }
-                Some(tw) => {
-                    let horizon = boundary
-                        // lint:allow(no-panic-paths): close_window always passes Some in time mode (the only mode reaching this arm) — invariant of the one caller
-                        .expect("time closes carry a boundary")
-                        .saturating_sub(tw.window_ms);
-                    while let Some(&(_, front, front_ts)) = self.buffer.front() {
-                        if front_ts >= horizon {
-                            break;
-                        }
-                        self.buffer_total -= front;
-                        // lint:allow(no-panic-paths): front() just returned Some on this same locked-out &mut self, so pop_front cannot miss
-                        let (sql, _, _) = self.buffer.pop_front().expect("front exists");
-                        self.cache_release(&sql);
-                    }
-                }
+                self.buffer_total -= count;
+                expired += 1;
             }
         }
-        let window_log = Self::cached_log(
-            &mut self.cache,
-            &mut self.parses,
-            self.featurizer.as_mut(),
-            self.buffer.iter().map(|(sql, count, _)| (sql.as_str(), *count)),
-        );
+        let window_log = self.cached_log(expired..self.buffer.len());
 
         // Monitors run against the baseline *before* this window enters
         // the rotation — a window never judges itself.
@@ -1045,21 +1011,24 @@ impl StreamSummarizer {
         // append its new distinct queries as one shard: window-close cost
         // stays proportional to the window, not the history. Tumbling
         // windows *are* the stride, so the already-featurized window log
-        // is reused; sliding replays just the stride from the cache.
+        // is reused; sliding replays just the stride — the buffer's
+        // unabsorbed tail, read while the expired front is still there —
+        // from the cache. Both passes are then done: sweep the cache down
+        // to what this close used and advance the window (sliding keeps
+        // the overlap).
         let stride_log = if self.is_sliding() {
-            let log = Self::cached_log(
-                &mut self.cache,
-                &mut self.parses,
-                self.featurizer.as_mut(),
-                self.pending.iter().map(|(sql, count)| (sql.as_str(), *count)),
-            );
-            for (sql, _) in std::mem::take(&mut self.pending) {
-                self.cache_release(&sql);
-            }
+            let log = self.cached_log(self.buffer.len() - self.unabsorbed..self.buffer.len());
+            self.cache.retain(|_, (used, _)| *used == index);
+            self.buffer.drain(..expired);
             log
         } else {
+            self.cache.clear();
+            self.buffer.clear();
+            self.buffer_total = 0;
             window_log.clone()
         };
+        self.unabsorbed = 0;
+        self.since_close = 0;
         let prev_distinct = self.history.distinct_count();
         Arc::make_mut(&mut self.history).absorb(&stride_log);
         let new_entries: Vec<&QueryVector> =
@@ -1079,33 +1048,22 @@ impl StreamSummarizer {
         // window contains can never sit in its own baseline, so an
         // injection cannot zero its own novelty by contaminating the
         // baseline first. The exclusion span is the buffer actually
-        // retained after this close's trim (0 for tumbling — the buffer is
-        // about to clear): future windows only ever span a subset of that
+        // retained after this close's trim (0 for tumbling — the buffer
+        // just cleared): future windows only ever span a subset of that
         // buffer plus strides not yet closed, and the retained total —
         // unlike the nominal `window − slide` — already accounts for
         // statement-multiplicity overshoot at the trim boundary. Exclusion
         // walks stride *query* counts (flush closes variable-size strides;
         // a stride straddling the boundary is excluded whole).
-        let overlap_span = if self.is_sliding() { self.buffer_total } else { 0 };
-        self.last_overlap_span = overlap_span;
+        self.last_overlap_span = self.buffer_total;
         self.baseline = Arc::new(rotate_baseline(
             &mut self.baseline_logs,
             stride_log,
             window_queries,
-            overlap_span,
+            self.last_overlap_span,
             self.config.baseline_windows,
         ));
 
-        // Advance the window (sliding keeps the overlap it just trimmed).
-        if !self.is_sliding() {
-            for (sql, _, _) in std::mem::take(&mut self.buffer) {
-                self.cache_release(&sql);
-            }
-            self.buffer_total = 0;
-        }
-        self.since_close = 0;
-
-        let index = self.windows_closed;
         self.windows_closed += 1;
         Ok(WindowSummary {
             index,
@@ -1126,6 +1084,7 @@ impl StreamSummarizer {
 mod tests {
     use super::*;
     use logr_cluster::vfs::default_vfs;
+    use proptest::prelude::*;
 
     fn messaging(i: u64) -> String {
         match i % 3 {
@@ -1549,6 +1508,30 @@ mod tests {
     }
 
     #[test]
+    fn sliding_repeats_parse_count_is_pinned() {
+        // Golden count, computed at the commit before the reference-
+        // counted cache became a stamped one: 11 texts recur at uneven
+        // gaps with multiplicities 1–3 under window 12 / slide 4, so
+        // texts leave the window and come back (re-parse), repeat inside
+        // it (hit) and straddle closes (hit across the overlap). The
+        // parse counter is instrumentation, but a moved count means the
+        // cache's lifetime rule moved.
+        let mut s = StreamSummarizer::new(StreamConfig {
+            window: 12,
+            slide: Some(4),
+            ..StreamConfig::default()
+        });
+        let mut closes = 0;
+        for i in 0..80u64 {
+            let text = format!("SELECT c{} FROM t WHERE a = ?", (i * 7 + i / 5) % 11);
+            if s.try_ingest(&Record::new(text).times(1 + i % 3)).unwrap().is_some() {
+                closes += 1;
+            }
+        }
+        assert_eq!((closes, s.statements_parsed()), (25, 33));
+    }
+
+    #[test]
     fn cached_featurization_matches_log_ingest() {
         // The cache path must produce the exact window log LogIngest
         // builds (same codebook interning order, entries, counts) —
@@ -1815,24 +1798,84 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The open window has one owner per fact: over random scripts —
+        /// count/time × tumbling/sliding, multiplicities up to past a
+        /// whole window — every exported cursor keeps `pending` the
+        /// buffer's tail, `buffer_total` is the buffer's sum, and the
+        /// history holds everything offered up to the last close,
+        /// including a statement a huge arrival expired before it was
+        /// absorbed.
+        #[test]
+        fn open_window_state_agrees_with_itself_over_random_scripts(
+            timed in any::<bool>(),
+            sliding in any::<bool>(),
+            script in prop::collection::vec((0u64..6, 0u64..5, 0u64..45), 1..70),
+        ) {
+            let mut s = StreamSummarizer::new(StreamConfig {
+                window: 10,
+                slide: sliding.then_some(4),
+                time: timed
+                    .then_some(TimeWindows { window_ms: 100, slide_ms: sliding.then_some(40) }),
+                k: 2,
+                ..StreamConfig::default()
+            });
+            let (mut offered, mut now) = (0u64, 0u64);
+            for (id, weight, gap) in script {
+                let count = if weight == 4 { 15 } else { 1 + weight };
+                now += gap;
+                let text = format!("SELECT c{id} FROM t WHERE a = ?");
+                let closed = s.try_ingest(&Record::new(text).times(count).at(now)).unwrap();
+                if closed.is_some() {
+                    let delta = s.take_close_delta().expect("a close records its delta");
+                    prop_assert_eq!(delta.cursor.validate(), Ok(()));
+                    // A time close fires before the arrival joins the
+                    // next window; a count close includes it.
+                    let absorbed = if timed { offered } else { offered + count };
+                    prop_assert_eq!(s.history().total_queries(), absorbed);
+                }
+                offered += count;
+                let cursor = s.export_state().cursor;
+                prop_assert_eq!(cursor.validate(), Ok(()));
+                prop_assert_eq!(
+                    s.buffer_total,
+                    cursor.buffer.iter().map(|(_, count, _)| count).sum::<u64>()
+                );
+                if sliding {
+                    // The unabsorbed tail is exactly what arrived since
+                    // the last close.
+                    prop_assert_eq!(
+                        cursor.pending.iter().map(|(_, count)| count).sum::<u64>(),
+                        cursor.since_close
+                    );
+                }
+            }
+            s.try_flush().unwrap();
+            prop_assert_eq!(s.history().total_queries(), offered);
+            prop_assert_eq!(s.export_state().cursor.validate(), Ok(()));
+        }
+    }
+
     #[test]
     fn store_failure_wedges_the_summarizer() {
         // A close that dies against the spill store must leave the
         // summarizer refusing (typed error) rather than serving summaries
         // whose history log and shard store disagree.
-        let store = logr_cluster::testutil::TempStore::new("stream-wedge");
+        use logr_cluster::vfs::{FaultFs, OpKind};
+        let fs = Arc::new(FaultFs::new());
         let mut s =
             StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
-        s.spill_to_with(default_vfs(), store.path(), 0).unwrap();
+        s.spill_to_with(fs.clone(), "/stream-wedge", 0).unwrap();
         for i in 0..10 {
             s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert!(s.spilled_shards() > 0);
-        // Vaporize the store: the next close's cross block cannot reload
-        // history.
-        for entry in std::fs::read_dir(store.path()).unwrap() {
-            std::fs::remove_file(entry.unwrap().path()).unwrap();
-        }
+        // Appends never read the store, so the only way a close can die
+        // against it is the eviction after the append: fail every shard
+        // write from here on.
+        fs.inject(OpKind::Write, "shard-", std::io::ErrorKind::PermissionDenied, usize::MAX);
         let mut failed = None;
         for i in 0..10 {
             match s.try_ingest_record(&banking(i)) {
@@ -1843,7 +1886,7 @@ mod tests {
                 }
             }
         }
-        let err = failed.expect("a close against the gutted store must fail");
+        let err = failed.expect("a close that cannot evict must fail");
         assert!(matches!(err, SpillError::Io(_)), "{err}");
         // Wedged: every later entry point refuses with a typed error.
         assert!(matches!(s.try_ingest_record("SELECT a FROM t"), Err(SpillError::Corrupt(_))));

@@ -212,24 +212,18 @@ pub fn regularize_with_limit(
 
         for conjuncts in disjuncts {
             // Canonical ordering + dedup makes conjunct order irrelevant
-            // ("isomorphic modulo commutativity", paper §2.2).
-            let set: BTreeSet<String> = conjuncts.iter().map(Expr::to_string).collect();
-            let mut ordered: Vec<Expr> = Vec::with_capacity(set.len());
-            let mut seen = BTreeSet::new();
-            let mut sorted_conjuncts = conjuncts;
-            sorted_conjuncts.sort_by_key(|e| e.to_string());
-            for c in sorted_conjuncts {
-                let key = c.to_string();
-                if seen.insert(key) {
-                    ordered.push(c);
-                }
-            }
-            debug_assert_eq!(ordered.len(), set.len());
+            // ("isomorphic modulo commutativity", paper §2.2). Each
+            // conjunct is rendered once; the sort is stable, so of equal
+            // renderings the first survives.
+            let mut keyed: Vec<(String, Expr)> =
+                conjuncts.into_iter().map(|c| (c.to_string(), c)).collect();
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            keyed.dedup_by(|later, kept| later.0 == kept.0);
 
             branches.push(ConjunctiveQuery {
                 select: select.items.clone(),
                 tables: tables.clone(),
-                conjuncts: ordered,
+                conjuncts: keyed.into_iter().map(|(_, c)| c).collect(),
                 group_by: select.group_by.clone(),
                 order_by: stmt.order_by.clone(),
                 limit: stmt.limit.clone(),

@@ -235,12 +235,18 @@ impl EngineBuilder {
         // log tail replays its valid prefix; a log bound to a replaced
         // base is ignored — see `crate::manifest`'s delta-log docs).
         let (m, replay) = manifest::read_store_with(&*vfs, &dir)?;
-        // A checksum-valid manifest can still carry a configuration the
-        // summarizer would refuse (hand-edited store, foreign writer) —
-        // recovery must reject it as data, never reach a panic.
+        // A checksum-valid manifest can still carry a configuration or a
+        // window cursor the summarizer would refuse (hand-edited store,
+        // foreign writer) — recovery must reject it as data, never reach
+        // a panic.
         if let Err(detail) = m.config.validate() {
             return Err(Error::CorruptManifest {
                 detail: format!("stored stream configuration is invalid: {detail}"),
+            });
+        }
+        if let Err(detail) = m.state.cursor.validate() {
+            return Err(Error::CorruptManifest {
+                detail: format!("stored window cursor is invalid: {detail}"),
             });
         }
         let budget = self.resident_budget.unwrap_or(m.resident_budget);

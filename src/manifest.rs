@@ -1008,6 +1008,24 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_cursor_whose_pending_is_not_the_buffers_tail() {
+        // The decoder takes any well-formed cursor — `sample_manifest`'s
+        // pending statement is not in its buffer at all — but a
+        // summarizer keeps unabsorbed statements only as the buffer's
+        // tail, so `resume` must refuse such a checksum-valid manifest as
+        // data before anything is built from it.
+        let (fs, dir, m, _) = delta_store(0);
+        assert!(m.state.cursor.validate().is_err());
+        match crate::Engine::builder().vfs(fs).resume(&dir) {
+            Err(Error::CorruptManifest { detail }) => {
+                assert!(detail.contains("pending statements"), "{detail}")
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("an inconsistent cursor resumed"),
+        }
+    }
+
+    #[test]
     fn file_round_trip_is_atomic() {
         let store = logr_cluster::testutil::TempStore::new("manifest");
         let path = store.join(FILE_NAME);

@@ -428,8 +428,13 @@ fn swapped_in_foreign_shard_is_a_store_mismatch_or_chain_error() {
     // manifest/file cross-check refuses.
     let (store, shards) = damaged_store_fixture("engine-foreign");
     // Build a foreign-but-valid record and overwrite the last shard file.
-    let foreign =
-        spill::ShardRecord { n_features: 4, start: 0, intra: vec![], cross: vec![], bits: vec![] };
+    let foreign = spill::ShardRecord {
+        n_features: 4,
+        start: 0,
+        intra: vec![],
+        cross: vec![],
+        bits: vec![].into(),
+    };
     spill::write_file_with(&RealFs, shards.last().unwrap(), &foreign).unwrap();
     match Engine::open(store.path()).unwrap_err() {
         Error::Spill(SpillError::Corrupt(_)) | Error::StoreMismatch { .. } => {}

@@ -8,6 +8,8 @@
 //! * `ENOSPC` fails fast as the typed [`Error::StorageExhausted`];
 //! * a failed persist leaves the store openable at its previous durable
 //!   checkpoint;
+//! * a window close never reads the shard store (only the history merge
+//!   does);
 //! * [`EngineBuilder::read_only`] serves the full read surface without
 //!   taking the store lock or garbage-collecting, and every write entry
 //!   point is the typed [`Error::ReadOnly`];
@@ -75,6 +77,30 @@ fn persistent_eintr_is_bounded_not_an_infinite_loop() {
         Error::Spill(SpillError::Io(io)) => assert_eq!(io.kind(), ErrorKind::Interrupted),
         other => panic!("wrong error: {other}"),
     }
+}
+
+#[test]
+fn appends_against_a_spilled_history_read_nothing() {
+    // The cross block runs on the set's resident points, so a close never
+    // reads the store: with every shard-file read failing, seven closes
+    // over an all-but-the-tail spilled history still succeed. The one
+    // reader is the merge behind `summary()`, which then reports the
+    // fault typed and works again once reads do.
+    let dir = PathBuf::from("/vstore-no-reads");
+    let (fs, engine) = spilling_engine(&dir);
+    fs.inject(OpKind::Read, "shard-", ErrorKind::PermissionDenied, usize::MAX);
+    let closes = 7;
+    for i in 0..4 * closes as u64 {
+        engine.ingest_record(&statement(i)).expect("a close must not read the store");
+    }
+    assert_eq!(engine.windows_closed().unwrap(), closes);
+    assert_eq!(engine.spilled_shards().unwrap(), closes - 1);
+    match engine.summary() {
+        Err(Error::Spill(SpillError::Io(io))) => assert_eq!(io.kind(), ErrorKind::PermissionDenied),
+        other => panic!("the merge must hit the failing read: {other:?}"),
+    }
+    fs.clear_faults();
+    assert!(engine.summary().unwrap().is_some());
 }
 
 #[test]
