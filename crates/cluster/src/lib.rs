@@ -44,7 +44,8 @@
 //! * [`distance`] — the §6.1 distance measures on binary vectors;
 //! * [`pointset`] — the dense popcount engine and condensed matrix;
 //! * [`shard`] — appendable/sharded condensed construction for streaming
-//!   windows: per-shard triangles plus cross blocks, merged by
+//!   windows (one shard per window that brought new points): per-shard
+//!   triangles plus cross blocks, merged by
 //!   [`ShardedPointSet::try_condensed`] into a matrix bit-identical to
 //!   the monolithic build (window-close cost ∝ window, not history), with
 //!   an optional out-of-core store ([`SpillConfig`]) whose budget bounds

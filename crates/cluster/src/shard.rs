@@ -4,9 +4,10 @@
 //! The monolithic [`PointSet::distances`](crate::PointSet::distances) build
 //! recomputes every pair each time a dataset grows, which makes windowed
 //! ingestion quadratic in the whole history. [`ShardedPointSet`] fixes the
-//! cost model: points arrive in **shards** (one per streaming window, or one
-//! per dataset), and closing a shard of `w` points against a history of `h`
-//! only computes
+//! cost model: points arrive in **shards** (one per streaming window that
+//! found new points, or one per dataset — a push of zero points leaves no
+//! shard), and closing a shard of `w` points against a history of `h` only
+//! computes
 //!
 //! * the shard's own condensed triangle — `w·(w−1)/2` pairs — and
 //! * the `h × w` cross block against the existing points,
@@ -25,9 +26,9 @@
 //! every append the set evicts closed shards oldest-first — the hot tail
 //! (the newest shard) is pinned — until the resident distances fit the
 //! budget. The **points** are linear in the history (`8·⌈features/64⌉ +
-//! 24` bytes each) and stay resident at set level, outside the budget:
-//! they are all an append needs of the history, so **appends never read
-//! the store**. The one reader is the bulk merge
+//! 24` bytes each) and stay resident in their shard's slot, outside the
+//! budget: they are all an append needs of the history, so **appends never
+//! read the store**. The one reader is the bulk merge
 //! ([`ShardedPointSet::try_condensed`]; compaction runs the same walk),
 //! which streams one spilled shard at a time and drops it again, so peak
 //! memory is the budget plus one shard. Files are written once (shards
@@ -88,9 +89,13 @@ pub struct SpillConfig {
     pub resident_budget: usize,
 }
 
-/// One shard and where its payload currently lives.
+/// One shard — never empty — and where its payload currently lives.
 #[derive(Debug, Clone)]
 struct ShardSlot {
+    /// The shard's points, resident whatever the budget (they are what an
+    /// append reads of the history), sharing their allocation with the
+    /// record while that is resident.
+    bits: Arc<[BitVec]>,
     /// `Some` while resident; `None` once spilled (then `path` is `Some`).
     data: Option<Arc<ShardRecord>>,
     /// The shard's spill file, once it has ever been written.
@@ -109,15 +114,10 @@ struct ShardSlot {
 pub struct ShardedPointSet {
     /// Widest universe seen so far; reads normalize against this.
     n_features: usize,
-    /// Shard `s` spans points `shard_starts[s] .. shard_starts[s + 1]`.
-    shard_starts: Vec<usize>,
+    /// Total points across all shards.
+    len: usize,
+    /// In point order: shard `s` starts where shards `..s` end.
     shards: Vec<ShardSlot>,
-    /// Every point, resident whatever the budget: one chunk per non-empty
-    /// shard, in shard order, sharing its allocation with the shard's
-    /// record while that is resident. Kept at set level rather than per
-    /// slot because every snapshot publication clones every slot, and a
-    /// saturated stream's slots are mostly empty shards.
-    points: Vec<Arc<[BitVec]>>,
     spill: Option<SpillConfig>,
     /// Storage layer all spill reads/writes go through ([`crate::vfs`]);
     /// [`vfs::RealFs`] unless a test injected a fault filesystem.
@@ -135,11 +135,8 @@ impl ShardedPointSet {
     pub fn new() -> Self {
         ShardedPointSet {
             n_features: 0,
-            // One boundary, zero shards — `len()` reads the last entry,
-            // so this must never be empty (Default delegates here).
-            shard_starts: vec![0],
+            len: 0,
             shards: Vec::new(),
-            points: Vec::new(),
             spill: None,
             vfs: vfs::default_vfs(),
         }
@@ -159,10 +156,13 @@ impl ShardedPointSet {
     /// files skip the checksum pass ([`spill::decode_trusted`]) — and the
     /// chain is validated — each record's `start` must equal the points
     /// before it and the feature universe may only grow. The decoded
-    /// points are kept (they are the set-level state appends run on); the
-    /// distances are dropped again, so the rebuilt set starts with **zero
-    /// resident bytes** regardless of the budget and every read reloads
-    /// transparently, exactly as after a long-running eviction.
+    /// points are kept (they are what appends run on); the distances are
+    /// dropped again, so the rebuilt set starts with **zero resident
+    /// bytes** regardless of the budget and every read reloads
+    /// transparently, exactly as after a long-running eviction. A
+    /// zero-point record — format-valid, and what older stores hold for
+    /// every close that found nothing new — is validated like any other
+    /// link of the chain and then gets no shard.
     ///
     /// Any invalid file surfaces as the [`SpillError`] the decoder
     /// reports (missing → `Io`, cut short → `Truncated`, rotted →
@@ -176,9 +176,7 @@ impl ShardedPointSet {
         files: &[PathBuf],
     ) -> Result<ShardedPointSet, SpillError> {
         vfs.create_dir_all(&config.dir)?;
-        let mut shard_starts = vec![0usize];
         let mut shards = Vec::with_capacity(files.len());
-        let mut points = Vec::new();
         let mut n_features = 0usize;
         let mut len = 0usize;
         for path in files {
@@ -194,24 +192,23 @@ impl ShardedPointSet {
                 });
             }
             n_features = record.n_features;
+            if record.is_empty() {
+                continue;
+            }
             len += record.len();
-            shard_starts.push(len);
             shards.push(ShardSlot {
+                bytes: record.payload_bytes(),
+                bits: record.bits,
                 data: None,
                 path: Some(path.clone()),
-                bytes: record.payload_bytes(),
             });
-            if !record.is_empty() {
-                points.push(record.bits);
-            }
         }
-        Ok(ShardedPointSet { n_features, shard_starts, shards, points, spill: Some(config), vfs })
+        Ok(ShardedPointSet { n_features, len, shards, spill: Some(config), vfs })
     }
 
     /// Total number of points across all shards.
     pub fn len(&self) -> usize {
-        // lint:allow(no-panic-paths): shard_starts is initialized to [0] and only ever appended to; an empty vec is unreachable by construction
-        *self.shard_starts.last().expect("shard_starts is never empty")
+        self.len
     }
 
     /// True when no points have been pushed.
@@ -219,7 +216,7 @@ impl ShardedPointSet {
         self.len() == 0
     }
 
-    /// Number of shards pushed (empty shards count).
+    /// Number of shards: one per push that brought points.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
@@ -374,7 +371,10 @@ impl ShardedPointSet {
     /// shard equally, so there is no finer per-shard recency to act on).
     /// The newest shard is pinned — the streaming close path reads it
     /// immediately — so the budget is honored whenever it covers at least
-    /// that one shard.
+    /// that one shard. Pushes without points leave no shard, so the pin
+    /// always sits on a real one: a stream that stopped finding new points
+    /// keeps its last shard resident under a smaller budget, however long
+    /// ago that shard closed.
     fn enforce_budget(&mut self) -> Result<(), SpillError> {
         let Some(budget) = self.spill.as_ref().map(|c| c.resident_budget) else {
             return Ok(());
@@ -424,7 +424,9 @@ impl ShardedPointSet {
     /// Append one shard of points over a universe of `n_features`,
     /// computing its internal triangle and its cross block against all
     /// earlier points. Cost: `O(w² + h·w)` popcounts for a shard of `w`
-    /// points over a history of `h` — never `O((h + w)²)`.
+    /// points over a history of `h` — never `O((h + w)²)`. A push of zero
+    /// points widens the universe and leaves no shard (no slot, no store
+    /// file, no eviction pass).
     ///
     /// The cross block runs on the resident points, so an append never
     /// reads the store; it may evict afterwards, and that is the only
@@ -459,6 +461,10 @@ impl ShardedPointSet {
             n_features,
             self.n_features
         );
+        self.n_features = n_features;
+        if vectors.is_empty() {
+            return Ok(());
+        }
         let start = self.len();
         let w = vectors.len();
         let new_bits: Arc<[BitVec]> =
@@ -466,7 +472,7 @@ impl ShardedPointSet {
 
         // Intra-shard strict upper triangle: rows (i, i+1..w) partition the
         // condensed buffer, so they fill lock-free.
-        let mut intra = vec![0u32; w * w.saturating_sub(1) / 2];
+        let mut intra = vec![0u32; w * (w - 1) / 2];
         if w >= 2 {
             let cells = intra.len();
             let rows = par::triangle_rows(&mut intra, w);
@@ -485,9 +491,9 @@ impl ShardedPointSet {
         // narrower (the universe grew); the padded xor zero-extends them,
         // which preserves mismatch counts exactly.
         let mut cross = vec![0u32; start * w];
-        if start > 0 && w > 0 {
+        if start > 0 {
             let nt = if cross.len() < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            let history = self.points.iter().flat_map(|chunk| chunk.iter());
+            let history = self.shards.iter().flat_map(|slot| slot.bits.iter());
             let rows: Vec<(&BitVec, &mut [u32])> = history.zip(cross.chunks_mut(w)).collect();
             par::run_tasks(rows, nt, |(a, row)| {
                 for (cell, b) in row.iter_mut().zip(new_bits.iter()) {
@@ -496,14 +502,11 @@ impl ShardedPointSet {
             });
         }
 
-        self.n_features = n_features;
-        if w > 0 {
-            self.points.push(new_bits.clone());
-        }
-        let record = ShardRecord { n_features, start, intra, cross, bits: new_bits };
+        let record = ShardRecord { n_features, start, intra, cross, bits: new_bits.clone() };
         let bytes = record.payload_bytes();
-        self.shards.push(ShardSlot { data: Some(Arc::new(record)), path: None, bytes });
-        self.shard_starts.push(start + w);
+        let data = Some(Arc::new(record));
+        self.shards.push(ShardSlot { bits: new_bits, data, path: None, bytes });
+        self.len += w;
         self.enforce_budget()
     }
 
@@ -514,8 +517,8 @@ impl ShardedPointSet {
     /// `w_t`-wide run in each earlier point's row (its cross block) — and
     /// merged rows are consumed left to right as `t` ascends, so each
     /// segment is split off exactly once with no per-cell shard lookup.
-    /// `fill` gets each non-empty shard's `(stored run, merged segment)`
-    /// pairs, equal in length pair by pair. Spilled shards are loaded for
+    /// `fill` gets each shard's `(stored run, merged segment)` pairs,
+    /// equal in length pair by pair. Spilled shards are loaded for
     /// their turn and dropped again, so a walk over a spilled history
     /// holds at most one shard's payload beyond what is resident.
     fn merge_into<T>(
@@ -527,13 +530,10 @@ impl ShardedPointSet {
         // yet-filled tail of row i.
         let mut rest: Vec<&mut [T]> =
             par::triangle_rows(merged, self.len()).into_iter().map(|(_, row)| row).collect();
+        let mut ts = 0;
         for t in 0..self.shards.len() {
-            let ts = self.shard_starts[t];
-            let te = self.shard_starts[t + 1];
-            let wt = te - ts;
-            if wt == 0 {
-                continue;
-            }
+            let wt = self.shards[t].bits.len();
+            let te = ts + wt;
             let data = self.load_shard(t)?;
             let mut segments: Vec<(&[u32], &mut [T])> = Vec::with_capacity(te);
             for (i, slot) in rest.iter_mut().enumerate().take(te) {
@@ -553,6 +553,7 @@ impl ShardedPointSet {
                 segments.push((run, seg));
             }
             fill(segments);
+            ts = te;
         }
         debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
         Ok(())
@@ -587,14 +588,15 @@ impl ShardedPointSet {
 
     /// Merge every shard into **one** — same points, same integer
     /// mismatch counts, one slot — and return what was replaced. A long
-    /// stream accretes one shard (and one store file) per window, and
-    /// every bulk read then pays per-shard segment bookkeeping plus, when
-    /// spilled, one file reload each; compaction collapses that to a
-    /// single record whose merged triangle is assembled by **copying**
-    /// the existing intra/cross integers (never recomputing a distance),
-    /// so the compacted set serves bit-identical reads. Bitsets recorded
-    /// at an older, narrower universe are zero-widened to the current
-    /// one, which preserves every mismatch count.
+    /// stream accretes one shard (and one store file) per window that
+    /// found new points, and every bulk read then pays per-shard segment
+    /// bookkeeping plus, when spilled, one file reload each; compaction
+    /// collapses that to a single record whose merged triangle is
+    /// assembled by **copying** the existing intra/cross integers (never
+    /// recomputing a distance), so the compacted set serves bit-identical
+    /// reads. Bitsets recorded at an older, narrower universe are
+    /// zero-widened to the current one, which preserves every mismatch
+    /// count.
     ///
     /// With a store attached the merged shard is written immediately
     /// (write-once files: the constituent files are obsolete but never
@@ -615,18 +617,18 @@ impl ShardedPointSet {
         }
         let n = self.len();
         let nf = self.n_features;
-        let mut intra = vec![0u32; n * n.saturating_sub(1) / 2];
+        let mut intra = vec![0u32; n * (n - 1) / 2];
         // The metric merge's walk, copying raw u32 mismatch counts.
         self.merge_into(&mut intra, |segments| {
             for (run, seg) in segments {
                 seg.copy_from_slice(run);
             }
         })?;
-        let history = self.points.iter().flat_map(|chunk| chunk.iter());
+        let history = self.shards.iter().flat_map(|slot| slot.bits.iter());
         let bits: Arc<[BitVec]> =
             history.map(|b| if b.len() == nf { b.clone() } else { b.widened(nf) }).collect();
-        let points = if n > 0 { vec![bits.clone()] } else { Vec::new() };
-        let record = ShardRecord { n_features: nf, start: 0, intra, cross: Vec::new(), bits };
+        let record =
+            ShardRecord { n_features: nf, start: 0, intra, cross: Vec::new(), bits: bits.clone() };
         let bytes = record.payload_bytes();
         // Write the merged file *before* touching any set state, so an
         // `Err` anywhere in compaction leaves the set exactly as it was.
@@ -642,9 +644,7 @@ impl ShardedPointSet {
         let stale_files: Vec<PathBuf> =
             self.shards.iter().filter_map(|slot| slot.path.clone()).collect();
         let data = keep_resident.then(|| Arc::new(record));
-        self.shards = vec![ShardSlot { data, path, bytes }];
-        self.points = points;
-        self.shard_starts = vec![0, n];
+        self.shards = vec![ShardSlot { bits, data, path, bytes }];
         Ok(CompactionStats { shards_merged: n_shards_before, stale_files })
     }
 }
@@ -762,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_shards_are_transparent() {
+    fn empty_pushes_leave_no_shard() {
         let vs = sample();
         let refs: Vec<&QueryVector> = vs.iter().collect();
         let mut sharded = ShardedPointSet::new();
@@ -770,12 +770,21 @@ mod tests {
         sharded.try_push_shard(&refs[..4], 80).unwrap();
         sharded.try_push_shard(&[], 80).unwrap();
         sharded.try_push_shard(&refs[4..], 80).unwrap();
-        assert_eq!(sharded.n_shards(), 4);
-        assert_eq!(sharded.shard_starts, [0, 0, 4, 4, 7]);
+        assert_eq!(sharded.n_shards(), 2);
+        assert_eq!(sharded.len(), 7);
         let monolithic = PointSet::from_vectors(&refs, 80);
         assert_eq!(
             sharded.try_condensed(Distance::Manhattan).unwrap().as_slice(),
             monolithic.distances(Distance::Manhattan).as_slice()
+        );
+        // The universe an empty push reports is kept: the next read
+        // normalizes against it.
+        sharded.try_push_shard(&[], 96).unwrap();
+        assert_eq!((sharded.n_shards(), sharded.n_features()), (2, 96));
+        let wider = PointSet::from_vectors(&refs, 96);
+        assert_eq!(
+            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
+            wider.distances(Distance::Hamming).as_slice()
         );
     }
 
@@ -799,9 +808,7 @@ mod tests {
 
     #[test]
     fn degenerate_sizes() {
-        // Regression: `default()` must be the same valid empty set as
-        // `new()` (an earlier cut derived Default with an empty
-        // `shard_starts`, which panicked on first use).
+        // `default()` must be the same valid empty set as `new()`.
         let defaulted = ShardedPointSet::default();
         assert!(defaulted.is_empty());
         assert_eq!(defaulted.try_condensed(Distance::Hamming).unwrap().n(), 0);
@@ -1072,6 +1079,47 @@ mod tests {
                 original.try_condensed(metric).unwrap().as_slice(),
                 "{metric:?}"
             );
+        }
+
+        // A store written before empty pushes stopped leaving shards holds
+        // a zero-point record per close that found nothing. They are
+        // links of the chain like any other, and then get no shard: the
+        // set equals the one rebuilt without them.
+        let config = SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 };
+        let empty = |name: &str, start: usize, n_features: usize| {
+            let bits: Arc<[BitVec]> = Arc::new([]);
+            let record = ShardRecord { n_features, start, intra: vec![], cross: vec![], bits };
+            let path = store.join(name);
+            spill::write_file_with(&*vfs::default_vfs(), &path, &record).unwrap();
+            path
+        };
+        let mut padded = files.clone();
+        padded.insert(2, empty("empty-mid.bin", 20, 48));
+        padded.insert(0, empty("empty-head.bin", 0, 40));
+        padded.push(empty("empty-tail.bin", 50, 48));
+        let with_empties =
+            ShardedPointSet::from_spilled_files_with(vfs::default_vfs(), config.clone(), &padded)
+                .unwrap();
+        assert_eq!(with_empties.len(), reopened.len());
+        assert_eq!(with_empties.n_shards(), reopened.n_shards());
+        assert_eq!(with_empties.n_features(), reopened.n_features());
+        for metric in all_metrics() {
+            assert_eq!(
+                with_empties.try_condensed(metric).unwrap().as_slice(),
+                reopened.try_condensed(metric).unwrap().as_slice(),
+                "{metric:?}"
+            );
+        }
+        for misplaced in [empty("empty-start.bin", 49, 48), empty("empty-narrow.bin", 50, 40)] {
+            let mut chain = files.clone();
+            chain.push(misplaced);
+            let err = ShardedPointSet::from_spilled_files_with(
+                vfs::default_vfs(),
+                config.clone(),
+                &chain,
+            )
+            .unwrap_err();
+            assert!(matches!(err, SpillError::ChainMismatch { .. }), "{err}");
         }
 
         // A reordered chain is a typed error, not a wrong answer.

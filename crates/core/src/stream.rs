@@ -11,9 +11,10 @@
 //! * a **drift report** ([`feature_drift`]) and per-query **novelty
 //!   scores** ([`novelty_scores`]) against a rolling baseline;
 //! * an appendable **history**: each window's new distinct queries become
-//!   one shard of a [`ShardedPointSet`], so a summary of *everything seen
-//!   so far* ([`StreamSummarizer::try_history_summary`]) clusters over the
-//!   merged condensed matrix without recomputing any pairwise distance.
+//!   one shard of a [`ShardedPointSet`] — a window that finds none appends
+//!   nothing — so a summary of *everything seen so far*
+//!   ([`StreamSummarizer::try_history_summary`]) clusters over the merged
+//!   condensed matrix without recomputing any pairwise distance.
 //!
 //! # Window semantics
 //!
@@ -73,12 +74,13 @@
 //! distinct-query count, so an unbounded run eventually cannot keep them
 //! all resident. [`StreamSummarizer::spill_to_with`] attaches the persistent
 //! shard store (`logr-cluster::spill`) with a resident-byte budget:
-//! after every window close, the oldest closed shards are evicted to disk
-//! and reload transparently when [`StreamSummarizer::try_history_summary`]
-//! needs them (a close never reads the store: the points, linear in the
-//! history, stay resident). Window summaries, drift reports, and history
-//! summaries are **bit-identical** to an unbounded run — the store holds
-//! integer mismatch counts and bit-packed points, never floats — and
+//! after every close that appended a shard, the oldest closed shards are
+//! evicted to disk and reload transparently when
+//! [`StreamSummarizer::try_history_summary`] needs them (a close never
+//! reads the store: the points, linear in the history, stay resident).
+//! Window summaries, drift reports, and history summaries are
+//! **bit-identical** to an unbounded run — the store holds integer
+//! mismatch counts and bit-packed points, never floats — and
 //! [`StreamSummarizer::resident_shard_bytes`] stays within the budget
 //! between closes (bulk merges transiently add at most one shard).
 //!
@@ -244,7 +246,7 @@ pub struct WindowSummary {
     /// Distinct feature vectors in the window.
     pub distinct: usize,
     /// Distinct queries never seen in any earlier window — the size of the
-    /// shard this window appended to the history.
+    /// shard this window appended to the history (0: it appended none).
     pub new_distinct: usize,
     /// The boundary timestamp that closed a time-based window
     /// (milliseconds; the window spans `[closed_at_ms − window_ms,
@@ -500,7 +502,8 @@ pub struct StreamSummarizer {
     /// Record → feature-branch mapping (SQL pipeline or template miner);
     /// stateful miners journal through it for bit-identical recovery.
     featurizer: Box<dyn Featurizer>,
-    /// One shard per closed window: its never-seen-before distinct queries.
+    /// One shard per closed window that found new distinct queries: those
+    /// queries, never seen before it.
     shards: ShardedPointSet,
     /// Set when a window close failed against the spill store: the
     /// history log and the shard store may disagree, so every later
@@ -889,7 +892,7 @@ impl StreamSummarizer {
 
     /// Merge the history's many per-window shards into one (see
     /// [`ShardedPointSet::compact`]): bit-identical reads, one store file
-    /// instead of one per window.
+    /// instead of one per window that found something new.
     pub fn compact_shards(&mut self) -> Result<CompactionStats, SpillError> {
         self.check_wedged()?;
         self.shards.compact()
@@ -1099,6 +1102,12 @@ mod tests {
             0 => "SELECT balance FROM accounts WHERE owner = ?".into(),
             _ => "SELECT balance, branch FROM accounts WHERE owner = ? AND open = ?".into(),
         }
+    }
+
+    /// 273 distinct shapes before the first repeat: a stream of these
+    /// appends a history shard at every close.
+    fn novel(i: u64) -> String {
+        format!("SELECT c{} FROM t{} WHERE a{} = ?", i % 13, i % 3, i % 7)
     }
 
     #[test]
@@ -1868,17 +1877,18 @@ mod tests {
         let mut s =
             StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
         s.spill_to_with(fs.clone(), "/stream-wedge", 0).unwrap();
-        for i in 0..10 {
-            s.try_ingest_record(&messaging(i)).unwrap();
+        for i in 0..15 {
+            s.try_ingest_record(&novel(i)).unwrap();
         }
         assert!(s.spilled_shards() > 0);
         // Appends never read the store, so the only way a close can die
-        // against it is the eviction after the append: fail every shard
-        // write from here on.
+        // against it is the eviction after the append (which only a close
+        // that found new shapes performs): fail every shard write from
+        // here on.
         fs.inject(OpKind::Write, "shard-", std::io::ErrorKind::PermissionDenied, usize::MAX);
         let mut failed = None;
-        for i in 0..10 {
-            match s.try_ingest_record(&banking(i)) {
+        for i in 15..25 {
+            match s.try_ingest_record(&novel(i)) {
                 Ok(_) => {}
                 Err(e) => {
                     failed = Some(e);
@@ -1907,8 +1917,10 @@ mod tests {
         spilled.spill_to_with(default_vfs(), store.path(), 0).unwrap();
         let mut resident =
             StreamSummarizer::new(StreamConfig { window: 10, k: 2, ..StreamConfig::default() });
+        // Half repeats, half new shapes: every close appends a shard, so
+        // budget 0 evicts all but the newest.
         for i in 0..40 {
-            let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
+            let sql = if i % 2 == 0 { novel(i) } else { banking(i) };
             let (a, b) = (
                 spilled.try_ingest_record(&sql).unwrap(),
                 resident.try_ingest_record(&sql).unwrap(),

@@ -131,14 +131,14 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         }
     }
     assert_eq!(closes, 40, "800 statements / window 20");
-    // The first cycle's 20 windows each append a real shard; the second
-    // cycle's shards are empty (no never-seen queries) and cost nothing,
-    // so the budget must have forced out nearly all of the 20 real ones.
+    // The first cycle's 20 windows each append a shard; the second cycle
+    // finds no never-seen query and appends none, so the budget must
+    // have forced out nearly all of the 20.
     assert!(
         bounded.spilled_shards() >= 15,
-        "budget {BUDGET} must force most real shards out (only {} of {} spilled)",
+        "budget {BUDGET} must force most shards out (only {} of {} spilled)",
         bounded.spilled_shards(),
-        closes
+        bounded.shard_store().n_shards()
     );
     // The unbounded run really is unbounded — and much bigger than the
     // budget, so the comparison is meaningful.

@@ -704,11 +704,11 @@ struct WriterState {
     /// closes.
     last_window: Option<Arc<WindowSummary>>,
     /// The live delta-log session: the append log bound to the current
-    /// base manifest, plus the shard-file names the base and its records
-    /// have acknowledged so far. `None` until a full persist establishes
-    /// a base (and again after any append failure — the next persist
-    /// then rewrites the base instead of extending a log whose tail may
-    /// be torn).
+    /// base manifest, plus how many shards the base and its records have
+    /// acknowledged so far. `None` until a full persist establishes a
+    /// base, and again after any failed persist — the next one then
+    /// rewrites the base from live state instead of extending a log that
+    /// missed a close or whose tail may be torn.
     delta: Option<DeltaSession>,
 }
 
@@ -716,10 +716,11 @@ struct WriterState {
 #[derive(Debug)]
 struct DeltaSession {
     log: DeltaLog,
-    /// Shard-file names acknowledged by the base plus every appended
-    /// record, in manifest order — the prefix the next record's file
-    /// list must extend.
-    shard_files: Vec<String>,
+    /// Shards whose files the base plus every appended record name: the
+    /// next record names the files of shards `acked_shards..`. A count is
+    /// enough because shards are append-only while a session lives —
+    /// only compaction rewrites the chain, and it ends the session.
+    acked_shards: usize,
 }
 
 /// Delta records accumulate until the log outgrows
@@ -882,12 +883,11 @@ impl Engine {
         Ok(Some(w))
     }
 
-    /// Every shard's store-file name, in shard order — the manifest's
-    /// `shard_files` list (and the prefix a delta record extends).
-    fn shard_file_names(summarizer: &StreamSummarizer) -> Result<Vec<String>, Error> {
-        let shards = summarizer.shard_store();
-        let mut shard_files = Vec::with_capacity(shards.n_shards());
-        for s in 0..shards.n_shards() {
+    /// The store-file names of shards `from..`, in shard order: the
+    /// manifest's `shard_files` list from 0, a delta record's
+    /// `new_shard_files` from the session's acknowledged count.
+    fn shard_file_names(shards: &ShardedPointSet, from: usize) -> Result<Vec<String>, Error> {
+        let name = |s: usize| {
             let path = shards.shard_file(s).ok_or_else(|| Error::StoreMismatch {
                 detail: format!("persist_shards left shard {s} without a store file"),
             })?;
@@ -895,9 +895,9 @@ impl Engine {
                 path.file_name().and_then(|n| n.to_str()).ok_or_else(|| Error::StoreMismatch {
                     detail: format!("spill file for shard {s} has a non-UTF-8 name: {path:?}"),
                 })?;
-            shard_files.push(name.to_string());
-        }
-        Ok(shard_files)
+            Ok(name.to_string())
+        };
+        (from..shards.n_shards()).map(name).collect()
     }
 
     /// Persist the **full** state (durable engines; no-op in memory):
@@ -915,7 +915,6 @@ impl Engine {
         // below must leave the next persist rewriting the base again.
         st.delta = None;
         st.summarizer.persist_shards()?;
-        let shard_files = Self::shard_file_names(&st.summarizer)?;
         let shards = st.summarizer.shard_store();
         let budget = shards.spill_config().map(|c| c.resident_budget).unwrap_or(usize::MAX);
         let m = Manifest {
@@ -924,72 +923,56 @@ impl Engine {
             state: st.summarizer.export_state(),
             n_features: shards.n_features(),
             total_points: shards.len(),
-            shard_files: shard_files.clone(),
+            shard_files: Self::shard_file_names(shards, 0)?,
         };
         let log = manifest::write_base_with(&*self.vfs, &dir.join(manifest::FILE_NAME), &m)?;
-        st.delta = Some(DeltaSession { log, shard_files });
+        st.delta = Some(DeltaSession { log, acked_shards: m.shard_files.len() });
         Ok(())
     }
 
     /// Persist one window close (durable engines; no-op in memory): the
-    /// `O(window)` path. When a delta-log session is live and the close
-    /// recorded its [`logr_core::CloseDelta`], one checksummed record is
-    /// appended and fsynced — the base manifest is untouched. Falls back
-    /// to [`Engine::persist_full`] when there is no session (first
-    /// persist, or a previous failure), no recorded close (forced
-    /// checkpoints take this route too), the log has outgrown its fold
-    /// threshold, or the shard-file list no longer extends the
-    /// acknowledged prefix (compaction renames the whole set).
+    /// `O(window)` path. When a delta-log session is live, below its fold
+    /// threshold, and the close recorded its [`logr_core::CloseDelta`],
+    /// the shards the close appended — none, when it found no new
+    /// distinct query — get their store files and one checksummed record
+    /// naming them is appended and fsynced; the base manifest is
+    /// untouched. Anything else (first persist, a previous failure, a
+    /// forced checkpoint's missing close, a log due for folding) is
+    /// [`Engine::persist_full`].
+    ///
+    /// The session is taken before the first fallible step and put back
+    /// only after a successful append, so a close whose shard write or
+    /// append failed is never skipped over: the next persist finds no
+    /// session and rewrites the base from live state, that close
+    /// included. (After a failed append the log's tail may also be torn
+    /// mid-frame; replay tolerates that, but a second append would land
+    /// misaligned bytes after it.)
     fn persist_close(&self, st: &mut WriterState) -> Result<(), Error> {
-        let Some(dir) = self.dir.clone() else { return Ok(()) };
-        let close = st.summarizer.take_close_delta();
-        let fold_due = match (&st.delta, &close) {
-            (Some(session), Some(_)) => {
-                session.log.appended_bytes() >= DELTA_FOLD_MIN_BYTES.max(session.log.base_len())
+        let Some(dir) = &self.dir else { return Ok(()) };
+        let (mut session, close) = match (st.delta.take(), st.summarizer.take_close_delta()) {
+            (Some(session), Some(close))
+                if session.log.appended_bytes()
+                    < DELTA_FOLD_MIN_BYTES.max(session.log.base_len()) =>
+            {
+                (session, close)
             }
-            _ => true,
+            // persist_full re-exports the whole state, so a taken close
+            // is folded into the fresh base.
+            _ => return self.persist_full(st),
         };
-        if fold_due {
-            // The taken close (if any) is folded into the fresh base —
-            // persist_full re-exports the whole state, close included.
-            return self.persist_full(st);
-        }
         st.summarizer.persist_shards()?;
-        let shard_files = Self::shard_file_names(&st.summarizer)?;
-        // `fold_due` covered both `None`s; these fallbacks exist so the
-        // write path can never panic.
-        let (Some(mut session), Some(close)) = (st.delta.take(), close) else {
-            return self.persist_full(st);
-        };
-        if shard_files.len() < session.shard_files.len()
-            || shard_files[..session.shard_files.len()] != session.shard_files[..]
-        {
-            // The store's file set was rewritten under the session
-            // (compaction without a close, store surgery): a record can
-            // only *extend* the acknowledged list, so rewrite the base.
-            return self.persist_full(st);
-        }
         let shards = st.summarizer.shard_store();
         let record = DeltaRecord {
             seq: 0, // assigned by the log at append time
             close: *close,
-            new_shard_files: shard_files[session.shard_files.len()..].to_vec(),
+            new_shard_files: Self::shard_file_names(shards, session.acked_shards)?,
             n_features: shards.n_features(),
             total_points: shards.len(),
         };
-        match session.log.append_with(&*self.vfs, &dir, &record) {
-            Ok(()) => {
-                session.shard_files = shard_files;
-                st.delta = Some(session);
-                Ok(())
-            }
-            // The log's tail may be torn mid-frame; replay tolerates
-            // that (the acknowledged prefix survives), but a second
-            // append would land misaligned bytes after it — the session
-            // stays abandoned (taken above), so the next persist
-            // rewrites the base.
-            Err(e) => Err(e),
-        }
+        session.log.append_with(&*self.vfs, dir, &record)?;
+        session.acked_shards = shards.n_shards();
+        st.delta = Some(session);
+        Ok(())
     }
 
     /// Publish a fresh snapshot for readers.
@@ -1054,15 +1037,15 @@ impl Engine {
         self.publish(&st)
     }
 
-    /// Merge the history's many per-window shards (and store files) into
-    /// one — bit-identical reads at a fraction of the per-shard reload
-    /// and bookkeeping overhead. On durable engines the manifest is
-    /// rewritten to reference only the merged file; the replaced files
-    /// are left on disk, because snapshots handed out **before** the
-    /// compaction still read from them — [`EngineBuilder::resume`]
-    /// garbage-collects unreferenced shard files on the next open, when
-    /// no snapshot can exist. Returns how many shards were merged
-    /// (0 = nothing to do).
+    /// Merge the history's shards (and store files: one per window that
+    /// found new distinct queries) into one — bit-identical reads at a
+    /// fraction of the per-shard reload and bookkeeping overhead. On
+    /// durable engines the manifest is rewritten to reference only the
+    /// merged file; the replaced files are left on disk, because
+    /// snapshots handed out **before** the compaction still read from
+    /// them — [`EngineBuilder::resume`] garbage-collects unreferenced
+    /// shard files on the next open, when no snapshot can exist. Returns
+    /// how many shards were merged (0 = nothing to do).
     pub fn compact(&self) -> Result<usize, Error> {
         self.check_writable()?;
         let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;

@@ -7,22 +7,29 @@
 //!   [`IO_RETRY_ATTEMPTS`], never forever;
 //! * `ENOSPC` fails fast as the typed [`Error::StorageExhausted`];
 //! * a failed persist leaves the store openable at its previous durable
-//!   checkpoint;
+//!   checkpoint, and the close it carried is folded into the next
+//!   successful persist;
 //! * a window close never reads the shard store (only the history merge
 //!   does);
 //! * [`EngineBuilder::read_only`] serves the full read surface without
 //!   taking the store lock or garbage-collecting, and every write entry
 //!   point is the typed [`Error::ReadOnly`];
+//! * a store from before empty closes stopped leaving shard files — its
+//!   manifest lists zero-point records — resumes bit-identically and
+//!   sheds them: names at the first base rewrite, files at the next
+//!   writable resume;
 //! * the `O_EXCL` store lock takes over verified-stale (dead-pid) locks,
 //!   refuses live foreign owners, and survives a lost `create_exclusive`
 //!   race;
 //! * the same IO trace pins what a window close writes: a steady-state
 //!   close appends an `O(window)` delta record and never rewrites the
-//!   base manifest.
+//!   base manifest, and a close that found no new distinct query writes
+//!   nothing else.
 
+use logr::cluster::spill::{self, ShardRecord};
 use logr::cluster::vfs::{FaultFs, IoOp, OpKind, Vfs, IO_RETRY_ATTEMPTS};
 use logr::cluster::SpillError;
-use logr::{Engine, EngineBuilder, Error, Record};
+use logr::{manifest, Engine, EngineBuilder, Error, Record};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -165,6 +172,67 @@ fn failed_persist_leaves_the_store_openable_at_the_previous_checkpoint() {
     assert_eq!(recovered.total_queries().unwrap(), durable_queries);
 }
 
+/// The never-faulted, never-interrupted reference the durable engines of
+/// the recovery tests below are compared against.
+fn in_memory_twin() -> Engine {
+    Engine::builder().window(4).clusters(2).in_memory().expect("twin")
+}
+
+/// `recovered` and `live` stand at the same window boundary with the same
+/// history and the same history summary, and close the next window
+/// (statements `next..next + 4`) to the same summary.
+fn assert_continues_like(recovered: &Engine, live: &Engine, next: u64) {
+    let summary_bits = |e: &Engine| {
+        let s = e.summary().unwrap().expect("history summary");
+        (s.clustering.clone(), s.error().to_bits())
+    };
+    let (r, l) = (recovered.snapshot().unwrap(), live.snapshot().unwrap());
+    assert_eq!(r.windows_closed(), l.windows_closed());
+    assert_eq!(r.history().total_queries(), l.history().total_queries());
+    assert_eq!(r.history().distinct_count(), l.history().distinct_count());
+    assert_eq!(summary_bits(recovered), summary_bits(live));
+    let close = |e: &Engine| {
+        let w = (next..next + 4).find_map(|i| e.ingest_record(&statement(i)).unwrap());
+        let w = w.expect("four statements close a window");
+        (w.new_distinct, w.summary.clustering.clone(), w.summary.error().to_bits())
+    };
+    assert_eq!(close(recovered), close(live));
+    assert_eq!(summary_bits(recovered), summary_bits(live));
+}
+
+#[test]
+fn a_close_whose_shard_write_failed_is_folded_into_the_next_persist() {
+    // Close 1's persist dies — on its shard file, or on its delta append —
+    // and surfaces typed; close 2 succeeds. What close 2 leaves on disk
+    // must hold close 1 too: a delta record appended past the gap would
+    // make the store unopenable (shard files ahead of the history log)
+    // or, worse, openable one window short.
+    for (kind, file) in [(OpKind::Write, "shard-"), (OpKind::Append, "engine.delta")] {
+        let dir = PathBuf::from(format!("/vstore-skipped-close-{kind:?}"));
+        let fs = Arc::new(FaultFs::new());
+        let engine =
+            Engine::builder().window(4).clusters(2).vfs(fs.clone()).open(&dir).expect("open");
+        let twin = in_memory_twin();
+        for i in 0..4 {
+            engine.ingest_record(&statement(i)).expect("close 0 persists");
+        }
+        fs.inject(kind, file, ErrorKind::StorageFull, 1);
+        let err = (4..8).find_map(|i| engine.ingest_record(&statement(i)).err());
+        let err = err.unwrap_or_else(|| panic!("close 1 must hit the {kind:?} fault"));
+        assert!(matches!(err, Error::StorageExhausted { .. }), "{kind:?}: wrong error: {err}");
+        for i in 8..12 {
+            engine.ingest_record(&statement(i)).expect("close 2 persists");
+        }
+        for i in 0..12 {
+            twin.ingest_record(&statement(i)).expect("twin ingest");
+        }
+        drop(engine);
+        let recovered = EngineBuilder::new().vfs(fs.clone()).resume(&dir);
+        let recovered = recovered.unwrap_or_else(|e| panic!("{kind:?}: store must reopen: {e}"));
+        assert_continues_like(&recovered, &twin, 12);
+    }
+}
+
 #[test]
 fn read_only_engine_serves_reads_beside_a_live_writer() {
     let dir = PathBuf::from("/vstore-ro-beside");
@@ -239,6 +307,64 @@ fn read_only_open_takes_no_lock_and_garbage_collects_nothing() {
     assert!(!fs.exists(&orphan_bin), "writable resume sweeps unreferenced shards");
     assert!(!fs.exists(&orphan_tmp), "writable resume sweeps orphaned tmp files");
     drop(writer);
+}
+
+#[test]
+fn a_store_listing_zero_point_shard_files_resumes_and_sheds_them() {
+    // Until empty closes stopped leaving shards, a close that found no
+    // new distinct query still wrote a (zero-point) shard file and named
+    // it in the manifest. Build such a store: grow one, then splice a
+    // zero-point record after every shard, exactly where and as wide as
+    // that writer would have left it.
+    let dir = PathBuf::from("/vstore-legacy-empties");
+    let (fs, engine) = spilling_engine(&dir);
+    let twin = in_memory_twin();
+    for i in 0..12 {
+        engine.ingest_record(&statement(i)).expect("ingest");
+        twin.ingest_record(&statement(i)).expect("twin ingest");
+    }
+    engine.checkpoint().expect("checkpoint");
+    drop(engine);
+    let (mut m, _) = manifest::read_store_with(&*fs, &dir).expect("read the store");
+    let mut legacy = Vec::new();
+    for (i, name) in std::mem::take(&mut m.shard_files).into_iter().enumerate() {
+        let real = spill::read_file_with(&*fs, &dir.join(&name)).expect("read a shard");
+        let empty = ShardRecord {
+            n_features: real.n_features,
+            start: real.start + real.len(),
+            intra: Vec::new(),
+            cross: Vec::new(),
+            bits: Arc::new([]),
+        };
+        let legacy_name = format!("shard-9000{i}-legacy.bin");
+        legacy.push(dir.join(&legacy_name));
+        spill::write_file_with(&*fs, &legacy[i], &empty).expect("write a zero-point shard");
+        m.shard_files.extend([name, legacy_name]);
+    }
+    assert_eq!(legacy.len(), 3, "every close of this stream found new shapes");
+    manifest::write_base_with(&*fs, &dir.join(manifest::FILE_NAME), &m).expect("write the base");
+    let listed = |fs: &FaultFs| {
+        let (m, _) = manifest::read_store_with(fs, &dir).expect("read the store");
+        m.shard_files.iter().filter(|name| name.ends_with("-legacy.bin")).count()
+    };
+
+    // It resumes and continues like a stream that never stopped. The
+    // first persist after a resume rewrites the base, which names live
+    // shards only. The files stay: a live engine never deletes, and
+    // neither does a read-only open.
+    let recovered = EngineBuilder::new().vfs(fs.clone()).resume(&dir).expect("resume");
+    assert_eq!(listed(&fs), 3);
+    assert_continues_like(&recovered, &twin, 12);
+    assert_eq!(listed(&fs), 0);
+    drop(recovered);
+    let reader = EngineBuilder::new().read_only().vfs(fs.clone()).resume(&dir).expect("read-only");
+    assert_eq!(reader.windows_closed().unwrap(), twin.windows_closed().unwrap());
+    drop(reader);
+    assert!(legacy.iter().all(|path| fs.exists(path)), "nothing deleted yet");
+    // The next writable resume's GC sweeps them as unreferenced.
+    let recovered = EngineBuilder::new().vfs(fs.clone()).resume(&dir).expect("second resume");
+    assert!(!legacy.iter().any(|path| fs.exists(path)), "GC removes the zero-point files");
+    assert_continues_like(&recovered, &twin, 16);
 }
 
 #[test]
@@ -389,4 +515,45 @@ fn steady_state_close_appends_a_delta_far_smaller_than_a_base_rewrite() {
         "delta close ({close_delta} bytes) must be >=5x smaller than the full rewrite \
          ({full_base} bytes)"
     );
+}
+
+#[test]
+fn a_close_that_learns_nothing_appends_one_delta_record_and_nothing_else() {
+    // Four statements on repeat at window 4: the first close finds all
+    // four and writes the store's one shard file; every later close finds
+    // nothing new, so it leaves no shard — its whole IO footprint is one
+    // append to the delta log and that file's fsync.
+    let fs = Arc::new(FaultFs::new());
+    let dir = PathBuf::from("/vstore-saturated");
+    let engine = Engine::builder().window(4).clusters(2).vfs(fs.clone()).open(&dir).expect("open");
+    let twin = in_memory_twin();
+    let close = || {
+        let feed = |e: &Engine| (0..4).find_map(|i| e.ingest_record(&statement(i)).unwrap());
+        feed(&twin).expect("four statements close a window");
+        feed(&engine).expect("four statements close a window").new_distinct
+    };
+    assert_eq!(close(), 4);
+    let shard_state = |e: &Engine| (e.spilled_shards().unwrap(), e.resident_shard_bytes().unwrap());
+    let after_first = shard_state(&engine);
+    let delta = dir.join("engine.delta");
+    for n in 1..6 {
+        let before = fs.trace_len();
+        assert_eq!(close(), 0);
+        match &fs.trace()[before..] {
+            [IoOp::Append { path: appended, .. }, IoOp::Fsync { path: synced }] => {
+                assert_eq!((appended, synced), (&delta, &delta), "close {n}");
+            }
+            ops => panic!(
+                "close {n} must be one append + one fsync, was {:?}",
+                ops.iter().map(IoOp::kind).collect::<Vec<_>>()
+            ),
+        }
+        assert_eq!(shard_state(&engine), after_first, "close {n}");
+    }
+    let shard_files =
+        fs.files().keys().filter(|path| path.to_string_lossy().contains("shard-")).count();
+    assert_eq!(shard_files, 1, "one shard file per close that found something");
+    drop(engine);
+    let recovered = EngineBuilder::new().vfs(fs.clone()).resume(&dir).expect("resume");
+    assert_continues_like(&recovered, &twin, 4);
 }
