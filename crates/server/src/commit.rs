@@ -1,14 +1,13 @@
 //! Group commit: deferring delta-log fsyncs so one `fsync` covers many
 //! acknowledged batches.
 //!
-//! [`GroupCommitVfs`] wraps a tenant's [`Vfs`] and intercepts exactly one
-//! operation: `fsync` of the engine's **delta log** (`engine.delta`).
-//! Instead of syncing immediately it records the path as *pending*; the
-//! server's committer thread calls [`GroupCommitVfs::flush`] once per
-//! commit interval, paying a single real fsync for every delta append the
-//! interval accumulated. Connection acks are parked until the covering
-//! flush, so the client-visible durability contract is unchanged — an
-//! acked batch survives a power cut.
+//! [`GroupCommitVfs`] wraps one tenant's [`Vfs`] and intercepts exactly
+//! one operation: `fsync` of that store's **delta log** (`engine.delta`).
+//! It counts the fsync as deferred instead, and the count is the writer's
+//! **ticket**. The server's committer calls [`GroupCommitVfs::flush`] once
+//! per commit interval: one real fsync makes every ticket so far
+//! **durable**. A write whose run took a ticket is acked only once it is
+//! ([`GroupCommitVfs::wait`]), so an acked batch survives a power cut.
 //!
 //! # Why deferring *only* the delta fsync is crash-safe
 //!
@@ -22,80 +21,137 @@
 //! deferred fsync loses only *unacknowledged* batches, which is exactly
 //! the promise group commit makes.
 //!
-//! A failed flush is handled like a failed synchronous fsync one layer
-//! up: the covered acks fail with the typed error, and the server rebases
-//! the tenant (full checkpoint through the untouched synchronous path)
-//! before accepting its next batch — the classic defense against fsync
-//! result amnesia.
+//! A failed flush is **sticky**: a later fsync that succeeds proves
+//! nothing about the pages the failed one dropped (fsync result amnesia),
+//! so every ticket not yet durable fails, and so does every later flush,
+//! until the tenant's base is rewritten through the untouched synchronous
+//! path and [`GroupCommitVfs::rebased`] clears it. For the same reason
+//! flushes run one at a time.
 
 use logr::cluster::vfs::{retry_io, Vfs};
 use logr::manifest::DELTA_FILE_NAME;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-/// A [`Vfs`] wrapper that defers delta-log fsyncs into batched flushes.
-///
-/// Everything except `fsync` of a file named
-/// [`DELTA_FILE_NAME`] passes straight through to the
-/// inner vfs, preserving the store's write→fsync→rename→sync_dir
-/// protocols byte for byte.
+/// A [`Vfs`] wrapper that owns one tenant's commit state and defers its
+/// store's [`DELTA_FILE_NAME`] fsyncs into batched flushes. Everything
+/// else passes straight through, preserving the store's
+/// write→fsync→rename→sync_dir protocols byte for byte.
 #[derive(Debug)]
 pub struct GroupCommitVfs {
     inner: Arc<dyn Vfs>,
-    pending: Mutex<Vec<PathBuf>>,
+    /// The one file whose fsyncs defer.
+    delta: PathBuf,
+    state: Mutex<Tickets>,
+    /// Signalled whenever a flush ends.
+    changed: Condvar,
+}
+
+/// One tenant's commit state. Nothing that holds its lock can panic
+/// halfway through an update, so a poisoned lock is still read.
+#[derive(Debug, Default)]
+struct Tickets {
+    /// Delta fsyncs deferred so far — the newest writer's ticket.
+    deferred: u64,
+    /// The newest ticket a successful flush (or a rebase) made durable.
+    durable: u64,
+    /// The failed flush's kind and message, kept until a rebase.
+    failed: Option<(io::ErrorKind, String)>,
+    /// A flush's fsync is in flight.
+    flushing: bool,
+    /// [`GroupCommitVfs::close`] ran: delta fsyncs no longer defer.
+    closed: bool,
 }
 
 impl GroupCommitVfs {
-    /// Wraps `inner`, deferring its delta-log fsyncs.
-    pub fn new(inner: Arc<dyn Vfs>) -> GroupCommitVfs {
-        GroupCommitVfs { inner, pending: Mutex::new(Vec::new()) }
-    }
-
-    /// Number of deferred fsync targets not yet flushed.
-    pub fn pending_len(&self) -> usize {
-        match self.pending.lock() {
-            Ok(pending) => pending.len(),
-            Err(_) => 0,
+    /// Wraps `inner` for the store in `dir`, deferring the fsyncs of its
+    /// delta log.
+    pub fn new(inner: Arc<dyn Vfs>, dir: &Path) -> GroupCommitVfs {
+        GroupCommitVfs {
+            inner,
+            delta: dir.join(DELTA_FILE_NAME),
+            state: Mutex::new(Tickets::default()),
+            changed: Condvar::new(),
         }
     }
 
-    /// Pays every deferred fsync, once per distinct path.
-    ///
-    /// On failure the remaining pending set is still cleared: the caller
-    /// must treat the tenant as non-durable and rebase it (a full
-    /// checkpoint through the synchronous path) before acknowledging
-    /// anything further, so re-syncing a stale delta would only mask the
-    /// failure.
+    /// The newest ticket: delta fsyncs deferred so far. A write whose run
+    /// advanced it appended to the log.
+    pub fn ticket(&self) -> u64 {
+        self.state().deferred
+    }
+
+    /// True from a failed flush until [`GroupCommitVfs::rebased`].
+    pub fn needs_rebase(&self) -> bool {
+        self.state().failed.is_some()
+    }
+
+    /// Makes every ticket issued so far durable with one real fsync, then
+    /// wakes the writers waiting for them. A no-op when nothing is owed;
+    /// after a failed flush, the failure again (see the module docs).
     pub fn flush(&self) -> io::Result<()> {
-        let drained: Vec<PathBuf> = {
-            let mut pending = self
-                .pending
-                .lock()
-                .map_err(|_| io::Error::other("group-commit pending set poisoned"))?;
-            std::mem::take(&mut *pending)
-        };
-        for path in drained {
-            retry_io(|| self.inner.fsync(&path))?;
+        let mut state = self
+            .changed
+            .wait_while(self.state(), |s| s.flushing)
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.durable >= state.deferred {
+            return Ok(());
         }
-        Ok(())
+        if let Some((kind, message)) = &state.failed {
+            return Err(io::Error::new(*kind, message.clone()));
+        }
+        let target = state.deferred;
+        state.flushing = true;
+        drop(state);
+        let synced = retry_io(|| self.inner.fsync(&self.delta));
+        let mut state = self.state();
+        state.flushing = false;
+        match &synced {
+            Ok(()) => state.durable = state.durable.max(target),
+            Err(e) => state.failed = Some((e.kind(), e.to_string())),
+        }
+        self.changed.notify_all();
+        synced
     }
 
-    fn defer(&self, path: &Path) -> bool {
-        if path.file_name().map(|n| n == DELTA_FILE_NAME) != Some(true) {
-            return false;
+    /// Blocks until `ticket` is durable (`Ok`), until a flush fails
+    /// before making it so (that failure), or for at most `timeout`
+    /// (`TimedOut`).
+    pub fn wait(&self, ticket: u64, timeout: Duration) -> io::Result<()> {
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(self.state(), timeout, |s| s.durable < ticket && s.failed.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.durable >= ticket {
+            return Ok(());
         }
-        match self.pending.lock() {
-            Ok(mut pending) => {
-                if !pending.iter().any(|p| p == path) {
-                    pending.push(path.to_path_buf());
-                }
-                true
-            }
-            // A poisoned pending set degrades to synchronous fsync —
-            // strictly more durable, never less.
-            Err(_) => false,
-        }
+        Err(match &state.failed {
+            Some((kind, message)) => io::Error::new(*kind, message.clone()),
+            None => io::Error::new(io::ErrorKind::TimedOut, "write ack timed out"),
+        })
+    }
+
+    /// Clears a failed flush once the tenant's base has been rewritten
+    /// through the synchronous path, which made every ticket so far
+    /// durable. Call under the tenant's write gate, after that rewrite.
+    pub fn rebased(&self) {
+        let mut state = self.state();
+        state.failed = None;
+        state.durable = state.deferred;
+    }
+
+    /// Flushes, then stops deferring: for a tenant leaving the server,
+    /// which no committer tick visits again, a write still in flight
+    /// fsyncs its delta record synchronously instead of waiting forever.
+    pub fn close(&self) -> io::Result<()> {
+        self.state().closed = true;
+        self.flush()
+    }
+
+    fn state(&self) -> MutexGuard<'_, Tickets> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -117,8 +173,12 @@ impl Vfs for GroupCommitVfs {
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
-        if self.defer(path) {
-            return Ok(());
+        if path == self.delta {
+            let mut state = self.state();
+            if !state.closed {
+                state.deferred += 1;
+                return Ok(());
+            }
         }
         self.inner.fsync(path)
     }
@@ -126,7 +186,7 @@ impl Vfs for GroupCommitVfs {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         // The engine's base rewrite protocol already orders this rename
         // between fsync and sync_dir, both of which pass through
-        // unmodified (base files never defer — see `defer`).
+        // unmodified (base files never defer — see `fsync`).
         // lint:allow(sync-protocol): pure passthrough; the rewrite protocol runs in the caller
         self.inner.rename(from, to)
     }
@@ -159,7 +219,7 @@ impl Vfs for GroupCommitVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logr::cluster::vfs::{FaultFs, IoOp};
+    use logr::cluster::vfs::{FaultFs, IoOp, OpKind};
 
     fn fsync_count(fs: &FaultFs, needle: &str) -> usize {
         fs.trace()
@@ -170,49 +230,86 @@ mod tests {
             .count()
     }
 
-    #[test]
-    fn delta_fsyncs_defer_until_flush_and_coalesce() {
+    /// A `FaultFs` with the store directory `/t`, and a wrapper over it.
+    fn store() -> (Arc<FaultFs>, GroupCommitVfs, PathBuf) {
         let fs = Arc::new(FaultFs::new());
         fs.create_dir_all(Path::new("/t")).unwrap();
-        let gc = GroupCommitVfs::new(fs.clone() as Arc<dyn Vfs>);
-        let delta = Path::new("/t").join(DELTA_FILE_NAME);
+        let gc = GroupCommitVfs::new(fs.clone() as Arc<dyn Vfs>, Path::new("/t"));
+        (fs, gc, Path::new("/t").join(DELTA_FILE_NAME))
+    }
 
+    /// One delta record, as the engine writes it: append, then fsync.
+    fn log(gc: &GroupCommitVfs, delta: &Path) {
+        gc.append(delta, b"rec").unwrap();
+        gc.fsync(delta).unwrap();
+    }
+
+    #[test]
+    fn delta_fsyncs_defer_until_flush_and_coalesce() {
+        let (fs, gc, delta) = store();
         for _ in 0..5 {
-            gc.append(&delta, b"rec").unwrap();
-            gc.fsync(&delta).unwrap();
+            log(&gc, &delta);
         }
         assert_eq!(fsync_count(&fs, "engine.delta"), 0, "deferred");
-        assert_eq!(gc.pending_len(), 1, "coalesced to one distinct path");
+        assert_eq!(gc.ticket(), 5, "one ticket per deferred fsync");
+        let pending = gc.wait(5, Duration::ZERO).unwrap_err();
+        assert_eq!(pending.kind(), io::ErrorKind::TimedOut, "not durable before a flush");
 
         gc.flush().unwrap();
         assert_eq!(fsync_count(&fs, "engine.delta"), 1, "one covering fsync");
-        assert_eq!(gc.pending_len(), 0);
+        gc.wait(5, Duration::ZERO).unwrap();
         gc.flush().unwrap();
-        assert_eq!(fsync_count(&fs, "engine.delta"), 1, "idempotent when empty");
+        assert_eq!(fsync_count(&fs, "engine.delta"), 1, "nothing owed, nothing synced");
     }
 
     #[test]
     fn non_delta_fsyncs_pass_through_synchronously() {
-        let fs = Arc::new(FaultFs::new());
-        fs.create_dir_all(Path::new("/t")).unwrap();
-        let gc = GroupCommitVfs::new(fs.clone() as Arc<dyn Vfs>);
+        let (fs, gc, _) = store();
         let shard = Path::new("/t/shard-00000-1-00000001.bin");
         gc.write(shard, b"points").unwrap();
         gc.fsync(shard).unwrap();
         assert_eq!(fsync_count(&fs, "shard-"), 1);
-        assert_eq!(gc.pending_len(), 0);
+        // Another store's delta log is not this wrapper's to defer.
+        fs.create_dir_all(Path::new("/u")).unwrap();
+        log(&gc, &Path::new("/u").join(DELTA_FILE_NAME));
+        assert_eq!(fsync_count(&fs, "/u/engine.delta"), 1);
+        assert_eq!(gc.ticket(), 0);
     }
 
     #[test]
-    fn failed_flush_clears_pending_and_reports() {
-        let fs = Arc::new(FaultFs::new());
-        fs.create_dir_all(Path::new("/t")).unwrap();
-        let gc = GroupCommitVfs::new(fs.clone() as Arc<dyn Vfs>);
-        let delta = Path::new("/t").join(DELTA_FILE_NAME);
-        gc.append(&delta, b"rec").unwrap();
-        gc.fsync(&delta).unwrap();
-        fs.inject(logr::cluster::vfs::OpKind::Fsync, "engine.delta", io::ErrorKind::StorageFull, 1);
-        assert!(gc.flush().is_err());
-        assert_eq!(gc.pending_len(), 0, "failed flush leaves nothing masked");
+    fn failed_flush_fails_every_ticket_until_rebased() {
+        let (fs, gc, delta) = store();
+        log(&gc, &delta);
+        fs.inject(OpKind::Fsync, "engine.delta", io::ErrorKind::StorageFull, 1);
+        assert_eq!(gc.flush().unwrap_err().kind(), io::ErrorKind::StorageFull);
+        assert!(gc.needs_rebase());
+        assert_eq!(gc.wait(1, Duration::ZERO).unwrap_err().kind(), io::ErrorKind::StorageFull);
+
+        // A later ticket fails too, and a later flush reports the failure
+        // without syncing: a success now would vouch for lost pages.
+        log(&gc, &delta);
+        assert_eq!(gc.flush().unwrap_err().kind(), io::ErrorKind::StorageFull);
+        assert_eq!(gc.wait(2, Duration::ZERO).unwrap_err().kind(), io::ErrorKind::StorageFull);
+        assert_eq!(fsync_count(&fs, "engine.delta"), 0);
+
+        // The rebase's base holds both closes; the next ticket flushes.
+        gc.rebased();
+        assert!(!gc.needs_rebase());
+        gc.wait(2, Duration::ZERO).unwrap();
+        log(&gc, &delta);
+        gc.flush().unwrap();
+        gc.wait(3, Duration::ZERO).unwrap();
+        assert_eq!(fsync_count(&fs, "engine.delta"), 1);
+    }
+
+    #[test]
+    fn close_flushes_then_stops_deferring() {
+        let (fs, gc, delta) = store();
+        log(&gc, &delta);
+        gc.close().unwrap();
+        assert_eq!(fsync_count(&fs, "engine.delta"), 1, "the owed fsync is paid");
+        log(&gc, &delta);
+        assert_eq!(fsync_count(&fs, "engine.delta"), 2, "a late record syncs at once");
+        assert_eq!(gc.ticket(), 1, "and takes no ticket");
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! One daemon owns N tenant engines (per-tenant subdirectories under one
 //! root, lazily opened, exclusively locked through the engine's own store
-//! lock), ingests query-log statements with **group commit** —
-//! window-close delta fsyncs are coalesced within and across tenants
-//! over a configurable commit interval — and serves the whole
+//! lock), ingests query-log statements with **group commit** — each
+//! tenant's window-close delta fsyncs are coalesced over a configurable
+//! commit interval, one fsync per tenant per interval — and serves the whole
 //! `logr::analytics` read surface off lock-free snapshots. Built on
 //! `std::net` only: no runtime, no serialization dependency.
 //!
@@ -94,23 +94,27 @@
 //! a connection's in the order it sent them, and two tenants' writes
 //! never wait on each other. When a write appends to the tenant's delta
 //! log (a window close), its fsync is **deferred** into the tenant's
-//! [`commit::GroupCommitVfs`], the gate is released and the response is
-//! parked; the committer thread flushes each tenant once per
-//! [`server::ServerConfig::commit_interval`] and only then releases the
-//! parked responses — so one fsync covers every batch the interval
-//! accumulated, and **an acked window close has always been fsynced**.
-//! Statements buffered inside a still-open window are acked immediately
-//! and are durable only from the close that later covers them — the same
-//! contract a standalone [`logr::Engine`] gives `ingest()` callers. If a
-//! covering flush fails, every parked response it covered fails with the
-//! typed error and the tenant is rebased (full checkpoint through the
-//! untouched synchronous path) before its next ack.
+//! [`commit::GroupCommitVfs`] and the write takes a **ticket**: the
+//! count of the tenant's deferred fsyncs. The gate is released and the
+//! response waits for that ticket; the committer thread flushes each
+//! tenant once per [`server::ServerConfig::commit_interval`], and one
+//! fsync makes every ticket the interval issued durable — so **an acked
+//! window close has always been fsynced**. A write that took no ticket
+//! (statements buffered inside a still-open window) is acked at once,
+//! whoever else is waiting; its statements are durable only from the
+//! close that later covers them — the same contract a standalone
+//! [`logr::Engine`] gives `ingest()` callers. A failed flush is
+//! **sticky**: every ticket it did not make durable fails with the typed
+//! error, and so does every later one, until the tenant's next write
+//! rebases it (full checkpoint through the untouched synchronous path)
+//! before running.
 //!
 //! # Crate layout
 //!
 //! * [`json`] — dependency-free JSON tree, parser (depth-capped), writer.
 //! * [`protocol`] — frame parsing, [`ServerError`], response encoding.
-//! * [`commit`] — [`commit::GroupCommitVfs`]: the delta-fsync deferral.
+//! * [`commit`] — [`commit::GroupCommitVfs`]: the delta-fsync deferral
+//!   and each tenant's commit state (tickets, sticky failure).
 //! * [`tenant`] — lazy tenant registry + global budget apportionment.
 //! * [`server`] — accept loop, the one worker pool, committer, dispatch.
 

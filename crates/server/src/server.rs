@@ -13,8 +13,9 @@
 //!   connection that stays silent for a poll interval while another
 //!   waits for a worker goes to the back of the queue.
 //! * **1 committer thread** — every [`ServerConfig::commit_interval`] it
-//!   flushes each tenant's deferred delta fsyncs once and only then
-//!   releases the acks parked behind them (group commit).
+//!   flushes each tenant that owes an fsync, making the tickets its
+//!   writes took durable (group commit, [`crate::GroupCommitVfs`]); its
+//!   last tick, after the workers joined, is the shutdown flush.
 //!
 //! Reads never wait on a writer: they clone the engine's published
 //! snapshot `Arc` and compute on it outside any engine lock, and nothing
@@ -33,20 +34,20 @@ use logr::analytics::{
     Advisor, DriftAdvisor, IndexAdvisor, QueryRecommender, ViewAdvisor, WorkloadQuery,
 };
 use logr::cluster::vfs::{RealFs, Vfs};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// How long a server thread sleeps between checks of the stop flag when
 /// it would otherwise block indefinitely (socket reads, queue waits).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Upper bound a worker waits for the committer to release a parked
-/// write ack before failing the request (acks are released every commit
+/// Upper bound a worker waits for its write's ticket to become durable
+/// before failing the request (the committer flushes every commit
 /// interval, so hitting this means the committer died or the disk hung
 /// past retries).
 const ACK_TIMEOUT: Duration = Duration::from_secs(60);
@@ -70,7 +71,7 @@ pub struct ServerConfig {
     /// environment variable, else 2; clamped to ≥ 1.
     pub threads: usize,
     /// Group-commit interval: how long delta fsyncs may coalesce before
-    /// the covering flush releases their acks.
+    /// the covering flush makes their tickets durable.
     pub commit_interval: Duration,
 }
 
@@ -165,20 +166,13 @@ impl<T> JobQueue<T> {
     }
 }
 
-struct ParkedAck {
-    tenant: Arc<Tenant>,
-    result: Json,
-    ack: mpsc::Sender<Result<Json, ServerError>>,
-}
-
 struct Shared {
     registry: TenantRegistry,
     connections: JobQueue<Connection>,
-    parked: Mutex<Vec<ParkedAck>>,
     stop: AtomicBool,
     /// Set by [`Server::run`] once every worker has joined — only then
-    /// may the committer run its final tick and exit (no late parked
-    /// acks).
+    /// may the committer run its final tick and exit (no write can take
+    /// a ticket behind it).
     workers_done: AtomicBool,
     addr: SocketAddr,
     commit_interval: Duration,
@@ -193,52 +187,6 @@ impl Shared {
         self.stop.store(true, Ordering::Release);
         // Wake the accept loop: it blocks in accept(), so connect to it.
         let _ = TcpStream::connect(self.addr);
-    }
-
-    fn park(&self, parked: ParkedAck) {
-        match self.parked.lock() {
-            Ok(mut list) => list.push(parked),
-            // Poisoned parking lot: fail the ack rather than hang the
-            // client until the ack timeout.
-            Err(_) => {
-                let _ = parked.ack.send(Err(ServerError::Engine(logr::Error::Poisoned)));
-            }
-        }
-    }
-
-    /// One committer tick: flush every tenant with parked acks exactly
-    /// once, then release (or fail) those acks.
-    fn commit_tick(&self) {
-        let parked: Vec<ParkedAck> = match self.parked.lock() {
-            Ok(mut list) => std::mem::take(&mut *list),
-            Err(_) => return,
-        };
-        // Two live tenants never share a name: the store lock is keyed by
-        // path, and a parked ack keeps its tenant's engine alive.
-        let mut by_tenant: BTreeMap<String, Vec<ParkedAck>> = BTreeMap::new();
-        for entry in parked {
-            by_tenant.entry(entry.tenant.name.clone()).or_default().push(entry);
-        }
-        for acks in by_tenant.into_values() {
-            let Some(first) = acks.first() else { continue };
-            // One flush per distinct tenant this tick — this is the fsync
-            // coalescing: every ack parked behind the same tenant shares
-            // one covering fsync.
-            let failure = first.tenant.commit.flush().err();
-            if failure.is_some() {
-                first.tenant.set_needs_rebase(true);
-            }
-            for entry in acks {
-                let response = match &failure {
-                    None => Ok(entry.result),
-                    Some(e) => Err(ServerError::Engine(logr::Error::from(std::io::Error::new(
-                        e.kind(),
-                        e.to_string(),
-                    )))),
-                };
-                let _ = entry.ack.send(response);
-            }
-        }
     }
 }
 
@@ -276,7 +224,6 @@ impl Server {
                 self.config.global_budget,
             ),
             connections: JobQueue::new(),
-            parked: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             workers_done: AtomicBool::new(false),
             addr: self.addr,
@@ -308,18 +255,14 @@ impl Server {
             }
         }
 
-        // Orderly drain: workers finish (their in-flight acks are
-        // released by the still-running committer), then the committer's
-        // final tick covers any last parked acks.
+        // Orderly drain: workers finish (their tickets are made durable
+        // by the still-running committer), then the committer's final
+        // tick flushes every tenant, and its failure is the daemon's.
         for handle in workers {
             let _ = handle.join();
         }
         shared.workers_done.store(true, Ordering::Release);
-        let _ = committer.join();
-        for tenant in shared.registry.list()? {
-            tenant.commit.flush().map_err(|e| ServerError::Engine(logr::Error::from(e)))?;
-        }
-        Ok(())
+        committer.join().unwrap_or(Err(ServerError::Engine(logr::Error::Poisoned)))
     }
 
     /// Runs the daemon on a background thread.
@@ -449,7 +392,7 @@ fn handle(shared: &Shared, request: Request) -> Result<Json, ServerError> {
                     shared.registry.close(&name)?;
                     Ok(obj(vec![("closed", Json::Bool(true))]))
                 }
-                TenantOp::Write(op) => write(shared, &open()?, op),
+                TenantOp::Write(op) => write(open()?.as_ref(), op),
                 TenantOp::Read(op) => read(open()?.as_ref(), op),
                 TenantOp::Stats => {
                     let tenant = open()?;
@@ -461,28 +404,27 @@ fn handle(shared: &Shared, request: Request) -> Result<Json, ServerError> {
 }
 
 /// Runs one write on the calling worker, under the tenant's gate, and
-/// returns its ack — which, when the write appended to the delta log, the
-/// committer releases only after the covering fsync.
-fn write(shared: &Shared, tenant: &Arc<Tenant>, op: WriteOp) -> Result<Json, ServerError> {
+/// returns its ack — which, when the write appended to the delta log,
+/// waits until the committer's covering fsync makes its ticket durable.
+fn write(tenant: &Tenant, op: WriteOp) -> Result<Json, ServerError> {
     let gate = tenant.gate.lock().map_err(|_| logr::Error::Poisoned)?;
     // fsync-failure hygiene: after a failed flush the delta log's durable
     // prefix is unknown, so rebase onto a fresh base manifest (full
     // synchronous checkpoint) before acknowledging anything else.
-    if tenant.needs_rebase() {
+    if tenant.commit.needs_rebase() {
         tenant.engine.checkpoint()?;
-        tenant.set_needs_rebase(false);
+        tenant.commit.rebased();
     }
+    let before = tenant.commit.ticket();
     let result = run_write(tenant, op)?;
-    if tenant.commit.pending_len() == 0 {
-        return Ok(result);
-    }
-    // A window close appended to the delta log; the ack waits for the
-    // committer's covering fsync — but the gate does not, so the tenant's
-    // next write runs (and parks behind the same fsync) meanwhile.
-    let (ack, released) = mpsc::channel();
-    shared.park(ParkedAck { tenant: tenant.clone(), result, ack });
+    let ticket = tenant.commit.ticket();
+    // The gate does not wait for the fsync: the tenant's next write runs
+    // (and takes the next ticket) meanwhile.
     drop(gate);
-    released.recv_timeout(ACK_TIMEOUT).unwrap_or_else(|_| Err(protocol("write ack timed out")))
+    if ticket > before {
+        tenant.commit.wait(ticket, ACK_TIMEOUT).map_err(logr::Error::from)?;
+    }
+    Ok(result)
 }
 
 /// Serves a read off the tenant's published snapshot — no engine lock is
@@ -585,13 +527,22 @@ fn run_write(tenant: &Tenant, op: WriteOp) -> Result<Json, ServerError> {
     }
 }
 
-fn committer_loop(shared: &Shared) {
-    while !shared.workers_done.load(Ordering::Acquire) {
+/// Flushes every live tenant once per commit interval — an fsync only
+/// where one is owed. The tick after the workers joined is the last
+/// (nothing can take a ticket behind it), and its failure is returned.
+fn committer_loop(shared: &Shared) -> Result<(), ServerError> {
+    loop {
+        let last = shared.workers_done.load(Ordering::Acquire);
+        let mut tick = Ok(());
+        for tenant in shared.registry.list()? {
+            // Mid-run, a failure is reported by the tickets it fails.
+            tick = tick.and(tenant.commit.flush().map_err(|e| ServerError::Engine(e.into())));
+        }
+        if last {
+            return tick;
+        }
         std::thread::sleep(shared.commit_interval);
-        shared.commit_tick();
     }
-    // Final tick after the workers joined: nothing can park behind it.
-    shared.commit_tick();
 }
 
 fn global_stats(shared: &Shared) -> Result<Json, ServerError> {
@@ -625,6 +576,6 @@ fn tenant_stats(tenant: &Tenant, budget: usize) -> Result<Json, ServerError> {
         ("spilled_shards", n(tenant.engine.spilled_shards()? as f64)),
         ("resident_shard_bytes", n(tenant.engine.resident_shard_bytes()? as f64)),
         ("budget", budget_json(budget)),
-        ("needs_rebase", Json::Bool(tenant.needs_rebase())),
+        ("needs_rebase", Json::Bool(tenant.commit.needs_rebase())),
     ]))
 }

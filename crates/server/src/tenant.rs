@@ -7,7 +7,8 @@
 //! [`logr::Engine`] session; the daemon adds nothing to the on-disk
 //! format. Engines open lazily on first use, exclusively locked through
 //! the engine's own `StoreLock`, and write through a per-tenant
-//! [`GroupCommitVfs`] so the committer can coalesce their delta fsyncs.
+//! [`GroupCommitVfs`], which owns the tenant's commit state (tickets and
+//! a failed flush).
 //!
 //! # Budget apportionment
 //!
@@ -25,7 +26,6 @@ use logr::cluster::vfs::Vfs;
 use logr::{Engine, SourceConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Maximum tenant-name length, in bytes.
@@ -67,38 +67,24 @@ impl Default for EngineProfile {
     }
 }
 
-/// One live tenant: its engine, its group-commit wrapper, its write
-/// gate, and the rebase-needed flag the committer raises when a flush
-/// fails.
+/// One live tenant: its engine, its group-commit wrapper (which owns the
+/// tenant's commit state, a failed flush included), and its write gate.
 #[derive(Debug)]
 pub struct Tenant {
     /// The validated tenant name.
     pub name: String,
     /// The tenant's engine, writing through [`Tenant::commit`].
     pub engine: Engine,
-    /// The group-commit vfs wrapper holding this tenant's deferred
-    /// delta fsyncs.
+    /// The group-commit vfs wrapper: this tenant's deferred delta fsyncs
+    /// and the tickets waiting on them.
     pub commit: Arc<GroupCommitVfs>,
-    /// Held by a worker from a write's rebase check to its park decision,
-    /// so those happen on one thread at a time: no close can append to a
-    /// delta log whose durable prefix is unknown, and one tenant's writes
-    /// apply in gate order. Released before waiting for the committer;
-    /// reads, stats and the registry never take it.
+    /// Held by a worker from a write's rebase check to its last ticket
+    /// read, so those happen on one thread at a time: no close can append
+    /// to a delta log whose durable prefix is unknown, a ticket that
+    /// advanced during a write's run is that write's own, and one
+    /// tenant's writes apply in gate order. Released before waiting for
+    /// the ticket; reads, stats and the registry never take it.
     pub gate: Mutex<()>,
-    needs_rebase: AtomicBool,
-}
-
-impl Tenant {
-    /// True when a failed flush left the delta log's durability unknown
-    /// and the tenant must be checkpointed before the next ack.
-    pub fn needs_rebase(&self) -> bool {
-        self.needs_rebase.load(Ordering::Acquire)
-    }
-
-    /// Raise or clear the rebase flag.
-    pub fn set_needs_rebase(&self, value: bool) {
-        self.needs_rebase.store(value, Ordering::Release);
-    }
 }
 
 /// The set of live tenants plus the budget math over them.
@@ -168,7 +154,8 @@ impl TenantRegistry {
             return Ok(t.clone());
         }
         let share = self.share_at(tenants.len() + 1);
-        let commit = Arc::new(GroupCommitVfs::new(self.base_vfs.clone()));
+        let dir = self.root.join(name);
+        let commit = Arc::new(GroupCommitVfs::new(self.base_vfs.clone(), &dir));
         let engine = Engine::builder()
             .window(self.profile.window)
             .clusters(self.profile.clusters)
@@ -176,7 +163,7 @@ impl TenantRegistry {
             .source(source.unwrap_or(self.profile.source))
             .resident_budget(share)
             .vfs(commit.clone() as Arc<dyn Vfs>)
-            .open(self.root.join(name))?;
+            .open(dir)?;
         // A resumed store keeps its manifest's source; dropping the
         // engine here releases the store lock before we report the
         // conflict.
@@ -184,20 +171,16 @@ impl TenantRegistry {
             drop(engine);
             return Err(e);
         }
-        let tenant = Arc::new(Tenant {
-            name: name.to_owned(),
-            engine,
-            commit,
-            gate: Mutex::new(()),
-            needs_rebase: AtomicBool::new(false),
-        });
+        let tenant =
+            Arc::new(Tenant { name: name.to_owned(), engine, commit, gate: Mutex::new(()) });
         tenants.insert(name.to_owned(), tenant.clone());
         Self::apportion(&tenants, share)?;
         Ok(tenant)
     }
 
-    /// Closes a tenant: flushes its deferred fsyncs, releases its engine
-    /// (and store lock), and returns its budget share to the survivors.
+    /// Closes a tenant: flushes its deferred fsyncs for good (see
+    /// [`GroupCommitVfs::close`]), releases its engine (and store lock),
+    /// and returns its budget share to the survivors.
     pub fn close(&self, name: &str) -> Result<(), ServerError> {
         validate_name(name)?;
         let tenant = {
@@ -211,7 +194,7 @@ impl TenantRegistry {
         };
         // Flush outside the registry lock: a slow disk must not block
         // other tenants opening/closing.
-        tenant.commit.flush().map_err(|e| ServerError::Engine(logr::Error::from(e)))?;
+        tenant.commit.close().map_err(|e| ServerError::Engine(logr::Error::from(e)))?;
         Ok(())
     }
 

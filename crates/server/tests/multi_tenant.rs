@@ -16,8 +16,13 @@
 //!   and go, evicting resident shards when a newcomer halves the share;
 //! * more open connections than workers starve no one, the shutdown
 //!   frame included;
-//! * a failed covering fsync fails the parked ack typed and rebases the
-//!   tenant before its next write, whichever connection sends it;
+//! * a failed covering fsync fails the waiting ack typed and rebases the
+//!   tenant before its next write, whichever connection sends it — and
+//!   a close appended behind that fsync is never acked ok without the
+//!   rebase;
+//! * a write that appended nothing waits for no one's flush;
+//! * a write still running when its tenant closes is acked, not left
+//!   waiting for a flush that no longer comes;
 //! * reads for any tenant answer while one tenant's close sits inside
 //!   its engine's writer lock.
 
@@ -615,13 +620,54 @@ fn a_failed_covering_fsync_fails_the_ack_and_rebases_before_the_next_write() {
     handle.join().expect("clean shutdown");
 }
 
-/// A [`FaultFs`] whose next `fsync` of an `alpha/shard-*` file, once
-/// `stall` is armed, reports in and then blocks until released — a close
-/// held inside alpha's engine writer lock for as long as the test likes.
+/// What a stalled fsync does once the test releases it.
+#[derive(Debug, PartialEq)]
+enum AfterStall {
+    /// Syncs through to the inner `FaultFs`.
+    PassThrough,
+    /// Fails with an injected `Other` error, syncing nothing.
+    Fail,
+}
+
+/// One armed stall: the path fragment it waits for, what it does after,
+/// and the channels it reports in and is released on.
+#[derive(Debug)]
+struct Stall {
+    path: &'static str,
+    then: AfterStall,
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+/// A [`FaultFs`] whose next `fsync` of a path containing the armed
+/// fragment reports in and then blocks until released — a close held
+/// inside its engine's writer lock, or a committer held inside its
+/// covering flush, for as long as the test likes.
 #[derive(Debug)]
 struct StallFs {
     inner: FaultFs,
-    stall: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    stall: Mutex<Option<Stall>>,
+}
+
+impl StallFs {
+    /// Arms the stall; returns the receiver that hears the fsync arrive
+    /// and the sender that releases it.
+    fn arm(&self, path: &'static str, then: AfterStall) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (entered, stalled) = mpsc::channel();
+        let (release, released) = mpsc::channel();
+        *self.stall.lock().expect("stall lock") =
+            Some(Stall { path, then, entered, release: released });
+        (stalled, release)
+    }
+
+    /// Polls the trace until `seen` holds for some op at or after `from`.
+    fn await_op(&self, from: usize, seen: impl Fn(&IoOp) -> bool) {
+        let deadline = std::time::Instant::now() + WAIT;
+        while !self.inner.trace()[from..].iter().any(&seen) {
+            assert!(std::time::Instant::now() < deadline, "the awaited IO never happened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 impl Vfs for StallFs {
@@ -635,11 +681,13 @@ impl Vfs for StallFs {
         self.inner.append(path, bytes)
     }
     fn fsync(&self, path: &Path) -> std::io::Result<()> {
-        if path.to_string_lossy().contains("alpha/shard-") {
-            let armed = self.stall.lock().expect("stall lock").take();
-            if let Some((entered, release)) = armed {
-                entered.send(()).expect("test is waiting for the stall");
-                release.recv().expect("test releases the stall");
+        let text = path.to_string_lossy();
+        let armed = self.stall.lock().expect("stall lock").take_if(|s| text.contains(s.path));
+        if let Some(stall) = armed {
+            stall.entered.send(()).expect("test is waiting for the stall");
+            stall.release.recv().expect("test releases the stall");
+            if stall.then == AfterStall::Fail {
+                return Err(std::io::Error::other("injected fsync failure"));
             }
         }
         self.inner.fsync(path)
@@ -667,25 +715,38 @@ impl Vfs for StallFs {
     }
 }
 
-#[test]
-fn reads_answer_while_a_close_holds_the_writer_lock() {
+/// A daemon over a fresh [`StallFs`] at `root`, with `tenants` opened
+/// and one window landed each.
+fn serve_stalling(root: &str, tenants: &[&str]) -> (Arc<StallFs>, ServerHandle) {
     let fs = Arc::new(StallFs { inner: FaultFs::new(), stall: Mutex::new(None) });
-    let config = ServerConfig::new("/srv/stall")
+    let config = ServerConfig::new(root)
         .vfs(fs.clone())
         .profile(profile())
         .threads(4)
         .commit_interval(Duration::from_millis(2));
     let handle = Server::bind(config, "127.0.0.1:0").expect("bind").spawn();
+    let mut setup = Client::connect(handle.addr());
+    for tenant in tenants {
+        setup.ingest_window(tenant, 0);
+    }
+    (fs, handle)
+}
+
+/// True for a delta record of `tenant` reaching the log (the first
+/// record of a log creates the file, later ones extend it).
+fn logs(op: &IoOp, tenant: &str) -> bool {
+    matches!(op, IoOp::Write { path, .. } | IoOp::Append { path, .. }
+        if path.ends_with(format!("{tenant}/engine.delta")))
+}
+
+#[test]
+fn reads_answer_while_a_close_holds_the_writer_lock() {
+    let (fs, handle) = serve_stalling("/srv/stall", &["alpha", "beta"]);
     let addr = handle.addr();
-    let mut setup = Client::connect(addr);
-    setup.ingest_window("alpha", 0);
-    setup.ingest_window("beta", 0);
 
     // Alpha's second close stalls in its shard fsync — after the engine
     // published the close, before it persisted it, writer lock held.
-    let (entered, stalled) = mpsc::channel();
-    let (release, released) = mpsc::channel();
-    *fs.stall.lock().expect("stall lock") = Some((entered, released));
+    let (stalled, release) = fs.arm("alpha/shard-", AfterStall::PassThrough);
     let writer = std::thread::spawn(move || Client::connect(addr).ingest_window("alpha", 1));
     stalled.recv_timeout(WAIT).expect("alpha's close reaches its shard fsync");
 
@@ -704,6 +765,115 @@ fn reads_answer_while_a_close_holds_the_writer_lock() {
     release.send(()).expect("writer is stalled");
     let acked = writer.join().expect("alpha's writer");
     assert_eq!(field_u64(&acked, "closed"), 1);
+
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
+fn a_write_behind_a_failed_covering_fsync_is_never_acked_ok() {
+    let (fs, handle) = serve_stalling("/srv/amnesia", &["alpha"]);
+    let addr = handle.addr();
+
+    // Connection 1's close waits for its ticket; the committer's covering
+    // fsync stalls, and will fail.
+    let (stalled, release) = fs.arm("alpha/engine.delta", AfterStall::Fail);
+    let first = std::thread::spawn(move || Client::impatient(addr).call(&window_frame("alpha", 1)));
+    stalled.recv_timeout(WAIT).expect("the committer reaches alpha's covering fsync");
+
+    // Connection 2's close takes the free gate and appends behind it.
+    let mark = fs.inner.trace_len();
+    let second =
+        std::thread::spawn(move || Client::impatient(addr).call(&window_frame("alpha", 2)));
+    fs.await_op(mark, |op| logs(op, "alpha"));
+    let failed_at = fs.inner.trace_len();
+    release.send(()).expect("the committer is stalled");
+
+    let code = |resp: &Json| {
+        resp.get("error").and_then(|e| e.get("code")).and_then(Json::as_str).map(str::to_owned)
+    };
+    let first = first.join().expect("connection 1");
+    assert_eq!(code(&first).as_deref(), Some("Io"), "{}", first.to_text());
+    // Connection 2's record landed after a failed fsync: it is acked ok
+    // only if a base rewrite made it durable after the failure.
+    let second = second.join().expect("connection 2");
+    if second.get("ok").and_then(Json::as_bool) == Some(true) {
+        let rebased = fs.inner.trace()[failed_at..].iter().any(|op| {
+            matches!(op, IoOp::Rename { from, to }
+                if from.ends_with("alpha/engine.tmp") && to.ends_with("alpha/engine.manifest"))
+        });
+        assert!(rebased, "acked ok after a failed covering fsync with no rebase between");
+    } else {
+        assert_eq!(code(&second).as_deref(), Some("Io"), "{}", second.to_text());
+    }
+
+    // The failure sticks until the next write rebases the tenant.
+    let mut c = Client::impatient(addr);
+    let stats = c.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(stats.get("needs_rebase").and_then(Json::as_bool), Some(true));
+    let acked = c.ingest_window("alpha", 3);
+    assert_eq!(field_u64(&acked, "windows_closed"), 4, "the rebase kept both failed closes");
+    let stats = c.ok("{\"op\":\"stats\",\"tenant\":\"alpha\"}");
+    assert_eq!(stats.get("needs_rebase").and_then(Json::as_bool), Some(false));
+
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
+fn a_write_that_appended_nothing_is_not_held_behind_another_connections_flush() {
+    let (fs, handle) = serve_stalling("/srv/unticketed", &["alpha", "zeta"]);
+    let addr = handle.addr();
+
+    // The committer visits tenants in name order: a stall in alpha's
+    // covering fsync holds it before it reaches zeta.
+    let (stalled, release) = fs.arm("alpha/engine.delta", AfterStall::PassThrough);
+    let alpha = std::thread::spawn(move || Client::impatient(addr).ingest_window("alpha", 1));
+    stalled.recv_timeout(WAIT).expect("the committer reaches alpha's covering fsync");
+
+    // Connection 1 closes a zeta window: it appends and waits for its
+    // ticket, which the held committer cannot flush yet.
+    let mark = fs.inner.trace_len();
+    let closing = std::thread::spawn(move || Client::impatient(addr).ingest_window("zeta", 1));
+    fs.await_op(mark, |op| logs(op, "zeta"));
+
+    // Connection 2's ingest closes nothing, so it has no ticket to wait
+    // for and answers while the committer is still held.
+    let (answered, reply) = mpsc::channel();
+    std::thread::spawn(move || {
+        let frame = format!(
+            "{{\"op\":\"ingest\",\"tenant\":\"zeta\",\"sql\":\"{}\"}}",
+            statement("zeta", 2 * WINDOW)
+        );
+        let _ = answered.send(Client::impatient(addr).ok(&frame));
+    });
+    let unticketed = reply.recv_timeout(WAIT);
+    release.send(()).expect("the committer is stalled");
+
+    let unticketed = unticketed.expect("a write with no ticket waited for another's flush");
+    assert_eq!(field_u64(&unticketed, "closed"), 0);
+    assert_eq!(field_u64(&alpha.join().expect("alpha's close"), "closed"), 1);
+    assert_eq!(field_u64(&closing.join().expect("zeta's close"), "closed"), 1);
+
+    handle.shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
+fn a_write_in_flight_when_its_tenant_closes_is_still_acked() {
+    let (fs, handle) = serve_stalling("/srv/closing", &["alpha"]);
+    let addr = handle.addr();
+
+    // Alpha's close stalls in its shard fsync, before it logs its record.
+    let (stalled, release) = fs.arm("alpha/shard-", AfterStall::PassThrough);
+    let writer = std::thread::spawn(move || Client::impatient(addr).ingest_window("alpha", 1));
+    stalled.recv_timeout(WAIT).expect("alpha's close reaches its shard fsync");
+
+    // The tenant closes under the write: no committer tick visits it
+    // again, so the record the write logs next must not wait for one.
+    Client::impatient(addr).ok("{\"op\":\"close\",\"tenant\":\"alpha\"}");
+    release.send(()).expect("the writer is stalled");
+    assert_eq!(field_u64(&writer.join().expect("alpha's writer"), "closed"), 1);
 
     handle.shutdown();
     handle.join().expect("clean shutdown");

@@ -42,7 +42,7 @@ fn main() -> Result<(), ServerError> {
 
     // A small profile so two windows close quickly: 16-statement
     // windows, 256 KiB of resident shard budget shared by all tenants,
-    // fsyncs coalesced across tenants every 5 ms.
+    // each tenant's delta fsyncs coalesced into one every 5 ms.
     let config = ServerConfig::new(&dir)
         .profile(EngineProfile { window: 16, clusters: 2, seed: 42, ..EngineProfile::default() })
         .global_budget(256 * 1024)

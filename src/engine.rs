@@ -453,7 +453,7 @@ impl StoreLock {
                         Err(_) => continue,
                     };
                     if let Some(pid) = owner {
-                        if pid != std::process::id() && process_alive(pid) {
+                        if pid != std::process::id() && process_alive(Path::new("/proc"), pid) {
                             release_claim(&key);
                             return Err(Error::StoreLocked { dir: dir.to_path_buf(), pid });
                         }
@@ -505,10 +505,12 @@ impl Drop for StoreLock {
     }
 }
 
-/// Best-effort liveness probe for a pid (Linux `/proc`; `false` — i.e.
-/// stale — where that does not exist).
-fn process_alive(pid: u32) -> bool {
-    Path::new("/proc").exists() && Path::new(&format!("/proc/{pid}")).exists()
+/// Best-effort liveness probe for a pid under `probe_root` (`/proc` on
+/// Linux). Without a probe root there is no evidence the owner died, so
+/// the answer is "live": stealing a live owner's lock would let
+/// resume-time GC delete files its snapshots read.
+fn process_alive(probe_root: &Path, pid: u32) -> bool {
+    !probe_root.exists() || probe_root.join(pid.to_string()).exists()
 }
 
 /// An immutable, internally consistent view of the engine at one window
@@ -1088,5 +1090,22 @@ impl Engine {
         // republishing is what actually frees them (and keeps the
         // snapshot-backed shard accessors current) on an idle engine.
         self.publish(&st)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_lock_owner_is_live_unless_the_probe_root_says_otherwise() {
+        let root = std::env::temp_dir().join(format!("logr-proc-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(process_alive(&root, 4242), "no probe root: treated as live");
+        std::fs::create_dir_all(&root).unwrap();
+        assert!(!process_alive(&root, 4242), "probe root without the pid: stale");
+        std::fs::create_dir_all(root.join("4242")).unwrap();
+        assert!(process_alive(&root, 4242), "probe root with the pid: live");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }
