@@ -53,20 +53,20 @@
 //! close) is absorbed into the long-running history, so sliding windows
 //! never double-count.
 //!
-//! # Parse caching across sliding closes
+//! # Featurizing each shape once
 //!
-//! A sliding close re-summarizes its overlap with the previous window.
-//! Statements are therefore featurized through a per-statement cache of
-//! their anonymized conjunctive branches
-//! ([`logr_feature::anonymized_branches`]): a statement is parsed once
-//! when first summarized and replayed from the cache for every later
-//! close that still spans it, so a sliding window's parse cost is
-//! proportional to the *stride*, not the window. Every entry a close
-//! uses is stamped with that close's index and the rest are swept when
-//! the close has featurized its window and its stride (a tumbling close
-//! clears the lot), so the cache is bounded by the retained buffer plus
-//! one stride — and [`StreamSummarizer::statements_parsed`] exposes the
-//! instrumented parse counter the regression tests pin.
+//! A sliding close re-summarizes its overlap with the previous window,
+//! and a query log repeats its statements across every window. The
+//! stream holds no featurization cache of its own: every close asks the
+//! featurizer for every statement it spans, and the featurizer memoizes.
+//! The SQL featurizer keys a bounded memo by the exact text and then by
+//! the literal-masked shape, so a statement is parsed once per shape per
+//! stream, however many windows or literal values it recurs with; the
+//! template miner answers repeats from its own memo. The memo is never
+//! persisted — a restored stream starts it cold, and parse caching never
+//! changes an output bit. [`StreamSummarizer::statements_parsed`]
+//! exposes how many records the featurizer featurized from scratch for
+//! the closes, the instrumented counter the regression tests pin.
 //!
 //! # Bounded memory (out-of-core history shards)
 //!
@@ -113,8 +113,8 @@ use logr_cluster::{
     ClusterMethod, CompactionStats, Distance, PointSet, ShardedPointSet, SpillConfig, SpillError,
 };
 use logr_feature::{QueryLog, QueryVector};
-use logr_source::{FeatureBranch, Featurizer, Record, SourceConfig, SourceError};
-use std::collections::{HashMap, VecDeque};
+use logr_source::{Featurizer, Record, SourceConfig, SourceError};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -325,10 +325,10 @@ pub struct WindowCursor {
     pub last_ts_ms: u64,
     /// Windows closed so far.
     pub windows_closed: usize,
-    /// The parse-counter reading (restored for continuity; statements
-    /// still in the buffer re-parse lazily after a restore, so the
-    /// counter may run ahead of a never-restored run — parse *caching* is
-    /// an optimization, never an output bit).
+    /// The parse-counter reading (restored for continuity; the
+    /// featurizer's memo restarts cold after a restore, so the counter
+    /// may run ahead of a never-restored run — parse *caching* is an
+    /// optimization, never an output bit).
     pub statements_parsed: u64,
 }
 
@@ -466,11 +466,9 @@ pub struct StreamSummarizer {
     /// a statement that was never absorbed, and history absorption must
     /// never lose statements.
     unabsorbed: usize,
-    /// Per-statement featurization cache (see the module docs): the
-    /// index of the last close that used the entry, and its branches.
-    cache: HashMap<String, (usize, Vec<FeatureBranch>)>,
-    /// Statements actually parsed (cache misses) — the instrumented
-    /// counter behind [`StreamSummarizer::statements_parsed`].
+    /// Records the featurizer featurized from scratch while closing
+    /// windows — the instrumented counter behind
+    /// [`StreamSummarizer::statements_parsed`].
     parses: u64,
     /// Next scheduled time boundary (time mode; `None` until the first
     /// statement anchors the grid).
@@ -530,7 +528,6 @@ impl StreamSummarizer {
             buffer_total: 0,
             since_close: 0,
             unabsorbed: 0,
-            cache: HashMap::new(),
             parses: 0,
             next_close_ms: None,
             last_ts_ms: 0,
@@ -575,9 +572,9 @@ impl StreamSummarizer {
     }
 
     /// Rebuild a summarizer from an exported state and a shard store
-    /// recovered from the same checkpoint. The featurization cache
-    /// restarts cold (buffered statements re-parse lazily on the next
-    /// close — parse caching never changes an output bit).
+    /// recovered from the same checkpoint. The featurizer's memo
+    /// restarts cold (statements re-parse lazily on the next close —
+    /// parse caching never changes an output bit).
     ///
     /// An `Err` means the featurizer journal in `state.source_state` is
     /// corrupt or belongs to a different source kind.
@@ -683,8 +680,12 @@ impl StreamSummarizer {
         self.since_close
     }
 
-    /// Statements parsed so far (cache misses — repeats and sliding
-    /// overlaps replay cached branches instead of re-parsing).
+    /// Records featurized from scratch while closing windows: the sum,
+    /// over every close, of the change in
+    /// [`Featurizer::fresh_featurizations`] — the SQL featurizer's memo
+    /// misses (about one per shape) or the template miner's newly
+    /// journaled texts. Repeats, sliding overlaps and (with SQL) other
+    /// literals in a known shape are memo hits and parse nothing.
     pub fn statements_parsed(&self) -> u64 {
         self.parses
     }
@@ -929,33 +930,21 @@ impl StreamSummarizer {
             .unwrap_or(0)
     }
 
-    /// Featurize `buffer[entries]` into a fresh log, replaying cached
-    /// branches and featurizing (once) on miss; every entry used is
-    /// stamped with the closing window's index for the sweep that follows.
-    /// With the SQL source this produces the log `LogIngest` would, bit
-    /// for bit (`branch_features` is the factored statement half of
-    /// ingestion, and `add_features` reruns `add_conjunctive`'s
+    /// Featurize `buffer[entries]` into a fresh log, and add the
+    /// featurizations the featurizer did from scratch to the parse
+    /// counter. With the SQL source this produces the log `LogIngest`
+    /// would, bit for bit (`branch_features` is the factored statement
+    /// half of ingestion, and `add_features` reruns `add_conjunctive`'s
     /// interning; equality is regression-tested).
-    fn cached_log(&mut self, entries: std::ops::Range<usize>) -> QueryLog {
-        let close = self.windows_closed;
+    fn featurized_log(&mut self, entries: std::ops::Range<usize>) -> QueryLog {
+        let before = self.featurizer.fresh_featurizations();
         let mut log = QueryLog::new();
         for (text, count, _) in self.buffer.range(entries) {
-            // One hash lookup per hit; only a miss copies the text.
-            let branches: &[FeatureBranch] = match self.cache.get_mut(text) {
-                Some((used, branches)) => {
-                    *used = close;
-                    branches
-                }
-                None => {
-                    self.parses += 1;
-                    let branches = self.featurizer.featurize(text);
-                    &self.cache.entry(text.clone()).or_insert((close, branches)).1
-                }
-            };
-            for branch in branches {
+            for branch in self.featurizer.featurize(text) {
                 log.add_features(&branch.features, *count);
             }
         }
+        self.parses += self.featurizer.fresh_featurizations() - before;
         log
     }
 
@@ -991,7 +980,7 @@ impl StreamSummarizer {
                 expired += 1;
             }
         }
-        let window_log = self.cached_log(expired..self.buffer.len());
+        let window_log = self.featurized_log(expired..self.buffer.len());
 
         // Monitors run against the baseline *before* this window enters
         // the rotation — a window never judges itself.
@@ -1014,18 +1003,14 @@ impl StreamSummarizer {
         // append its new distinct queries as one shard: window-close cost
         // stays proportional to the window, not the history. Tumbling
         // windows *are* the stride, so the already-featurized window log
-        // is reused; sliding replays just the stride — the buffer's
+        // is reused; sliding featurizes just the stride — the buffer's
         // unabsorbed tail, read while the expired front is still there —
-        // from the cache. Both passes are then done: sweep the cache down
-        // to what this close used and advance the window (sliding keeps
-        // the overlap).
+        // and then advances the window (sliding keeps the overlap).
         let stride_log = if self.is_sliding() {
-            let log = self.cached_log(self.buffer.len() - self.unabsorbed..self.buffer.len());
-            self.cache.retain(|_, (used, _)| *used == index);
+            let log = self.featurized_log(self.buffer.len() - self.unabsorbed..self.buffer.len());
             self.buffer.drain(..expired);
             log
         } else {
-            self.cache.clear();
             self.buffer.clear();
             self.buffer_total = 0;
             window_log.clone()
@@ -1496,11 +1481,11 @@ mod tests {
 
     #[test]
     fn sliding_overlap_parses_each_statement_once() {
-        // The parse-cache headline: 3 distinct statements cycle through
+        // The parse-memo headline: 3 distinct statements cycle through
         // 40 arrivals under window 20 / slide 5 — 5 closes, each
         // featurizing a 20-query window plus a 5-query stride. Without
-        // the cache that is ~125 parses; with it, each distinct statement
-        // parses exactly once (it never leaves the live window).
+        // the featurizer's memo that is ~125 parses; with it, each
+        // distinct statement parses exactly once.
         let mut s = StreamSummarizer::new(StreamConfig {
             window: 20,
             slide: Some(5),
@@ -1513,18 +1498,18 @@ mod tests {
             }
         }
         assert_eq!(closes, 5);
-        assert_eq!(s.statements_parsed(), 3, "overlap statements must replay from the cache");
+        assert_eq!(s.statements_parsed(), 3, "overlap statements must come from the memo");
     }
 
     #[test]
     fn sliding_repeats_parse_count_is_pinned() {
-        // Golden count, computed at the commit before the reference-
-        // counted cache became a stamped one: 11 texts recur at uneven
-        // gaps with multiplicities 1–3 under window 12 / slide 4, so
-        // texts leave the window and come back (re-parse), repeat inside
-        // it (hit) and straddle closes (hit across the overlap). The
-        // parse counter is instrumentation, but a moved count means the
-        // cache's lifetime rule moved.
+        // 11 texts recur at uneven gaps with multiplicities 1–3 under
+        // window 12 / slide 4, so texts leave the window and come back,
+        // repeat inside it and straddle closes. The featurizer's memo
+        // outlives every window, so each text parses once: 11. (The
+        // stream-owned cache this replaced swept texts that left the
+        // window and parsed 33 times.) The counter is instrumentation,
+        // but a moved count means the memo's lifetime rule moved.
         let mut s = StreamSummarizer::new(StreamConfig {
             window: 12,
             slide: Some(4),
@@ -1537,56 +1522,75 @@ mod tests {
                 closes += 1;
             }
         }
-        assert_eq!((closes, s.statements_parsed()), (25, 33));
+        assert_eq!((closes, s.statements_parsed()), (25, 11));
+    }
+
+    /// 72 statements over 13 shapes whose texts recur across windows and
+    /// whose literals vary (numbers, strings, both kinds in one slot): a
+    /// parse error, a two-branch statement, three `LIMIT` counts (each
+    /// its own shape), the three `messaging` and two `banking` texts and
+    /// three more shapes.
+    fn literal_variants() -> Vec<String> {
+        (0..72u64)
+            .map(|i| match i % 8 {
+                0 => format!("SELECT id, body FROM messages WHERE status = {}", i % 5),
+                1 => format!("SELECT id FROM messages WHERE kind = 'k{}' AND status = {i}", i % 3),
+                2 => format!("SELECT a FROM t WHERE x = {} OR y = 'v'", i % 4),
+                3 => "NOT SQL %%".to_string(),
+                4 if i % 3 == 0 => format!("SELECT balance FROM accounts WHERE owner = {i}"),
+                4 => format!("SELECT balance FROM accounts WHERE owner = 'o{i}'"),
+                5 => format!("SELECT a FROM t ORDER BY a LIMIT {}", 1 + i % 3),
+                6 => messaging(i),
+                _ => banking(i / 8),
+            })
+            .collect()
     }
 
     #[test]
     fn cached_featurization_matches_log_ingest() {
-        // The cache path must produce the exact window log LogIngest
-        // builds (same codebook interning order, entries, counts) —
-        // including parse errors and multi-branch statements.
-        let statements: Vec<String> = (0..20)
-            .map(|i| match i % 5 {
-                0 => messaging(i),
-                1 => "SELECT a FROM t WHERE x = ? OR y = ?".to_string(),
-                2 => "NOT SQL %%".to_string(),
-                3 => banking(i),
-                _ => messaging(i + 1),
-            })
-            .collect();
-        let mut s = StreamSummarizer::new(StreamConfig {
-            window: 20,
-            slide: Some(5),
-            ..StreamConfig::default()
-        });
-        let mut last = None;
-        for sql in &statements {
-            if let Some(w) = s.try_ingest_record(sql).unwrap() {
-                last = Some(w);
+        // Featurizing through the memo must produce the exact window log
+        // LogIngest builds from the window's statements (same codebook
+        // interning order, entries, counts) — at every close of tumbling
+        // and sliding streams whose texts recur across windows and whose
+        // shapes recur with other literals, including parse errors and
+        // multi-branch statements.
+        let statements = literal_variants();
+        for (window, slide) in [(20, None), (8, None), (20, Some(5)), (12, Some(4))] {
+            let mut s =
+                StreamSummarizer::new(StreamConfig { window, slide, ..StreamConfig::default() });
+            let mut closes = 0;
+            for (i, sql) in statements.iter().enumerate() {
+                let Some(w) = s.try_ingest_record(sql).unwrap() else { continue };
+                closes += 1;
+                // Every multiplicity is 1, so the window is the newest
+                // `window` arrivals.
+                let mut ingest = logr_feature::LogIngest::new();
+                for sql in &statements[i + 1 - window as usize..=i] {
+                    ingest.ingest(sql);
+                }
+                let (reference, _) = ingest.finish();
+                let ctx = format!("window {window}, slide {slide:?}, close {}", w.index);
+                assert_eq!(w.log.entries(), reference.entries(), "{ctx}");
+                assert_eq!(w.log.num_features(), reference.num_features(), "{ctx}");
             }
+            assert!(closes >= 3, "window {window}, slide {slide:?}: texts must span closes");
+            // One featurization per shape, whatever the windowing.
+            assert_eq!(s.statements_parsed(), 13, "window {window}, slide {slide:?}");
         }
-        let w = last.expect("one close");
-        let mut ingest = logr_feature::LogIngest::new();
-        for sql in &statements {
-            ingest.ingest(sql);
-        }
-        let (reference, _) = ingest.finish();
-        assert_eq!(w.log.entries(), reference.entries());
-        assert_eq!(w.log.num_features(), reference.num_features());
     }
 
     #[test]
-    fn tumbling_cache_drains_with_the_window() {
-        // Tumbling windows clear the buffer on close, so the cache must
-        // not accumulate across windows (each statement re-parses in its
-        // own window, and memory stays bounded by the live window).
+    fn tumbling_windows_featurize_each_shape_once() {
+        // Tumbling windows clear the buffer on close, but the memo lives
+        // in the featurizer, not the window: the second window's
+        // statements are all hits (the stream-owned cache this replaced
+        // was cleared with the window and parsed them twice, 6 times).
         let mut s = StreamSummarizer::new(StreamConfig { window: 6, ..StreamConfig::default() });
         for i in 0..12 {
             s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
-        assert!(s.cache.is_empty(), "cache must drain with the tumbling buffer");
-        assert_eq!(s.statements_parsed(), 6, "3 distinct statements × 2 windows");
+        assert_eq!(s.statements_parsed(), 3, "3 distinct statements, parsed once each");
     }
 
     #[test]
@@ -2065,8 +2069,8 @@ mod tests {
         let a = original.export_state();
         let mut b = restored.export_state();
         // The parse counter legitimately runs ahead after a restore (the
-        // cache restarts cold) — it is instrumentation, never an output
-        // bit. Everything else must match exactly.
+        // featurizer's memo restarts cold) — it is instrumentation, never
+        // an output bit. Everything else must match exactly.
         b.cursor.statements_parsed = a.cursor.statements_parsed;
         assert_state_eq(&a, &b, "post-continue");
     }

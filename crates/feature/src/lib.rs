@@ -29,7 +29,7 @@ pub use codebook::{Codebook, FeatureId};
 pub use extract::{branch_features, extract_features, ExtractConfig};
 pub use feature::{Feature, FeatureClass};
 pub use labeled::{LabeledDataset, LabeledRow};
-pub use log::{anonymized_branches, IngestStats, LogIngest, QueryLog};
+pub use log::{anonymized_branches, hash_shape, IngestStats, LogIngest, QueryLog};
 // The branch type `anonymized_branches` yields and `QueryLog::add_conjunctive`
 // consumes, re-exported so featurization callers need not name `logr-sql`.
 pub use logr_sql::ConjunctiveQuery;

@@ -11,8 +11,11 @@ use crate::codebook::{Codebook, FeatureId};
 use crate::extract::{extract_features, ExtractConfig};
 use crate::feature::Feature;
 use crate::vector::QueryVector;
-use logr_sql::{anonymize_statement, parse_select, regularize, ConjunctiveQuery, ParseError};
+use logr_sql::{
+    anonymize_statement, parse_select, regularize, ConjunctiveQuery, Lexer, ParseError, TokenKind,
+};
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Deduplicated, multiplicity-weighted bag of query feature vectors.
 #[derive(Debug, Clone, Default)]
@@ -213,11 +216,11 @@ impl QueryLog {
 /// (LogIngest counts those in its stats and adds nothing).
 ///
 /// This factors the *statement-shaped* (codebook-independent) half of
-/// ingestion out of [`LogIngest`] so streaming callers can cache it per
-/// distinct statement: feeding each branch to
+/// ingestion out of [`LogIngest`] so featurizers can memoize it per
+/// shape ([`hash_shape`]): feeding each branch to
 /// [`QueryLog::add_conjunctive`] in statement order reproduces the log
-/// `LogIngest` would build, bit for bit, without re-parsing statements a
-/// sliding window has already seen.
+/// `LogIngest` would build, bit for bit, without re-parsing statements
+/// the stream has already seen.
 pub fn anonymized_branches(sql: &str) -> Vec<ConjunctiveQuery> {
     let mut stmt = match parse_select(sql) {
         Ok(stmt) => stmt,
@@ -225,6 +228,70 @@ pub fn anonymized_branches(sql: &str) -> Vec<ConjunctiveQuery> {
     };
     anonymize_statement(&mut stmt);
     regularized(&stmt).branches
+}
+
+/// Feed `sql`'s *shape* to `state`: its token sequence from the crate's
+/// own [`Lexer`], with literal values masked. Two statements that feed
+/// the same sequence yield the same [`anonymized_branches`], so a
+/// featurizer may key a memo by the digest of this sequence (DeLog's
+/// pattern signature, applied to SQL).
+///
+/// The masking follows exactly what anonymization discards:
+///
+/// * `Number` and `String` tokens feed one literal class, without their
+///   text — the parser turns either kind into a literal there and
+///   anonymization replaces every literal with `?`;
+/// * a `Number` after a `LIMIT` keyword feeds its text: `LIMIT` and
+///   `OFFSET` counts survive anonymization, and the parser may reject
+///   the text (`LIMIT 1.5`);
+/// * every other token feeds its kind and its exact text (identifier
+///   case is part of the feature text; keyword case and parameter
+///   spellings merely split a shape in two);
+/// * whitespace and comments feed nothing — the parser never sees them;
+/// * a text the lexer rejects feeds its tokens up to the error and one
+///   error class: the parser tokenizes the whole text first, so every
+///   such text has no branches.
+///
+/// Every token feeds a class tag, and a fed text ends with `0xff` (a byte
+/// UTF-8 never contains), so two different shapes never feed the same
+/// bytes.
+pub fn hash_shape<H: Hasher>(sql: &str, state: &mut H) {
+    const WORD: u8 = 0;
+    const QUOTED: u8 = 1;
+    const PARAM: u8 = 2;
+    const SYMBOL: u8 = 3;
+    const COUNT: u8 = 4;
+    const LITERAL: u8 = 5;
+    const END: u8 = 6;
+    const LEX_ERROR: u8 = 7;
+
+    let mut lexer = Lexer::new(sql);
+    let mut after_limit = false;
+    loop {
+        let Ok(token) = lexer.next_token() else {
+            state.write_u8(LEX_ERROR);
+            return;
+        };
+        let tag = match token.kind {
+            TokenKind::Word => WORD,
+            TokenKind::QuotedIdent => QUOTED,
+            TokenKind::Param => PARAM,
+            TokenKind::Symbol => SYMBOL,
+            TokenKind::Number if after_limit => COUNT,
+            TokenKind::Number | TokenKind::String => {
+                state.write_u8(LITERAL);
+                continue;
+            }
+            TokenKind::Eof => {
+                state.write_u8(END);
+                return;
+            }
+        };
+        after_limit |= token.is_kw("limit");
+        state.write_u8(tag);
+        state.write(token.text.as_bytes());
+        state.write_u8(0xff);
+    }
 }
 
 /// One regularizer pass over an (already anonymized) statement —

@@ -26,6 +26,10 @@
 //! [`TemplateMiner`] achieves this by journaling first-seen texts and
 //! memoizing their full feature result; replay re-mines the journal
 //! through the same code path instead of deserializing derived state.
+//! The [`SqlFeaturizer`] has no journal: its output depends on the text
+//! alone, and its memo (keyed by text, then by literal-masked shape) is a
+//! bounded cache that is neither journaled nor persisted — a featurizer
+//! whose memo is cold, cleared or full returns the same branches.
 
 pub mod config;
 mod journal;
@@ -82,7 +86,8 @@ impl FeatureBranch {
 
 /// Record → anonymized feature branches, with journaled state.
 ///
-/// Stateless implementations (SQL) export an empty journal. Stateful
+/// Implementations whose output depends on the text alone (SQL) export
+/// an empty journal, whatever cache they keep. Stateful
 /// miners journal whatever inputs are needed to reproduce their state by
 /// replay — see the crate docs for the determinism contract.
 pub trait Featurizer: fmt::Debug + Send {
@@ -93,6 +98,14 @@ pub trait Featurizer: fmt::Debug + Send {
     /// Featurize one raw record. Unparseable / empty records yield no
     /// branches (the stream layer counts them as parse failures).
     fn featurize(&mut self, text: &str) -> Vec<FeatureBranch>;
+
+    /// Records featurized from scratch so far — calls to
+    /// [`Featurizer::featurize`] that a memo did not answer. The stream
+    /// layer reads its change over a close as the parse counter. A
+    /// featurizer without a memo may keep the default of 0.
+    fn fresh_featurizations(&self) -> u64 {
+        0
+    }
 
     /// Export the full journal: replaying these bytes into a fresh
     /// featurizer of the same kind reproduces `self` exactly.

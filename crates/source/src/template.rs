@@ -328,6 +328,11 @@ impl Featurizer for TemplateMiner {
         branches
     }
 
+    fn fresh_featurizations(&self) -> u64 {
+        // Every text the memo did not answer was journaled.
+        self.journal.len() as u64
+    }
+
     fn export_journal(&self) -> Vec<u8> {
         let mut out = Vec::new();
         journal::encode_into(&mut out, &self.journal);

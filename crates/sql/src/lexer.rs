@@ -84,7 +84,13 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Streaming tokenizer over a SQL string.
+///
+/// Every delimiter the lexer looks for is ASCII, and an ASCII byte never
+/// occurs inside a multi-byte UTF-8 sequence, so any span between two
+/// delimiters is a `char`-boundary slice of the source: token texts are
+/// sliced, never rebuilt byte by byte.
 pub struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -92,7 +98,7 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     /// Create a lexer over `src`.
     pub fn new(src: &'a str) -> Self {
-        Lexer { src: src.as_bytes(), pos: 0 }
+        Lexer { text: src, src: src.as_bytes(), pos: 0 }
     }
 
     /// Lex the whole input into a token vector terminated by an `Eof` token.
@@ -185,14 +191,14 @@ impl<'a> Lexer<'a> {
                 while self.peek().is_some_and(|c| c.is_ascii_digit()) {
                     self.pos += 1;
                 }
-                Ok(Token::new(TokenKind::Param, self.slice(start), start))
+                Ok(Token::new(TokenKind::Param, self.slice(start, self.pos), start))
             }
             b':' if self.peek2().is_some_and(|c| c.is_ascii_alphabetic() || c == b'_') => {
                 self.pos += 1;
                 while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
                     self.pos += 1;
                 }
-                Ok(Token::new(TokenKind::Param, self.slice(start), start))
+                Ok(Token::new(TokenKind::Param, self.slice(start, self.pos), start))
             }
             c if c.is_ascii_digit() => self.lex_number(start),
             b'.' if self.peek2().is_some_and(|c| c.is_ascii_digit()) => self.lex_number(start),
@@ -200,30 +206,38 @@ impl<'a> Lexer<'a> {
                 while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
                     self.pos += 1;
                 }
-                Ok(Token::new(TokenKind::Word, self.slice(start), start))
+                Ok(Token::new(TokenKind::Word, self.slice(start, self.pos), start))
             }
             _ => self.lex_symbol(start),
         }
     }
 
-    fn slice(&self, start: usize) -> &str {
-        std::str::from_utf8(&self.src[start..self.pos]).unwrap_or("")
+    /// The source between two byte offsets (see the type docs for why
+    /// the offsets the lexer produces are always `char` boundaries).
+    fn slice(&self, start: usize, end: usize) -> &'a str {
+        self.text.get(start..end).unwrap_or("")
     }
 
     fn lex_string(&mut self, start: usize) -> Result<Token, LexError> {
         self.pos += 1; // opening quote
-        let mut text = String::new();
+        let body = self.pos;
+        let mut escaped = false;
         loop {
             match self.bump() {
-                Some(b'\'') => {
-                    if self.peek() == Some(b'\'') {
-                        text.push('\'');
-                        self.pos += 1;
-                    } else {
-                        return Ok(Token::new(TokenKind::String, &text, start));
-                    }
+                Some(b'\'') if self.peek() == Some(b'\'') => {
+                    self.pos += 1;
+                    escaped = true;
                 }
-                Some(c) => text.push(c as char),
+                Some(b'\'') => {
+                    // Inside the body every quote is half of a `''` pair.
+                    let raw = self.slice(body, self.pos - 1);
+                    return Ok(if escaped {
+                        Token::new(TokenKind::String, &raw.replace("''", "'"), start)
+                    } else {
+                        Token::new(TokenKind::String, raw, start)
+                    });
+                }
+                Some(_) => {}
                 None => {
                     return Err(LexError {
                         message: "unterminated string literal".into(),
@@ -236,17 +250,18 @@ impl<'a> Lexer<'a> {
 
     fn lex_quoted_ident(&mut self, start: usize, close: u8) -> Result<Token, LexError> {
         self.pos += 1; // opening quote
-        let mut text = String::new();
+        let body = self.pos;
         loop {
             match self.bump() {
                 Some(c) if c == close => {
-                    let mut tok = Token::new(TokenKind::QuotedIdent, &text, start);
+                    let mut tok =
+                        Token::new(TokenKind::QuotedIdent, self.slice(body, self.pos - 1), start);
                     // Quoted identifiers are case-sensitive; keep `normalized`
                     // equal to the literal spelling.
                     tok.normalized = tok.text.clone();
                     return Ok(tok);
                 }
-                Some(c) => text.push(c as char),
+                Some(_) => {}
                 None => {
                     return Err(LexError {
                         message: "unterminated quoted identifier".into(),
@@ -281,7 +296,7 @@ impl<'a> Lexer<'a> {
                 self.pos = save; // not an exponent after all
             }
         }
-        Ok(Token::new(TokenKind::Number, self.slice(start), start))
+        Ok(Token::new(TokenKind::Number, self.slice(start, self.pos), start))
     }
 
     fn lex_symbol(&mut self, start: usize) -> Result<Token, LexError> {
@@ -302,11 +317,12 @@ impl<'a> Lexer<'a> {
         let s = match c {
             b'(' | b')' | b',' | b'.' | b';' | b'=' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/'
             | b'%' | b'[' | b']' => (c as char).to_string(),
-            other => {
+            _ => {
+                let found = self.slice(start, self.text.len()).chars().next().unwrap_or('?');
                 return Err(LexError {
-                    message: format!("unexpected character '{}'", other as char),
+                    message: format!("unexpected character '{found}'"),
                     offset: start,
-                })
+                });
             }
         };
         Ok(Token::new(TokenKind::Symbol, &s, start))
@@ -431,6 +447,33 @@ mod tests {
         let err = Lexer::tokenize("SELECT ^").unwrap_err();
         assert!(err.message.contains('^'));
         assert_eq!(err.offset, 7);
+    }
+
+    #[test]
+    fn non_ascii_strings_and_identifiers_keep_their_characters() {
+        let toks =
+            Lexer::tokenize("SELECT \"Café\", `名前` FROM t WHERE a = 'Grüße ''ok'''").unwrap();
+        assert_eq!((toks[1].kind.clone(), toks[1].text.as_str()), (TokenKind::QuotedIdent, "Café"));
+        assert_eq!(toks[1].normalized, "Café");
+        assert_eq!(toks[3].text, "名前");
+        let strings: Vec<&str> =
+            toks.iter().filter(|t| t.kind == TokenKind::String).map(|t| t.text.as_str()).collect();
+        assert_eq!(strings, vec!["Grüße 'ok'"]);
+    }
+
+    #[test]
+    fn unexpected_non_ascii_character_is_reported_whole() {
+        let err = Lexer::tokenize("SELECT café FROM t").unwrap_err();
+        assert_eq!(err.message, "unexpected character 'é'");
+        assert_eq!(err.offset, 10);
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_text_round_trip() {
+        for (sql, text) in [("''''", "'"), ("'é'''", "é'"), ("'''é'", "'é"), ("'ü'", "ü")] {
+            let toks = Lexer::tokenize(sql).unwrap();
+            assert_eq!((toks[0].kind.clone(), toks[0].text.as_str()), (TokenKind::String, text));
+        }
     }
 
     #[test]
