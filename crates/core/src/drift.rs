@@ -12,9 +12,12 @@
 //!   so scores are comparable across query lengths. Queries that straddle
 //!   anti-correlated workloads (the §5 phantom queries) score near zero.
 //! * [`novelty_scores`] — nearest-baseline-query distance for every
-//!   distinct window query, on the dense popcount engine
-//!   ([`logr_cluster::PointSet`]): the baseline is converted once, each
-//!   window probe is one bitset, and each comparison one xor-popcount.
+//!   distinct window query. Each window feature is translated to its
+//!   baseline id once; a vector the baseline holds scores 0 by lookup.
+//!   The rest run on the dense popcount engine
+//!   ([`logr_cluster::PointSet`]): the baseline is converted to bitsets
+//!   on the first probe that needs a scan, and each comparison is one
+//!   xor-popcount.
 
 use crate::mixture::NaiveMixtureEncoding;
 use logr_cluster::{Distance, PointSet};
@@ -123,32 +126,49 @@ pub fn feature_drift(baseline: &QueryLog, window: &QueryLog) -> DriftReport {
 /// symmetric difference of every comparison — an injected query whose
 /// features are all unknown scores at least its own length (under every
 /// metric: at least `metric.of_mismatches(len, n_baseline_features)`).
+/// A raw window id with no entry in the window's codebook (see
+/// [`QueryLog::add_vector`]) has no feature identity, so it counts as
+/// unknown the same way.
 /// The normalizing universe is **fixed at the baseline's**: unknown
 /// features inflate only the mismatch count `d`, never the denominator,
 /// so more-unknown queries always score at least as high — not lower, as
 /// a per-probe denominator would make them under `Distance::Hamming`.
-/// Distances are computed on the dense engine: the baseline's distinct
-/// queries are batch-converted to bitsets once, and each candidate pair
-/// costs one xor-popcount.
+///
+/// Each window feature is translated once per call. A vector the
+/// baseline holds scores 0 by lookup
+/// (`metric.of_mismatches(0, n_baseline_features)`, the bits a scan would
+/// find). The baseline's distinct queries are converted to bitsets on the
+/// first probe that needs a scan, and each candidate pair then costs one
+/// xor-popcount.
 ///
 /// Returns an empty vector when either log is empty.
 pub fn novelty_scores(baseline: &QueryLog, window: &QueryLog, metric: Distance) -> Vec<f64> {
     if baseline.distinct_count() == 0 || window.distinct_count() == 0 {
         return Vec::new();
     }
-    let points = PointSet::from_log(baseline);
     let nf = baseline.num_features();
+    // Window id → baseline id; `None` for features the baseline lacks.
+    let translation: Vec<Option<FeatureId>> =
+        window.codebook().iter().map(|(_, feature)| baseline.codebook().get(feature)).collect();
+    let mut points: Option<PointSet> = None;
     window
         .entries()
         .iter()
         .map(|(v, _)| {
+            let known: Vec<FeatureId> =
+                v.iter().filter_map(|id| translation.get(id.index()).copied().flatten()).collect();
+            let unknown = v.len() - known.len();
+            let translated = QueryVector::new(known);
+            // Baseline entries are distinct id sets: a point at distance 0
+            // exists exactly when the translated vector is an entry, and no
+            // metric scores below its `d = 0` value.
+            if unknown == 0 && baseline.contains_vector(&translated) {
+                return metric.of_mismatches(0, nf);
+            }
+            let points = points.get_or_insert_with(|| PointSet::from_log(baseline));
             let mut probe = BitVec::zeros(nf);
-            let mut unknown = 0usize;
-            for id in v.iter() {
-                match baseline.codebook().get(window.codebook().feature(id)) {
-                    Some(base_id) => probe.set(base_id.index()),
-                    None => unknown += 1,
-                }
+            for id in translated.iter() {
+                probe.set(id.index());
             }
             (0..points.len())
                 .map(|i| {
@@ -179,7 +199,8 @@ pub fn query_typicality(mixture: &NaiveMixtureEncoding, query: &QueryVector) -> 
 mod tests {
     use super::*;
     use logr_cluster::Clustering;
-    use logr_feature::LogIngest;
+    use logr_feature::{Feature, LogIngest};
+    use proptest::prelude::*;
 
     fn baseline_log() -> QueryLog {
         let mut ingest = LogIngest::new();
@@ -386,5 +407,174 @@ mod tests {
         // Symmetric and bounded by ln 2.
         assert!((js_bernoulli(0.2, 0.7) - js_bernoulli(0.7, 0.2)).abs() < 1e-12);
         assert!(js_bernoulli(0.0, 1.0) <= std::f64::consts::LN_2 + 1e-12);
+    }
+
+    const ALL_METRICS: [Distance; 6] = [
+        Distance::Euclidean,
+        Distance::Manhattan,
+        Distance::Minkowski(3.0),
+        Distance::Hamming,
+        Distance::Chebyshev,
+        Distance::Canberra,
+    ];
+
+    /// Reference for the lookup path: every window vector probes every
+    /// baseline point, with no lookup and no lazy conversion. A raw
+    /// window id past the window's codebook counts as unknown.
+    fn novelty_scores_scan(baseline: &QueryLog, window: &QueryLog, metric: Distance) -> Vec<f64> {
+        if baseline.distinct_count() == 0 || window.distinct_count() == 0 {
+            return Vec::new();
+        }
+        let points = PointSet::from_log(baseline);
+        let nf = baseline.num_features();
+        window
+            .entries()
+            .iter()
+            .map(|(v, _)| {
+                let mut probe = BitVec::zeros(nf);
+                let mut unknown = 0usize;
+                for id in v.iter() {
+                    let feature = (id.index() < window.codebook().len())
+                        .then(|| window.codebook().feature(id));
+                    match feature.and_then(|f| baseline.codebook().get(f)) {
+                        Some(base_id) => probe.set(base_id.index()),
+                        None => unknown += 1,
+                    }
+                }
+                (0..points.len())
+                    .map(|i| {
+                        let d = probe.xor_count(points.point(i)) + unknown;
+                        metric.of_mismatches(d, nf)
+                    })
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect()
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn raw_window_id_counts_as_unknown() {
+        // Regression: a raw window id with no codebook entry used to
+        // panic in the window codebook's reverse lookup.
+        let mut b = LogIngest::new();
+        b.ingest("SELECT a FROM t");
+        let (base, _) = b.finish();
+        let mut window = QueryLog::new();
+        window.add_vector(QueryVector::new(vec![FeatureId(7)]), 1);
+
+        // Two baseline features missing plus one unknown.
+        assert_eq!(novelty_scores(&base, &window, Distance::Manhattan), vec![3.0]);
+        for metric in ALL_METRICS {
+            assert_eq!(
+                bits(&novelty_scores(&base, &window, metric)),
+                bits(&novelty_scores_scan(&base, &window, metric)),
+                "{metric:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lookup_matches_scan_on_an_empty_universe_baseline() {
+        // `nf == 0`: Hamming's `n == 0` arm, on both the lookup path (the
+        // empty window vector) and the scan path (everything else).
+        let mut base = QueryLog::new();
+        base.add_vector(QueryVector::empty(), 3);
+        assert_eq!(base.num_features(), 0);
+        let mut w = LogIngest::new();
+        w.ingest("SELECT a FROM t");
+        let (mut window, _) = w.finish();
+        window.add_vector(QueryVector::empty(), 1);
+        window.add_vector(QueryVector::new(vec![FeatureId(9)]), 1);
+        for metric in ALL_METRICS {
+            let scores = novelty_scores(&base, &window, metric);
+            assert_eq!(scores.len(), 3);
+            assert_eq!(scores[1].to_bits(), 0.0f64.to_bits(), "{metric:?}");
+            assert_eq!(bits(&scores), bits(&novelty_scores_scan(&base, &window, metric)));
+        }
+    }
+
+    /// `(pool features, raw ids, count)` for one entry.
+    type EntrySpec = (Vec<usize>, Vec<u32>, u64);
+
+    /// Ten features over two classes; their ids depend on the order a
+    /// log interns them.
+    fn pool_feature(i: usize) -> Feature {
+        if i.is_multiple_of(2) {
+            Feature::select(format!("c{i}"))
+        } else {
+            Feature::from_table(format!("t{i}"))
+        }
+    }
+
+    /// A log whose codebook first interns `order`, then each entry's
+    /// features as the entry arrives; raw ids go in as they are.
+    fn spec_log(order: &[usize], entries: &[EntrySpec]) -> QueryLog {
+        let mut log = QueryLog::new();
+        for &i in order {
+            log.codebook_mut().intern(pool_feature(i));
+        }
+        for (features, raw, count) in entries {
+            let mut ids: Vec<FeatureId> =
+                features.iter().map(|&i| log.codebook_mut().intern(pool_feature(i))).collect();
+            ids.extend(raw.iter().map(|&r| FeatureId(r)));
+            log.add_vector(QueryVector::new(ids), *count);
+        }
+        log
+    }
+
+    fn arb_entries() -> impl Strategy<Value = Vec<EntrySpec>> {
+        prop::collection::vec(
+            (
+                prop::collection::vec(0usize..10, 0..5),
+                prop::collection::vec(6u32..20, 0..2),
+                1u64..4,
+            ),
+            0..8,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lookup path returns the scan's bits under every metric.
+        /// The two logs intern the pool in their own orders (so the
+        /// translation is not the identity), each holds features the
+        /// other lacks, raw ids land inside and past either codebook,
+        /// vectors may be empty on both sides, the window re-spells some
+        /// baseline entries by feature identity (exact holds), and one
+        /// case in eight swaps in a baseline with `nf == 0`.
+        #[test]
+        fn lookup_matches_full_scan_bit_for_bit(
+            base_order in prop::collection::vec(0usize..10, 0..10),
+            base_entries in arb_entries(),
+            win_order in prop::collection::vec(0usize..10, 0..10),
+            win_entries in arb_entries(),
+            shared in prop::collection::vec(0usize..8, 0..6),
+            empty_universe in 0u8..8,
+        ) {
+            let base = if empty_universe == 0 {
+                spec_log(&[], &[(Vec::new(), Vec::new(), 1)])
+            } else {
+                spec_log(&base_order, &base_entries)
+            };
+            let mut window_specs = win_entries;
+            if !base_entries.is_empty() {
+                window_specs.extend(shared.iter().map(|&j| {
+                    (base_entries[j % base_entries.len()].0.clone(), Vec::new(), 1)
+                }));
+            }
+            let window = spec_log(&win_order, &window_specs);
+            for metric in ALL_METRICS {
+                prop_assert_eq!(
+                    bits(&novelty_scores(&base, &window, metric)),
+                    bits(&novelty_scores_scan(&base, &window, metric)),
+                    "{:?}",
+                    metric
+                );
+            }
+        }
     }
 }

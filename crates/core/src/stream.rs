@@ -105,7 +105,10 @@
 //! costs `O(w²)` for the window's own condensed matrix plus `O(h·w_new)`
 //! for the history shard's cross block (`w_new` = distinct queries never
 //! seen before, typically ≪ `w`) — both on scoped threads. The
-//! monolithic alternative re-pays `O((h + w)²)` per window.
+//! monolithic alternative re-pays `O((h + w)²)` per window. Novelty
+//! against a baseline of `b` distinct queries adds `O(w)` lookups plus
+//! `O(w_miss · b)` popcounts, where `w_miss` counts the window queries
+//! the baseline does not hold verbatim.
 
 use crate::compress::{CompressionObjective, LogR, LogRConfig, LogRSummary};
 use crate::drift::{feature_drift, novelty_scores, DriftReport};

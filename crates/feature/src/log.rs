@@ -100,6 +100,15 @@ impl QueryLog {
         self.entries.len()
     }
 
+    /// True when `vector` is one of the log's distinct entries — an exact
+    /// match on the id set, not containment (for that, see
+    /// [`QueryLog::support`]). One hash lookup; ids are compared as they
+    /// are, so a vector from another log's codebook must be translated
+    /// to this log's ids first.
+    pub fn contains_vector(&self, vector: &QueryVector) -> bool {
+        self.index.contains_key(vector)
+    }
+
     /// Size of the feature universe: the larger of the codebook and the
     /// largest raw feature id seen.
     pub fn num_features(&self) -> usize {
@@ -484,6 +493,21 @@ mod tests {
         // Zero-count adds are ignored.
         log.add_vector(qv(&[9]), 0);
         assert_eq!(log.distinct_count(), 2);
+    }
+
+    #[test]
+    fn contains_vector_is_exact_entry_membership() {
+        let mut log = QueryLog::new();
+        log.add_vector(qv(&[1, 2]), 3);
+        log.add_vector(QueryVector::empty(), 1);
+        assert!(log.contains_vector(&qv(&[2, 1])));
+        assert!(log.contains_vector(&QueryVector::empty()));
+        // A subset or superset of an entry is not an entry.
+        assert!(!log.contains_vector(&qv(&[1])));
+        assert!(!log.contains_vector(&qv(&[1, 2, 3])));
+        // Zero-count adds never became entries.
+        log.add_vector(qv(&[9]), 0);
+        assert!(!log.contains_vector(&qv(&[9])));
     }
 
     #[test]
