@@ -4,9 +4,10 @@
 //! difference cardinality `d = |x ⊕ y|`: Manhattan is `d`, Euclidean is
 //! `√d`, Minkowski-p is `d^(1/p)`. The paper's Hamming distance is the
 //! *normalized* mismatch rate `Count(x≠y) / (Count(x≠y) + Count(x=y))
-//! = d / n`. Chebyshev and Canberra (evaluated and dropped by the paper's
-//! footnote 1) are included for completeness: on binary data Chebyshev is
-//! the 0/1 indicator of inequality and Canberra coincides with Manhattan.
+//! = d / n`. These are the paper's four. Its footnote 1 evaluated and
+//! dropped Chebyshev (on binary data, the 0/1 indicator of inequality)
+//! and Canberra (which coincides with Manhattan); so does this enum, and
+//! their stored tags, 4 and 5, stay reserved.
 
 use logr_feature::QueryVector;
 use logr_math::Matrix;
@@ -23,10 +24,6 @@ pub enum Distance {
     Minkowski(f64),
     /// Normalized mismatch rate `d / n` (needs the universe size).
     Hamming,
-    /// l∞ on binary data: 1 if the vectors differ at all, else 0.
-    Chebyshev,
-    /// Canberra; coincides with Manhattan on binary data.
-    Canberra,
 }
 
 impl Distance {
@@ -42,7 +39,7 @@ impl Distance {
         let d = d as f64;
         match self {
             Distance::Euclidean => d.sqrt(),
-            Distance::Manhattan | Distance::Canberra => d,
+            Distance::Manhattan => d,
             Distance::Minkowski(p) => {
                 debug_assert!(p >= 1.0, "Minkowski order must be ≥ 1");
                 d.powf(1.0 / p)
@@ -52,13 +49,6 @@ impl Distance {
                     0.0
                 } else {
                     d / n as f64
-                }
-            }
-            Distance::Chebyshev => {
-                if d > 0.0 {
-                    1.0
-                } else {
-                    0.0
                 }
             }
         }
@@ -78,25 +68,22 @@ impl Distance {
             Distance::Manhattan => (1, 0.0),
             Distance::Minkowski(p) => (2, p),
             Distance::Hamming => (3, 0.0),
-            Distance::Chebyshev => (4, 0.0),
-            Distance::Canberra => (5, 0.0),
         }
     }
 
-    /// Inverse of [`Distance::tag`]; `None` for a byte no metric owns.
+    /// Inverse of [`Distance::tag`]; `None` for a byte no metric owns,
+    /// the retired Chebyshev (4) and Canberra (5) included.
     pub fn from_tag(tag: u8, p: f64) -> Option<Distance> {
         Some(match tag {
             0 => Distance::Euclidean,
             1 => Distance::Manhattan,
             2 => Distance::Minkowski(p),
             3 => Distance::Hamming,
-            4 => Distance::Chebyshev,
-            5 => Distance::Canberra,
             _ => return None,
         })
     }
 
-    /// Canonical label used in harness output. Borrowed for the five
+    /// Canonical label used in harness output. Borrowed for the three
     /// non-parameterized metrics; only `Minkowski(p)` allocates.
     pub fn label(self) -> Cow<'static, str> {
         match self {
@@ -104,8 +91,6 @@ impl Distance {
             Distance::Manhattan => Cow::Borrowed("manhattan"),
             Distance::Minkowski(p) => Cow::Owned(format!("minkowski{p}")),
             Distance::Hamming => Cow::Borrowed("hamming"),
-            Distance::Chebyshev => Cow::Borrowed("chebyshev"),
-            Distance::Canberra => Cow::Borrowed("canberra"),
         }
     }
 }
@@ -147,8 +132,6 @@ mod tests {
             (Distance::Manhattan, 1),
             (Distance::Minkowski(4.0), 2),
             (Distance::Hamming, 3),
-            (Distance::Chebyshev, 4),
-            (Distance::Canberra, 5),
         ];
         for (metric, byte) in stored {
             let (tag, p) = metric.tag();
@@ -156,7 +139,11 @@ mod tests {
             assert_eq!(Distance::from_tag(tag, p), Some(metric));
         }
         assert_eq!(Distance::Minkowski(4.0).tag().1, 4.0);
-        assert_eq!(Distance::from_tag(6, 0.0), None);
+        // Chebyshev's and Canberra's tags stay reserved: a store that
+        // carries one resumes as a corrupt manifest, never as another metric.
+        for retired in [4, 5, 6] {
+            assert_eq!(Distance::from_tag(retired, 0.0), None, "tag {retired}");
+        }
     }
 
     #[test]
@@ -171,7 +158,6 @@ mod tests {
         let a = qv(&[0, 1]);
         let b = qv(&[1, 2]);
         assert_eq!(Distance::Manhattan.between(&a, &b, 10), 2.0);
-        assert_eq!(Distance::Canberra.between(&a, &b, 10), 2.0);
     }
 
     #[test]
@@ -195,25 +181,12 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_is_indicator() {
-        let a = qv(&[0]);
-        let b = qv(&[1]);
-        assert_eq!(Distance::Chebyshev.between(&a, &b, 4), 1.0);
-        assert_eq!(Distance::Chebyshev.between(&a, &a, 4), 0.0);
-    }
-
-    #[test]
     fn identity_and_symmetry_all_metrics() {
         let a = qv(&[0, 2, 5]);
         let b = qv(&[1, 2]);
-        for m in [
-            Distance::Euclidean,
-            Distance::Manhattan,
-            Distance::Minkowski(4.0),
-            Distance::Hamming,
-            Distance::Chebyshev,
-            Distance::Canberra,
-        ] {
+        for m in
+            [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming]
+        {
             assert_eq!(m.between(&a, &a, 8), 0.0, "{:?} identity", m);
             assert_eq!(m.between(&a, &b, 8), m.between(&b, &a, 8), "{:?} symmetry", m);
             assert!(m.between(&a, &b, 8) > 0.0, "{:?} positivity", m);

@@ -230,15 +230,8 @@ mod tests {
         QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())
     }
 
-    fn all_metrics() -> [Distance; 6] {
-        [
-            Distance::Euclidean,
-            Distance::Manhattan,
-            Distance::Minkowski(4.0),
-            Distance::Hamming,
-            Distance::Chebyshev,
-            Distance::Canberra,
-        ]
+    fn all_metrics() -> [Distance; 4] {
+        [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming]
     }
 
     #[test]

@@ -692,15 +692,8 @@ mod tests {
         check::<ShardedPointSet>();
     };
 
-    fn all_metrics() -> [Distance; 6] {
-        [
-            Distance::Euclidean,
-            Distance::Manhattan,
-            Distance::Minkowski(4.0),
-            Distance::Hamming,
-            Distance::Chebyshev,
-            Distance::Canberra,
-        ]
+    fn all_metrics() -> [Distance; 4] {
+        [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming]
     }
 
     #[test]
@@ -905,8 +898,8 @@ mod tests {
         }
         assert_eq!(spilled.spilled_shards(), spilled.n_shards() - 1);
         assert_eq!(
-            spilled.try_condensed(Distance::Canberra).unwrap().as_slice(),
-            resident.try_condensed(Distance::Canberra).unwrap().as_slice()
+            spilled.try_condensed(Distance::Manhattan).unwrap().as_slice(),
+            resident.try_condensed(Distance::Manhattan).unwrap().as_slice()
         );
     }
 

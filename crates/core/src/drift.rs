@@ -352,14 +352,8 @@ mod tests {
         // baseline's. The old per-probe denominator `nf + unknown` made
         // Hamming *shrink* as a query got more unknown features — an
         // all-unknown injection scored below its documented floor.
-        let all_metrics = [
-            Distance::Euclidean,
-            Distance::Manhattan,
-            Distance::Minkowski(4.0),
-            Distance::Hamming,
-            Distance::Chebyshev,
-            Distance::Canberra,
-        ];
+        let all_metrics =
+            [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming];
         let mut b = LogIngest::new();
         b.ingest("SELECT a FROM t");
         b.ingest("SELECT b FROM t");
@@ -409,14 +403,8 @@ mod tests {
         assert!(js_bernoulli(0.0, 1.0) <= std::f64::consts::LN_2 + 1e-12);
     }
 
-    const ALL_METRICS: [Distance; 6] = [
-        Distance::Euclidean,
-        Distance::Manhattan,
-        Distance::Minkowski(3.0),
-        Distance::Hamming,
-        Distance::Chebyshev,
-        Distance::Canberra,
-    ];
+    const ALL_METRICS: [Distance; 4] =
+        [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(3.0), Distance::Hamming];
 
     /// Reference for the lookup path: every window vector probes every
     /// baseline point, with no lookup and no lazy conversion. A raw

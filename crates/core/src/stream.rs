@@ -217,6 +217,13 @@ impl StreamConfig {
         if self.k == 0 {
             return Err("k must be positive");
         }
+        if let Distance::Minkowski(p) = self.metric {
+            // NaN fails too: every distance would be NaN, and clustering
+            // would find no nearest neighbour.
+            if !(p.is_finite() && p >= 1.0) {
+                return Err("Minkowski order must be finite and at least 1");
+            }
+        }
         self.source.validate()?;
         Ok(())
     }

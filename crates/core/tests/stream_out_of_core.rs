@@ -168,7 +168,7 @@ fn bounded_sliding_stream_matches_too() {
         window: 30,
         slide: Some(10),
         k: 2,
-        metric: Distance::Canberra,
+        metric: Distance::Manhattan,
         ..StreamConfig::default()
     };
     let mut bounded = StreamSummarizer::new(config);

@@ -89,32 +89,35 @@
 //! ## Commit/ack semantics
 //!
 //! Writes (`ingest`, `flush`, `checkpoint`, `compact`) run on the worker
-//! serving the connection that sent them, under the tenant's write gate
-//! ([`tenant::Tenant::gate`]): one tenant's writes apply one at a time,
-//! a connection's in the order it sent them, and two tenants' writes
-//! never wait on each other. When a write appends to the tenant's delta
-//! log (a window close), its fsync is **deferred** into the tenant's
-//! [`commit::GroupCommitVfs`] and the write takes a **ticket**: the
-//! count of the tenant's deferred fsyncs. The gate is released and the
-//! response waits for that ticket; the committer thread flushes each
-//! tenant once per [`server::ServerConfig::commit_interval`], and one
-//! fsync makes every ticket the interval issued durable — so **an acked
-//! window close has always been fsynced**. A write that took no ticket
-//! (statements buffered inside a still-open window) is acked at once,
-//! whoever else is waiting; its statements are durable only from the
-//! close that later covers them — the same contract a standalone
-//! [`logr::Engine`] gives `ingest()` callers. A failed flush is
-//! **sticky**: every ticket it did not make durable fails with the typed
-//! error, and so does every later one, until the tenant's next write
-//! rebases it (full checkpoint through the untouched synchronous path)
-//! before running.
+//! serving the connection that sent them, under the tenant's write gate,
+//! which the tenant's [`commit::GroupCommitVfs`] owns
+//! ([`commit::GroupCommitVfs::run_gated`]): one tenant's writes apply one
+//! at a time, a connection's in the order it sent them, and two tenants'
+//! writes never wait on each other. When a write appends to the tenant's
+//! delta log (a window close), its fsync is **deferred** and the write
+//! takes a **ticket**: the count of the tenant's deferred fsyncs. The
+//! gate is released and the response waits for that ticket; the
+//! committer thread flushes each tenant once per
+//! [`server::ServerConfig::commit_interval`], and one fsync makes every
+//! ticket the interval issued durable — so **an acked window close has
+//! always been fsynced**. A write that took no ticket (statements
+//! buffered inside a still-open window) is acked at once, whoever else is
+//! waiting; its statements are durable only from the close that later
+//! covers them — the same contract a standalone [`logr::Engine`] gives
+//! `ingest()` callers. A failed flush is **sticky**: every ticket it did
+//! not make durable fails with the typed error, and so does every later
+//! one, until the tenant's next write rebases it (full checkpoint through
+//! the untouched synchronous path) before running. The daemon and the
+//! group-commit power-cut sweep drive this one protocol through the same
+//! two calls, `run_gated` and `wait`; its rules are pure transitions that
+//! a unit test model-checks over every interleaving.
 //!
 //! # Crate layout
 //!
 //! * [`json`] — dependency-free JSON tree, parser (depth-capped), writer.
 //! * [`protocol`] — frame parsing, [`ServerError`], response encoding.
-//! * [`commit`] — [`commit::GroupCommitVfs`]: the delta-fsync deferral
-//!   and each tenant's commit state (tickets, sticky failure).
+//! * [`commit`] — [`commit::GroupCommitVfs`]: each tenant's write gate,
+//!   delta-fsync deferral and commit state (tickets, sticky failure).
 //! * [`tenant`] — lazy tenant registry + global budget apportionment.
 //! * [`server`] — accept loop, the one worker pool, committer, dispatch.
 

@@ -8,21 +8,20 @@
 //!   defaulting to the `LOGR_THREADS` environment variable) — each serves
 //!   one connection at a time: parses its frames, answers reads off
 //!   lock-free [`logr::EngineSnapshot`]s, and runs writes itself under
-//!   the tenant's write gate ([`Tenant::gate`]), so one tenant's writes
-//!   stay ordered while different tenants' writes run side by side. A
-//!   connection that stays silent for a poll interval while another
-//!   waits for a worker goes to the back of the queue.
+//!   the tenant's write gate ([`crate::GroupCommitVfs::run_gated`]), so
+//!   one tenant's writes stay ordered while different tenants' writes
+//!   run side by side. A connection that stays silent for a poll
+//!   interval while another waits for a worker goes to the back of the
+//!   queue.
 //! * **1 committer thread** — every [`ServerConfig::commit_interval`] it
 //!   flushes each tenant that owes an fsync, making the tickets its
 //!   writes took durable (group commit, [`crate::GroupCommitVfs`]); its
 //!   last tick, after the workers joined, is the shutdown flush.
 //!
-//! Reads never wait on a writer: they clone the engine's published
-//! snapshot `Arc` and compute on it outside any engine lock, and nothing
-//! on the way to a read — the registry lookup included — takes a
-//! tenant's gate or its engine's writer lock. (Admitting or closing a
-//! tenant still re-budgets every engine under the registry lock; for
-//! that moment lookups wait behind it, as they always have.)
+//! Reads never wait on a writer: they compute on the engine's published
+//! snapshot, and nothing on their way takes a tenant's gate or its
+//! engine's writer lock. (Admitting or closing a tenant re-budgets every
+//! engine under the registry lock; lookups wait behind that.)
 
 use crate::json::{n, obj, s, Json};
 use crate::protocol::{
@@ -46,10 +45,8 @@ use std::time::Duration;
 /// it would otherwise block indefinitely (socket reads, queue waits).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Upper bound a worker waits for its write's ticket to become durable
-/// before failing the request (the committer flushes every commit
-/// interval, so hitting this means the committer died or the disk hung
-/// past retries).
+/// How long a write waits for its ticket before failing: reaching it
+/// means the committer died or the disk hung past retries.
 const ACK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Server configuration. Construct with [`ServerConfig::new`], then
@@ -403,25 +400,12 @@ fn handle(shared: &Shared, request: Request) -> Result<Json, ServerError> {
     }
 }
 
-/// Runs one write on the calling worker, under the tenant's gate, and
-/// returns its ack — which, when the write appended to the delta log,
-/// waits until the committer's covering fsync makes its ticket durable.
+/// Runs one write on the calling worker under the tenant's gate; when it
+/// took a ticket, its ack waits for the committer's covering fsync.
 fn write(tenant: &Tenant, op: WriteOp) -> Result<Json, ServerError> {
-    let gate = tenant.gate.lock().map_err(|_| logr::Error::Poisoned)?;
-    // fsync-failure hygiene: after a failed flush the delta log's durable
-    // prefix is unknown, so rebase onto a fresh base manifest (full
-    // synchronous checkpoint) before acknowledging anything else.
-    if tenant.commit.needs_rebase() {
-        tenant.engine.checkpoint()?;
-        tenant.commit.rebased();
-    }
-    let before = tenant.commit.ticket();
-    let result = run_write(tenant, op)?;
-    let ticket = tenant.commit.ticket();
-    // The gate does not wait for the fsync: the tenant's next write runs
-    // (and takes the next ticket) meanwhile.
-    drop(gate);
-    if ticket > before {
+    let rebase = || Ok(tenant.engine.checkpoint()?);
+    let (result, ticket) = tenant.commit.run_gated(rebase, || run_write(tenant, op))?;
+    if let Some(ticket) = ticket {
         tenant.commit.wait(ticket, ACK_TIMEOUT).map_err(logr::Error::from)?;
     }
     Ok(result)

@@ -2,23 +2,19 @@
 //! sharing one global resident-byte budget.
 //!
 //! Each tenant owns a subdirectory `<root>/<name>` holding a complete,
-//! standalone engine store (manifest, delta log, spilled shards, lock
-//! file) — a tenant's store can always be opened later by a plain
-//! [`logr::Engine`] session; the daemon adds nothing to the on-disk
-//! format. Engines open lazily on first use, exclusively locked through
-//! the engine's own `StoreLock`, and write through a per-tenant
-//! [`GroupCommitVfs`], which owns the tenant's commit state (tickets and
-//! a failed flush).
+//! standalone engine store that a plain [`logr::Engine`] can open later;
+//! the daemon adds nothing to the on-disk format. Engines open lazily on
+//! first use, exclusively locked through the engine's own `StoreLock`,
+//! and write through a per-tenant [`GroupCommitVfs`], which owns the
+//! tenant's write gate and commit state.
 //!
 //! # Budget apportionment
 //!
-//! The server is configured with one **global** resident-byte budget for
-//! spilled shard caches. The registry splits it evenly across live
-//! tenants and re-apportions on every open and close — admitting a tenant
-//! shrinks everyone's share (evicting resident shards as needed, oldest
-//! first), closing one returns its share to the survivors. Apportionment
-//! only governs which shards stay *resident in memory*; it never changes
-//! what is on disk.
+//! One **global** resident-byte budget for spilled shard caches is split
+//! evenly across live tenants and re-apportioned on every open and close
+//! (evicting resident shards, oldest first, when a share shrinks). It
+//! governs only which shards stay *resident in memory*, never what is on
+//! disk.
 
 use crate::commit::GroupCommitVfs;
 use crate::protocol::{protocol, ServerError};
@@ -67,24 +63,18 @@ impl Default for EngineProfile {
     }
 }
 
-/// One live tenant: its engine, its group-commit wrapper (which owns the
-/// tenant's commit state, a failed flush included), and its write gate.
+/// One live tenant: its engine and its group-commit wrapper, which owns
+/// the tenant's write gate and commit state (a failed flush included).
 #[derive(Debug)]
 pub struct Tenant {
     /// The validated tenant name.
     pub name: String,
     /// The tenant's engine, writing through [`Tenant::commit`].
     pub engine: Engine,
-    /// The group-commit vfs wrapper: this tenant's deferred delta fsyncs
-    /// and the tickets waiting on them.
+    /// The group-commit vfs wrapper: every write runs under its gate
+    /// ([`GroupCommitVfs::run_gated`]); reads, stats and the registry
+    /// never take it.
     pub commit: Arc<GroupCommitVfs>,
-    /// Held by a worker from a write's rebase check to its last ticket
-    /// read, so those happen on one thread at a time: no close can append
-    /// to a delta log whose durable prefix is unknown, a ticket that
-    /// advanced during a write's run is that write's own, and one
-    /// tenant's writes apply in gate order. Released before waiting for
-    /// the ticket; reads, stats and the registry never take it.
-    pub gate: Mutex<()>,
 }
 
 /// The set of live tenants plus the budget math over them.
@@ -171,8 +161,7 @@ impl TenantRegistry {
             drop(engine);
             return Err(e);
         }
-        let tenant =
-            Arc::new(Tenant { name: name.to_owned(), engine, commit, gate: Mutex::new(()) });
+        let tenant = Arc::new(Tenant { name: name.to_owned(), engine, commit });
         tenants.insert(name.to_owned(), tenant.clone());
         Self::apportion(&tenants, share)?;
         Ok(tenant)

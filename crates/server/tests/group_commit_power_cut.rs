@@ -1,8 +1,9 @@
 //! Group commit under power cuts, with no sockets: two tenants' engines
 //! write through their own [`GroupCommitVfs`] onto one [`FaultFs`], and
-//! the script below drives them the way the daemon's write path and
-//! committer do — closes of both tenants interleaved, some coalesced
-//! under one flush, one flush failing and the next write rebasing.
+//! the script below drives them the way the daemon does — each close
+//! through the same gated write, each flush as the committer's —
+//! closes of both tenants interleaved, some coalesced under one flush,
+//! one flush failing and the next write rebasing.
 //!
 //! An **ack** is recorded at the trace index where a close became
 //! durable: where its engine call returned when it took no ticket, else
@@ -69,33 +70,33 @@ impl Run {
         Run { fs, tenants }
     }
 
-    /// One window close through the daemon's write path: rebase after a
-    /// failed flush, then run the write; a close that took a ticket waits
-    /// for it, one that took none is acked at once.
+    /// One window close through the daemon's write path, the same gated
+    /// run: a rebase after a failed flush acks every close so far; a
+    /// close that took a ticket waits for it, one that took none is acked
+    /// at once.
     fn close(&mut self, t: usize) {
         let fs = self.fs.clone();
         let at = || fs.trace_len();
-        let tenant = &mut self.tenants[t];
-        if tenant.commit.needs_rebase() {
-            tenant.engine.checkpoint().expect("rebase");
-            tenant.commit.rebased();
-            tenant.waiting.clear();
-            tenant.acks.push((at(), tenant.engine.windows_closed().expect("windows")));
-        }
-        let before = tenant.commit.ticket();
-        tenant.closes.push(at());
-        let first = tenant.closes.len() as u64 - 1;
-        for i in 0..WINDOW {
-            tenant
-                .engine
-                .ingest_record(&statement(tenant.name, first * WINDOW + i))
-                .expect("ingest");
-        }
-        let windows = tenant.engine.windows_closed().expect("windows");
-        assert_eq!(windows, tenant.closes.len(), "every ingest batch closes one window");
-        match tenant.commit.ticket() {
-            ticket if ticket > before => tenant.waiting.push((ticket, windows)),
-            _ => tenant.acks.push((at(), windows)),
+        let Tenant { name, engine, commit, waiting, acks, closes, .. } = &mut self.tenants[t];
+        let rebase = || {
+            engine.checkpoint()?;
+            waiting.clear();
+            acks.push((at(), engine.windows_closed()?));
+            Ok(())
+        };
+        let write = || {
+            closes.push(at());
+            let first = closes.len() as u64 - 1;
+            for i in 0..WINDOW {
+                engine.ingest_record(&statement(name, first * WINDOW + i))?;
+            }
+            engine.windows_closed()
+        };
+        let (windows, ticket) = commit.run_gated(rebase, write).expect("write");
+        assert_eq!(windows, closes.len(), "every ingest batch closes one window");
+        match ticket {
+            Some(ticket) => waiting.push((ticket, windows)),
+            None => acks.push((at(), windows)),
         }
     }
 

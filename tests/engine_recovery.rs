@@ -8,7 +8,7 @@
 use logr::cluster::spill::{self, fnv1a64};
 use logr::cluster::testutil::TempStore;
 use logr::cluster::vfs::RealFs;
-use logr::cluster::SpillError;
+use logr::cluster::{Distance, SpillError};
 use logr::core::WindowSummary;
 use logr::{Engine, EngineBuilder, Error, Record};
 use proptest::prelude::*;
@@ -241,23 +241,50 @@ fn rebounding_the_budget_frees_memory_on_an_idle_engine() {
 }
 
 #[test]
+fn an_invalid_minkowski_order_is_a_config_error_not_a_panic() {
+    // A NaN order made every distance NaN, so the clustering of the first
+    // closed window indexed past its points; an order below 1 is no metric.
+    for p in [f64::NAN, 0.5, f64::INFINITY] {
+        let built =
+            Engine::builder().window(4).clusters(2).metric(Distance::Minkowski(p)).in_memory();
+        match built.err() {
+            Some(Error::Config { detail }) => assert!(detail.contains("Minkowski"), "{detail}"),
+            other => panic!("Minkowski({p}): {:?}", other.map(|e| e.to_string())),
+        }
+    }
+}
+
+#[test]
 fn corrupt_stored_config_is_rejected_not_panicked() {
     // A checksum-valid manifest carrying a configuration the summarizer
-    // would refuse (here: window 0) must surface as CorruptManifest.
-    let (store, _) = damaged_store_fixture("engine-bad-config");
+    // would refuse must surface as CorruptManifest. The window size is
+    // the first body field (offset 12, u64 LE).
+    reject_patched_config("engine-bad-config", "window must be positive", |bytes| {
+        bytes[12..20].copy_from_slice(&0u64.to_le_bytes())
+    });
+    // A NaN Minkowski order would panic the first summary. The metric's
+    // tag byte sits at offset 38, its order (f64 LE) at 39..47.
+    reject_patched_config("engine-bad-metric", "Minkowski order", |bytes| {
+        assert_eq!(bytes[38], Distance::Hamming.tag().0, "the fixture's metric tag");
+        bytes[38] = Distance::Minkowski(f64::NAN).tag().0;
+        bytes[39..47].copy_from_slice(&f64::NAN.to_le_bytes());
+    });
+}
+
+/// Patches the fixture's base manifest, fixes its checksum, and asserts
+/// the reopen fails as `CorruptManifest` naming `expected`.
+fn reject_patched_config(tag: &str, expected: &str, patch: impl Fn(&mut [u8])) {
+    let (store, _) = damaged_store_fixture(tag);
     let path = store.join(logr::manifest::FILE_NAME);
     let mut bytes = std::fs::read(&path).unwrap();
-    // The window size is the first body field (offset 12, u64 LE).
-    bytes[12..20].copy_from_slice(&0u64.to_le_bytes());
+    patch(&mut bytes);
     let total = bytes.len();
     let checksum = fnv1a64(&bytes[8..total - 8]);
     bytes[total - 8..].copy_from_slice(&checksum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     match Engine::open(store.path()).unwrap_err() {
-        Error::CorruptManifest { detail } => {
-            assert!(detail.contains("window must be positive"), "{detail}")
-        }
-        other => panic!("wrong error: {other}"),
+        Error::CorruptManifest { detail } => assert!(detail.contains(expected), "{detail}"),
+        other => panic!("{tag}: wrong error: {other}"),
     }
 }
 

@@ -143,7 +143,7 @@ fn sql_streams_match_the_scan_over_usbank() {
             window: 120,
             slide: Some(40),
             k: 3,
-            metric: Distance::Canberra,
+            metric: Distance::Manhattan,
             ..StreamConfig::default()
         },
         records,
