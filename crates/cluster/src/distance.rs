@@ -54,6 +54,20 @@ impl Distance {
         }
     }
 
+    /// Check the metric's parameter, returning the violated rule as data.
+    /// The one definition of a valid metric, shared by every front end
+    /// that takes one from a caller or a store.
+    pub fn validate(self) -> Result<(), &'static str> {
+        match self {
+            // NaN fails too: every distance would be NaN, and clustering
+            // would find no nearest neighbour.
+            Distance::Minkowski(p) if !(p.is_finite() && p >= 1.0) => {
+                Err("Minkowski order must be finite and at least 1")
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Distance between two binary vectors in a universe of `n` features.
     pub fn between(self, a: &QueryVector, b: &QueryVector, n: usize) -> f64 {
         self.of_mismatches(a.symmetric_difference_size(b), n)

@@ -67,7 +67,19 @@ pub struct LogR {
 
 impl LogR {
     /// Compressor with an explicit configuration.
+    ///
+    /// # Panics
+    /// Panics if the clustering metric fails [`Distance::validate`]
+    /// (a Minkowski order that is NaN, infinite or below 1).
     pub fn new(config: LogRConfig) -> Self {
+        let metric = match config.method {
+            ClusterMethod::Spectral(metric) | ClusterMethod::Hierarchical(metric) => metric,
+            ClusterMethod::KMeansEuclidean => Distance::Euclidean,
+        };
+        if let Err(detail) = metric.validate() {
+            // lint:allow(no-panic-paths): documented "# Panics" constructor contract — an invalid metric is a programming error caught when the compressor is built, before clustering indexes past its points
+            panic!("{detail}");
+        }
         LogR { config }
     }
 
@@ -313,6 +325,21 @@ mod tests {
             ingest.ingest("SELECT balance, branch FROM accounts WHERE owner = ? AND open = ?");
         }
         ingest.finish().0
+    }
+
+    #[test]
+    fn an_invalid_minkowski_order_is_refused_when_the_compressor_is_built() {
+        // Accepted, a NaN order made every distance NaN, and the first
+        // `compress` indexed past its points.
+        for p in [f64::NAN, 0.5, f64::INFINITY] {
+            let config = LogRConfig {
+                method: ClusterMethod::Hierarchical(Distance::Minkowski(p)),
+                ..LogRConfig::default()
+            };
+            let panic = std::panic::catch_unwind(|| LogR::new(config)).expect_err("accepted");
+            let detail = panic.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert_eq!(detail, "Minkowski order must be finite and at least 1", "Minkowski({p})");
+        }
     }
 
     #[test]

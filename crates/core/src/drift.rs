@@ -46,6 +46,17 @@ impl DriftReport {
     pub fn is_stable(&self, tolerance: f64) -> bool {
         self.overall <= tolerance && self.new_features.is_empty()
     }
+
+    /// Check a tolerance for [`DriftReport::is_stable`], returning the
+    /// violated rule as data: a NaN or negative tolerance would make
+    /// every report unstable, and an infinite one would hide every
+    /// divergence.
+    pub fn validate_tolerance(tolerance: f64) -> Result<(), &'static str> {
+        if !(tolerance.is_finite() && tolerance >= 0.0) {
+            return Err("tolerance must be a finite non-negative divergence");
+        }
+        Ok(())
+    }
 }
 
 /// Jensen–Shannon divergence between two Bernoulli marginals, in nats.

@@ -53,6 +53,15 @@
 //! close) is absorbed into the long-running history, so sliding windows
 //! never double-count.
 //!
+//! # Resumable state
+//!
+//! The open window is one [`WindowCursor`], which the summarizer runs on
+//! and exports as is ([`StreamSummarizer::export_state`]). A close keeps
+//! no record of itself beyond its exclusion span: a persister that takes
+//! it ([`StreamSummarizer::take_close_delta`]) gets a [`CloseDelta`] built
+//! then, whose journal increment runs since the previous take or full
+//! persist — so a stream nobody persists never builds one.
+//!
 //! # Featurizing each shape once
 //!
 //! A sliding close re-summarizes its overlap with the previous window,
@@ -217,13 +226,8 @@ impl StreamConfig {
         if self.k == 0 {
             return Err("k must be positive");
         }
-        if let Distance::Minkowski(p) = self.metric {
-            // NaN fails too: every distance would be NaN, and clustering
-            // would find no nearest neighbour.
-            if !(p.is_finite() && p >= 1.0) {
-                return Err("Minkowski order must be finite and at least 1");
-            }
-        }
+        self.metric.validate()?;
+        DriftReport::validate_tolerance(self.drift_tolerance)?;
         self.source.validate()?;
         Ok(())
     }
@@ -316,47 +320,43 @@ pub struct StreamState {
 /// Where the open window stands: the part of the resumable state that is
 /// small, changes with every record, and is therefore recorded
 /// **absolutely** — a full [`StreamState`] export and a per-close
-/// [`CloseDelta`] both carry one, and replaying a close overwrites it.
+/// [`CloseDelta`] both carry one, and replaying a close overwrites it. A
+/// [`StreamSummarizer`] runs on this value itself, so both are clones of
+/// it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowCursor {
-    /// Statements in the current window scope: `(sql, multiplicity,
-    /// arrival ms)` in arrival order.
+    /// Statements in the current window scope (sliding keeps the
+    /// overlap): `(text, multiplicity, arrival ms — 0 in count mode)` in
+    /// arrival order. The one copy of every buffered text.
     pub buffer: Vec<(String, u64, u64)>,
-    /// Statements not yet absorbed into the history (sliding windows):
-    /// the text and multiplicity of the buffer's newest entries, in the
-    /// same order ([`WindowCursor::validate`]).
-    pub pending: Vec<(String, u64)>,
+    /// How many of `buffer`'s newest entries arrived since the last close
+    /// and are not yet absorbed into the history (sliding only; tumbling
+    /// absorbs the window log itself and keeps 0). A count past the
+    /// buffer's length covers the whole buffer; the store decoder refuses
+    /// one.
+    pub unabsorbed: usize,
     /// Queries since the last close (in a [`CloseDelta`]: 0, unless a
     /// time-mode arrival already started the next window).
     pub since_close: u64,
-    /// Next scheduled time boundary (time mode).
+    /// Next scheduled time boundary (time mode; `None` until the first
+    /// statement anchors the grid).
     pub next_close_ms: Option<u64>,
-    /// Largest timestamp seen.
+    /// Largest timestamp seen (time mode's monotonic clamp).
     pub last_ts_ms: u64,
     /// Windows closed so far.
     pub windows_closed: usize,
-    /// The parse-counter reading (restored for continuity; the
-    /// featurizer's memo restarts cold after a restore, so the counter
-    /// may run ahead of a never-restored run — parse *caching* is an
-    /// optimization, never an output bit).
+    /// Records the featurizer featurized from scratch while closing
+    /// windows (see [`StreamSummarizer::statements_parsed`]; restored for
+    /// continuity — the featurizer's memo restarts cold after a restore,
+    /// so the counter may run ahead of a never-restored run).
     pub statements_parsed: u64,
 }
 
 impl WindowCursor {
-    /// Check the one condition the fields hold among themselves: `pending`
-    /// is the tail of `buffer`. A summarizer keeps the unabsorbed
-    /// statements only as that tail, so a cursor from outside the program
-    /// (a checksum-valid manifest from a foreign or hand-edited store)
-    /// must be checked before [`StreamSummarizer::try_from_state`], which
-    /// treats a violation as a caller bug.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        // Newest first; a `pending` longer than `buffer` runs out of tail.
-        let tail = self.buffer.iter().rev().map(|(text, count, _)| (text, count));
-        let pending = self.pending.iter().rev().map(|(text, count)| (text, count));
-        if !pending.eq(tail.take(self.pending.len())) {
-            return Err("pending statements are not the buffer's tail");
-        }
-        Ok(())
+    /// The buffer's not-yet-absorbed tail: its newest `unabsorbed`
+    /// entries (the whole buffer when the count exceeds it).
+    pub fn unabsorbed_tail(&self) -> &[(String, u64, u64)] {
+        &self.buffer[self.buffer.len().saturating_sub(self.unabsorbed)..]
     }
 }
 
@@ -369,14 +369,16 @@ impl WindowCursor {
 /// weight and exclusion span the close fed it — and replay reruns the
 /// deterministic rotation ([`rotate_baseline`], the one function both
 /// sides call). Nothing in the record scales with the history or the
-/// rotation depth. Captured at the end of the ingest (or flush) call
-/// that closed the window — after a time-mode arrival has landed in the
-/// next window's buffer — so applying it to the pre-close state
-/// reproduces exactly what [`StreamSummarizer::export_state`] would
-/// emit.
+/// rotation depth. Built when it is taken
+/// ([`StreamSummarizer::take_close_delta`]), from the state at that
+/// moment — so a taker that takes right after the call that closed the
+/// window (after a time-mode arrival has landed in the next window's
+/// buffer) gets a record that, applied to the pre-close state,
+/// reproduces exactly what [`StreamSummarizer::export_state`] would emit.
 #[derive(Debug, Clone)]
 pub struct CloseDelta {
-    /// The post-close cursor (its `windows_closed` includes this close).
+    /// The cursor at take time (its `windows_closed` includes this
+    /// close).
     pub cursor: WindowCursor,
     /// The stride this close absorbed into the history and pushed into
     /// the baseline rotation — the one non-scalar piece of the record.
@@ -386,13 +388,13 @@ pub struct CloseDelta {
     /// Exclusion span the rotation's skip walk used *at close time* (the
     /// buffer total retained after the trim; 0 for tumbling). Recorded
     /// rather than rederived because post-close arrivals change the live
-    /// buffer before the delta is captured.
+    /// buffer before the delta is taken.
     pub overlap_span: u64,
-    /// The featurizer's journal increment since the previous close
-    /// ([`Featurizer::drain_events`]; empty for stateless sources).
-    /// Concatenating every close's increment onto the base state's
-    /// journal reproduces the full journal, so replay appends these bytes
-    /// to [`StreamState::source_state`].
+    /// The featurizer's journal increment since the previous take or
+    /// full persist ([`Featurizer::drain_events`]; empty for stateless
+    /// sources). Concatenating every record's increment onto the base
+    /// state's journal reproduces the full journal, so replay appends
+    /// these bytes to [`StreamState::source_state`].
     pub source_events: Vec<u8>,
 }
 
@@ -461,31 +463,10 @@ pub fn rotate_baseline(
 #[derive(Debug)]
 pub struct StreamSummarizer {
     config: StreamConfig,
-    /// Statements in the current window scope (sliding keeps the overlap),
-    /// with multiplicity and arrival timestamp (ms; 0 in count mode) —
-    /// the one copy of every buffered text.
-    buffer: VecDeque<(String, u64, u64)>,
-    /// Multiplicity-weighted total of `buffer`.
+    /// The open window, exported as is.
+    window: WindowCursor,
+    /// Multiplicity-weighted total of `window.buffer`.
     buffer_total: u64,
-    /// Queries since the last close (tumbling: equals `buffer_total`).
-    since_close: u64,
-    /// How many of `buffer`'s newest entries arrived since the last close
-    /// and are not yet absorbed into the history (sliding only; tumbling
-    /// reuses the window log). A close absorbs that tail *before* it
-    /// drops the expired front: one huge-multiplicity arrival can expire
-    /// a statement that was never absorbed, and history absorption must
-    /// never lose statements.
-    unabsorbed: usize,
-    /// Records the featurizer featurized from scratch while closing
-    /// windows — the instrumented counter behind
-    /// [`StreamSummarizer::statements_parsed`].
-    parses: u64,
-    /// Next scheduled time boundary (time mode; `None` until the first
-    /// statement anchors the grid).
-    next_close_ms: Option<u64>,
-    /// Largest timestamp seen (time mode's monotonic clamp).
-    last_ts_ms: u64,
-    windows_closed: usize,
     /// Rotation backing the baseline: each closed stride's log with its
     /// offered-query count (parseable or not — exclusion spans are
     /// measured in offered queries).
@@ -499,14 +480,11 @@ pub struct StreamSummarizer {
     /// `Arc`-backed for the same reason — this is the `O(distinct)`
     /// structure snapshot capture must not clone per close.
     history: Arc<QueryLog>,
-    /// What the most recent window close changed (see [`CloseDelta`]);
-    /// taken by delta-log persisters via
-    /// [`StreamSummarizer::take_close_delta`].
-    last_close_delta: Option<Box<CloseDelta>>,
-    /// Exclusion span the most recent close's rotation used, staged here
-    /// because `note_close_delta` runs after a time-mode arrival may
-    /// have already grown the buffer past its at-close total.
-    last_overlap_span: u64,
+    /// `Some` while the most recent close's [`CloseDelta`] is untaken:
+    /// the exclusion span its rotation used — the one part of the record
+    /// the state cannot give back later, because post-close arrivals grow
+    /// the buffer past its at-close total.
+    untaken_close: Option<u64>,
     /// Record → feature-branch mapping (SQL pipeline or template miner);
     /// stateful miners journal through it for bit-identical recovery.
     featurizer: Box<dyn Featurizer>,
@@ -534,19 +512,12 @@ impl StreamSummarizer {
         }
         StreamSummarizer {
             config,
-            buffer: VecDeque::new(),
+            window: WindowCursor::default(),
             buffer_total: 0,
-            since_close: 0,
-            unabsorbed: 0,
-            parses: 0,
-            next_close_ms: None,
-            last_ts_ms: 0,
-            windows_closed: 0,
             baseline_logs: VecDeque::new(),
             baseline: Arc::new(QueryLog::new()),
             history: Arc::new(QueryLog::new()),
-            last_close_delta: None,
-            last_overlap_span: 0,
+            untaken_close: None,
             featurizer: config.source.featurizer(),
             shards: ShardedPointSet::new(),
             wedged: false,
@@ -558,26 +529,11 @@ impl StreamSummarizer {
     /// rebuilds it with [`ShardedPointSet::from_spilled_files_with`].
     pub fn export_state(&self) -> StreamState {
         StreamState {
-            cursor: self.cursor(),
+            cursor: self.window.clone(),
             baseline_logs: self.baseline_logs.iter().cloned().collect(),
             baseline: (*self.baseline).clone(),
             history: (*self.history).clone(),
             source_state: self.featurizer.export_journal(),
-        }
-    }
-
-    /// The open window's position, as both [`StreamState`] and
-    /// [`CloseDelta`] record it.
-    fn cursor(&self) -> WindowCursor {
-        let tail = self.buffer.range(self.buffer.len() - self.unabsorbed..);
-        WindowCursor {
-            buffer: self.buffer.iter().cloned().collect(),
-            pending: tail.map(|(text, count, _)| (text.clone(), *count)).collect(),
-            since_close: self.since_close,
-            next_close_ms: self.next_close_ms,
-            last_ts_ms: self.last_ts_ms,
-            windows_closed: self.windows_closed,
-            statements_parsed: self.parses,
         }
     }
 
@@ -591,9 +547,8 @@ impl StreamSummarizer {
     ///
     /// # Panics
     /// Panics on an invalid `config` (same contract as
-    /// [`StreamSummarizer::new`]), when `shards` and `state.history`
-    /// disagree on point count or universe width, or when `state.cursor`
-    /// fails [`WindowCursor::validate`] (callers validate all three
+    /// [`StreamSummarizer::new`]), or when `shards` and `state.history`
+    /// disagree on point count or universe width (callers validate both
     /// first).
     pub fn try_from_state(
         config: StreamConfig,
@@ -615,16 +570,8 @@ impl StreamSummarizer {
             state.history.num_features(),
             "shard store and history log disagree on the feature universe"
         );
-        let cursor = state.cursor;
-        assert_eq!(cursor.validate(), Ok(()), "window cursor is inconsistent");
-        s.buffer_total = cursor.buffer.iter().map(|(_, count, _)| count).sum();
-        s.unabsorbed = cursor.pending.len();
-        s.buffer = cursor.buffer.into();
-        s.since_close = cursor.since_close;
-        s.next_close_ms = cursor.next_close_ms;
-        s.last_ts_ms = cursor.last_ts_ms;
-        s.windows_closed = cursor.windows_closed;
-        s.parses = cursor.statements_parsed;
+        s.buffer_total = state.cursor.buffer.iter().map(|(_, count, _)| count).sum();
+        s.window = state.cursor;
         s.baseline_logs = state.baseline_logs.into();
         s.baseline = Arc::new(state.baseline);
         s.history = Arc::new(state.history);
@@ -639,7 +586,7 @@ impl StreamSummarizer {
 
     /// Windows closed so far.
     pub fn windows_closed(&self) -> usize {
-        self.windows_closed
+        self.window.windows_closed
     }
 
     /// The rolling drift baseline (absorbed union of recent windows).
@@ -670,13 +617,28 @@ impl StreamSummarizer {
 
     /// Take what the most recent window close changed (see
     /// [`CloseDelta`]), or `None` when no window has closed since the
-    /// last take. Delta-log persisters call this once per close; leaving
-    /// deltas untaken is harmless (each close overwrites the last), but a
-    /// taker must then persist a **full** state export, because the
-    /// overwritten closes' stride absorptions are gone from the delta
-    /// stream.
-    pub fn take_close_delta(&mut self) -> Option<Box<CloseDelta>> {
-        self.last_close_delta.take()
+    /// last take. The record is built now: the current cursor, the
+    /// rotation's newest stride, the close's exclusion span, and the
+    /// journal increment drained since the previous take. Delta-log
+    /// persisters take once, right after the call that closed the
+    /// window. Leaving a record untaken costs nothing (the next close
+    /// supersedes it), but a taker must then persist a **full** state
+    /// export, because the superseded close's stride absorption is gone
+    /// from the delta stream — and a full persist must take (and drop)
+    /// any untaken record, so the next record's journal increment starts
+    /// at the journal that persist wrote.
+    pub fn take_close_delta(&mut self) -> Option<CloseDelta> {
+        let overlap_span = self.untaken_close.take()?;
+        // The pair this close pushed into the rotation (only pop_front
+        // ever trims it, so back() is the newest).
+        let (stride_log, window_queries) = self.baseline_logs.back()?.clone();
+        Some(CloseDelta {
+            cursor: self.window.clone(),
+            stride_log,
+            window_queries,
+            overlap_span,
+            source_events: self.featurizer.drain_events(),
+        })
     }
 
     /// The sharded history matrix (for store diagnostics; summaries go
@@ -687,7 +649,7 @@ impl StreamSummarizer {
 
     /// Queries buffered toward the next window close.
     pub fn buffered_queries(&self) -> u64 {
-        self.since_close
+        self.window.since_close
     }
 
     /// Records featurized from scratch while closing windows: the sum,
@@ -697,7 +659,7 @@ impl StreamSummarizer {
     /// journaled texts. Repeats, sliding overlaps and (with SQL) other
     /// literals in a known shape are memo hits and parse nothing.
     pub fn statements_parsed(&self) -> u64 {
-        self.parses
+        self.window.statements_parsed
     }
 
     /// Bound resident memory: spill closed history shards to `dir` in the
@@ -791,16 +753,16 @@ impl StreamSummarizer {
         if count == 0 {
             return Ok(None);
         }
-        self.last_ts_ms = self.last_ts_ms.max(ts_ms);
-        let ts = self.last_ts_ms;
+        let ts = self.window.last_ts_ms.max(ts_ms);
+        self.window.last_ts_ms = ts;
 
         let mut closed = None;
         if let Some(tw) = self.config.time {
-            match self.next_close_ms {
+            match self.window.next_close_ms {
                 // First statement anchors the boundary grid.
-                None => self.next_close_ms = Some(ts.saturating_add(tw.window_ms)),
+                None => self.window.next_close_ms = Some(ts.saturating_add(tw.window_ms)),
                 Some(boundary) if ts >= boundary => {
-                    if self.since_close > 0 {
+                    if self.window.since_close > 0 {
                         closed = Some(self.close_window(Some(boundary))?);
                     }
                     // Advance on the fixed grid past the arrival: a gap's
@@ -810,37 +772,31 @@ impl StreamSummarizer {
                     // per arrival, and never terminate at ts = u64::MAX.
                     let step = tw.slide_ms.unwrap_or(tw.window_ms);
                     let skipped = ((ts - boundary) / step).saturating_add(1);
-                    self.next_close_ms =
+                    self.window.next_close_ms =
                         Some(boundary.saturating_add(step.saturating_mul(skipped)));
                 }
                 Some(_) => {}
             }
         }
 
-        self.buffer.push_back((sql.to_string(), count, ts));
+        self.window.buffer.push((sql.to_string(), count, ts));
         self.buffer_total += count;
-        self.since_close += count;
+        self.window.since_close += count;
         if self.is_sliding() {
             // Sliding only: the unseen stride differs from the (overlapping)
             // window buffer. Tumbling absorbs the window log itself.
-            self.unabsorbed += 1;
+            self.window.unabsorbed += 1;
         }
 
         if self.config.time.is_none() {
+            let since_close = self.window.since_close;
             let due = match self.config.slide {
-                None => self.since_close >= self.config.window,
-                Some(slide) => self.buffer_total >= self.config.window && self.since_close >= slide,
+                None => since_close >= self.config.window,
+                Some(slide) => self.buffer_total >= self.config.window && since_close >= slide,
             };
             if due {
-                let summary = self.close_window(None)?;
-                self.note_close_delta();
-                return Ok(Some(summary));
+                return self.close_window(None).map(Some);
             }
-        }
-        if closed.is_some() {
-            // Time-mode close: captured only now, after the arriving
-            // statement joined the next window's buffer.
-            self.note_close_delta();
         }
         Ok(closed)
     }
@@ -852,11 +808,9 @@ impl StreamSummarizer {
     /// [`StreamSummarizer::try_ingest`].
     pub fn try_flush(&mut self) -> Result<Option<WindowSummary>, SpillError> {
         self.check_wedged()?;
-        let boundary = self.config.time.map(|_| self.last_ts_ms.saturating_add(1));
-        if self.since_close > 0 {
-            let summary = self.close_window(boundary)?;
-            self.note_close_delta();
-            Ok(Some(summary))
+        let boundary = self.config.time.map(|_| self.window.last_ts_ms.saturating_add(1));
+        if self.window.since_close > 0 {
+            self.close_window(boundary).map(Some)
         } else {
             Ok(None)
         }
@@ -913,26 +867,6 @@ impl StreamSummarizer {
         LogR::new(self.config.compressor_config())
     }
 
-    /// Record what the close that just finished changed (see
-    /// [`CloseDelta`]). Called from the ingest/flush front ends — not
-    /// from `close_window` itself — so a time-mode arrival that lands in
-    /// the *next* window's buffer after the close is captured too.
-    fn note_close_delta(&mut self) {
-        let (stride_log, window_queries) = match self.baseline_logs.back() {
-            // The pair this close pushed into the rotation (only
-            // pop_front ever trims it, so back() is the newest).
-            Some((log, offered)) => (log.clone(), *offered),
-            None => (QueryLog::new(), 0),
-        };
-        self.last_close_delta = Some(Box::new(CloseDelta {
-            cursor: self.cursor(),
-            stride_log,
-            window_queries,
-            overlap_span: self.last_overlap_span,
-            source_events: self.featurizer.drain_events(),
-        }));
-    }
-
     fn wall_clock_ms() -> u64 {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -940,7 +874,7 @@ impl StreamSummarizer {
             .unwrap_or(0)
     }
 
-    /// Featurize `buffer[entries]` into a fresh log, and add the
+    /// Featurize `window.buffer[entries]` into a fresh log, and add the
     /// featurizations the featurizer did from scratch to the parse
     /// counter. With the SQL source this produces the log `LogIngest`
     /// would, bit for bit (`branch_features` is the factored statement
@@ -949,12 +883,12 @@ impl StreamSummarizer {
     fn featurized_log(&mut self, entries: std::ops::Range<usize>) -> QueryLog {
         let before = self.featurizer.fresh_featurizations();
         let mut log = QueryLog::new();
-        for (text, count, _) in self.buffer.range(entries) {
+        for (text, count, _) in &self.window.buffer[entries] {
             for branch in self.featurizer.featurize(text) {
                 log.add_features(&branch.features, *count);
             }
         }
-        self.parses += self.featurizer.fresh_featurizations() - before;
+        self.window.statements_parsed += self.featurizer.fresh_featurizations() - before;
         log
     }
 
@@ -963,8 +897,8 @@ impl StreamSummarizer {
     /// store failed while appending the window's shard) wedges the
     /// summarizer — see [`StreamSummarizer::try_ingest`].
     fn close_window(&mut self, boundary: Option<u64>) -> Result<WindowSummary, SpillError> {
-        let window_queries = self.since_close;
-        let index = self.windows_closed;
+        let window_queries = self.window.since_close;
+        let index = self.window.windows_closed;
         // Count the front entries that fell out of the window span, at
         // statement granularity — they leave the buffer only once the
         // stride below has been absorbed. Count mode: whole statements
@@ -978,7 +912,7 @@ impl StreamSummarizer {
                     .expect("time closes carry a boundary")
                     .saturating_sub(tw.window_ms)
             });
-            for &(_, count, ts) in &self.buffer {
+            for &(_, count, ts) in &self.window.buffer {
                 let in_span = match horizon {
                     Some(horizon) => ts >= horizon,
                     None => self.buffer_total - count < self.config.window,
@@ -990,7 +924,7 @@ impl StreamSummarizer {
                 expired += 1;
             }
         }
-        let window_log = self.featurized_log(expired..self.buffer.len());
+        let window_log = self.featurized_log(expired..self.window.buffer.len());
 
         // Monitors run against the baseline *before* this window enters
         // the rotation — a window never judges itself.
@@ -1014,19 +948,22 @@ impl StreamSummarizer {
         // stays proportional to the window, not the history. Tumbling
         // windows *are* the stride, so the already-featurized window log
         // is reused; sliding featurizes just the stride — the buffer's
-        // unabsorbed tail, read while the expired front is still there —
+        // unabsorbed tail, read while the expired front is still there (one
+        // huge-multiplicity arrival can expire a statement that was never
+        // absorbed, and history absorption must never lose statements) —
         // and then advances the window (sliding keeps the overlap).
         let stride_log = if self.is_sliding() {
-            let log = self.featurized_log(self.buffer.len() - self.unabsorbed..self.buffer.len());
-            self.buffer.drain(..expired);
+            let len = self.window.buffer.len();
+            let log = self.featurized_log(len - self.window.unabsorbed_tail().len()..len);
+            self.window.buffer.drain(..expired);
             log
         } else {
-            self.buffer.clear();
+            self.window.buffer.clear();
             self.buffer_total = 0;
             window_log.clone()
         };
-        self.unabsorbed = 0;
-        self.since_close = 0;
+        self.window.unabsorbed = 0;
+        self.window.since_close = 0;
         let prev_distinct = self.history.distinct_count();
         Arc::make_mut(&mut self.history).absorb(&stride_log);
         let new_entries: Vec<&QueryVector> =
@@ -1053,16 +990,16 @@ impl StreamSummarizer {
         // statement-multiplicity overshoot at the trim boundary. Exclusion
         // walks stride *query* counts (flush closes variable-size strides;
         // a stride straddling the boundary is excluded whole).
-        self.last_overlap_span = self.buffer_total;
+        self.untaken_close = Some(self.buffer_total);
         self.baseline = Arc::new(rotate_baseline(
             &mut self.baseline_logs,
             stride_log,
             window_queries,
-            self.last_overlap_span,
+            self.buffer_total,
             self.config.baseline_windows,
         ));
 
-        self.windows_closed += 1;
+        self.window.windows_closed += 1;
         Ok(WindowSummary {
             index,
             queries: window_queries,
@@ -1736,7 +1673,7 @@ mod tests {
                     // Replay through the same function the engine's
                     // delta-log recovery runs.
                     let mut rebuilt = prev.clone();
-                    rebuilt.apply_close(*d, config.baseline_windows);
+                    rebuilt.apply_close(d, config.baseline_windows);
                     assert_state_eq(&rebuilt, &now, &format!("delta replay at statement {i}"));
                 } else {
                     assert!(s.take_close_delta().is_none(), "no close, no delta");
@@ -1826,8 +1763,9 @@ mod tests {
 
         /// The open window has one owner per fact: over random scripts —
         /// count/time × tumbling/sliding, multiplicities up to past a
-        /// whole window — every exported cursor keeps `pending` the
-        /// buffer's tail, `buffer_total` is the buffer's sum, and the
+        /// whole window — every exported cursor's unabsorbed tail is what
+        /// arrived since the last close, `buffer_total` is the buffer's
+        /// sum, and the
         /// history holds everything offered up to the last close,
         /// including a statement a huge arrival expired before it was
         /// absorbed.
@@ -1853,7 +1791,7 @@ mod tests {
                 let closed = s.try_ingest(&Record::new(text).times(count).at(now)).unwrap();
                 if closed.is_some() {
                     let delta = s.take_close_delta().expect("a close records its delta");
-                    prop_assert_eq!(delta.cursor.validate(), Ok(()));
+                    prop_assert_eq!(&delta.cursor, &s.export_state().cursor);
                     // A time close fires before the arrival joins the
                     // next window; a count close includes it.
                     let absorbed = if timed { offered } else { offered + count };
@@ -1861,7 +1799,7 @@ mod tests {
                 }
                 offered += count;
                 let cursor = s.export_state().cursor;
-                prop_assert_eq!(cursor.validate(), Ok(()));
+                prop_assert!(cursor.unabsorbed <= cursor.buffer.len());
                 prop_assert_eq!(
                     s.buffer_total,
                     cursor.buffer.iter().map(|(_, count, _)| count).sum::<u64>()
@@ -1870,14 +1808,16 @@ mod tests {
                     // The unabsorbed tail is exactly what arrived since
                     // the last close.
                     prop_assert_eq!(
-                        cursor.pending.iter().map(|(_, count)| count).sum::<u64>(),
+                        cursor.unabsorbed_tail().iter().map(|(_, count, _)| count).sum::<u64>(),
                         cursor.since_close
                     );
+                } else {
+                    prop_assert_eq!(cursor.unabsorbed, 0);
                 }
             }
             s.try_flush().unwrap();
             prop_assert_eq!(s.history().total_queries(), offered);
-            prop_assert_eq!(s.export_state().cursor.validate(), Ok(()));
+            prop_assert_eq!(s.export_state().cursor.unabsorbed, 0);
         }
     }
 

@@ -24,7 +24,6 @@ pub struct QueryLog {
     entries: Vec<(QueryVector, u64)>,
     index: HashMap<QueryVector, usize>,
     total: u64,
-    config: ExtractConfig,
     /// One past the largest feature id seen in any vector — lets callers add
     /// raw vectors without routing every feature through the codebook.
     max_feature: usize,
@@ -34,11 +33,6 @@ impl QueryLog {
     /// Empty log using the plain Aligon feature scheme.
     pub fn new() -> Self {
         QueryLog::default()
-    }
-
-    /// Empty log with an explicit extraction configuration.
-    pub fn with_config(config: ExtractConfig) -> Self {
-        QueryLog { config, ..QueryLog::default() }
     }
 
     /// Add a pre-extracted feature vector with multiplicity `count`.
@@ -60,7 +54,7 @@ impl QueryLog {
 
     /// Extract features from a conjunctive query and add it.
     pub fn add_conjunctive(&mut self, query: &ConjunctiveQuery, count: u64) {
-        let v = extract_features(query, &mut self.codebook, self.config);
+        let v = extract_features(query, &mut self.codebook, ExtractConfig::default());
         self.add_vector(v, count);
     }
 
@@ -363,7 +357,6 @@ pub struct LogIngest {
     /// from here instead of re-running the regularizer.
     anon_info: HashMap<String, AnonInfo>,
     const_codebook: Codebook,
-    const_config: ExtractConfig,
 }
 
 /// What one anonymized-distinct statement contributes: stats flags and
@@ -379,15 +372,6 @@ impl LogIngest {
     /// New ingester with the plain Aligon scheme.
     pub fn new() -> Self {
         LogIngest::default()
-    }
-
-    /// New ingester with an explicit extraction configuration.
-    pub fn with_config(config: ExtractConfig) -> Self {
-        LogIngest {
-            log: QueryLog::with_config(config),
-            const_config: config,
-            ..LogIngest::default()
-        }
     }
 
     /// Ingest one statement occurring `count` times.
@@ -414,7 +398,7 @@ impl LogIngest {
         // Features *with* constants: regularize the raw statement.
         if let Ok(raw_reg) = regularize(&stmt) {
             for branch in &raw_reg.branches {
-                extract_features(branch, &mut self.const_codebook, self.const_config);
+                extract_features(branch, &mut self.const_codebook, ExtractConfig::default());
             }
         }
 

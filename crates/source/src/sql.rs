@@ -41,15 +41,7 @@ pub const SHAPE_CAPACITY: usize = 4096;
 /// SQL featurizer. Unparseable statements yield no branches.
 #[derive(Debug, Clone, Default)]
 pub struct SqlFeaturizer {
-    config: ExtractConfig,
     memo: Memo,
-}
-
-impl SqlFeaturizer {
-    /// Featurizer with an explicit extraction config.
-    pub fn with_config(config: ExtractConfig) -> Self {
-        SqlFeaturizer { config, memo: Memo::default() }
-    }
 }
 
 /// The two-level featurization memo (see the module docs).
@@ -93,7 +85,7 @@ impl Memo {
     }
 
     /// The entry `text` featurizes to, featurizing it on a shape miss.
-    fn entry(&mut self, text: &str, config: ExtractConfig) -> usize {
+    fn entry(&mut self, text: &str) -> usize {
         let text_key = self.digest(|d| text.hash(d));
         if let Some(&entry) = self.texts.get(&text_key) {
             return entry as usize;
@@ -101,7 +93,7 @@ impl Memo {
         let shape_key = self.digest(|d| hash_shape(text, d));
         let entry = match self.shapes.get(&shape_key) {
             Some(&entry) => entry,
-            None => self.add_shape(shape_key, text, config),
+            None => self.add_shape(shape_key, text),
         };
         if self.texts.len() == TEXT_CAPACITY {
             self.texts.clear();
@@ -111,7 +103,7 @@ impl Memo {
     }
 
     /// Featurize `text` from scratch and file it under `shape_key`.
-    fn add_shape(&mut self, shape_key: u128, text: &str, config: ExtractConfig) -> u32 {
+    fn add_shape(&mut self, shape_key: u128, text: &str) -> u32 {
         if self.shapes.len() == SHAPE_CAPACITY {
             self.texts.clear();
             self.shapes.clear();
@@ -123,7 +115,8 @@ impl Memo {
         let entry = anonymized_branches(text)
             .iter()
             .map(|branch| {
-                branch_features(branch, config).into_iter().map(|f| self.intern(f)).collect()
+                let features = branch_features(branch, ExtractConfig::default());
+                features.into_iter().map(|f| self.intern(f)).collect()
             })
             .collect();
         let id = self.entries.len() as u32;
@@ -147,7 +140,7 @@ impl Featurizer for SqlFeaturizer {
     }
 
     fn featurize(&mut self, text: &str) -> Vec<FeatureBranch> {
-        let entry = self.memo.entry(text, self.config);
+        let entry = self.memo.entry(text);
         let Memo { entries, features, .. } = &self.memo;
         entries[entry]
             .iter()

@@ -21,7 +21,7 @@
 use super::query::WorkloadView;
 use crate::error::Error;
 use logr_core::interpret::{render_ranked, RenderConfig};
-use logr_core::LogRSummary;
+use logr_core::{DriftReport, LogRSummary};
 use logr_feature::{Feature, FeatureClass, LogIngest, QueryVector};
 use std::sync::Arc;
 
@@ -359,11 +359,8 @@ impl Advisor for DriftAdvisor {
     }
 
     fn advise(&self, view: &dyn WorkloadView) -> Result<Vec<Advice>, Error> {
-        if !self.tolerance.is_finite() || self.tolerance < 0.0 {
-            return Err(Error::Config {
-                detail: "tolerance must be a finite non-negative divergence",
-            });
-        }
+        DriftReport::validate_tolerance(self.tolerance)
+            .map_err(|detail| Error::Config { detail })?;
         let Some(report) = view.drift() else { return Ok(Vec::new()) };
         if report.is_stable(self.tolerance) {
             return Ok(Vec::new());

@@ -235,18 +235,12 @@ impl EngineBuilder {
         // log tail replays its valid prefix; a log bound to a replaced
         // base is ignored — see `crate::manifest`'s delta-log docs).
         let (m, replay) = manifest::read_store_with(&*vfs, &dir)?;
-        // A checksum-valid manifest can still carry a configuration or a
-        // window cursor the summarizer would refuse (hand-edited store,
-        // foreign writer) — recovery must reject it as data, never reach
-        // a panic.
+        // A checksum-valid manifest can still carry a configuration the
+        // summarizer would refuse (hand-edited store, foreign writer) —
+        // recovery must reject it as data, never reach a panic.
         if let Err(detail) = m.config.validate() {
             return Err(Error::CorruptManifest {
                 detail: format!("stored stream configuration is invalid: {detail}"),
-            });
-        }
-        if let Err(detail) = m.state.cursor.validate() {
-            return Err(Error::CorruptManifest {
-                detail: format!("stored window cursor is invalid: {detail}"),
             });
         }
         let budget = self.resident_budget.unwrap_or(m.resident_budget);
@@ -916,6 +910,9 @@ impl Engine {
         // Until the new base commits there is no log to extend: an error
         // below must leave the next persist rewriting the base again.
         st.delta = None;
+        // The base carries an untaken close: drop its record, so the next
+        // record's journal increment starts at the journal the base holds.
+        st.summarizer.take_close_delta();
         st.summarizer.persist_shards()?;
         let shards = st.summarizer.shard_store();
         let budget = shards.spill_config().map(|c| c.resident_budget).unwrap_or(usize::MAX);
@@ -933,13 +930,14 @@ impl Engine {
     }
 
     /// Persist one window close (durable engines; no-op in memory): the
-    /// `O(window)` path. When a delta-log session is live, below its fold
-    /// threshold, and the close recorded its [`logr_core::CloseDelta`],
-    /// the shards the close appended — none, when it found no new
-    /// distinct query — get their store files and one checksummed record
-    /// naming them is appended and fsynced; the base manifest is
-    /// untouched. Anything else (first persist, a previous failure, a
-    /// forced checkpoint's missing close, a log due for folding) is
+    /// `O(window)` path. When a delta-log session is live and below its
+    /// fold threshold, the close's [`logr_core::CloseDelta`] is taken —
+    /// right after the call that closed the window, so its cursor holds a
+    /// time-mode arrival — the shards the close appended (none, when it
+    /// found no new distinct query) get their store files, and one
+    /// checksummed record naming them is appended and fsynced; the base
+    /// manifest is untouched. Anything else (first persist, a previous
+    /// failure, no close to take, a log due for folding) is
     /// [`Engine::persist_full`].
     ///
     /// The session is taken before the first fallible step and put back
@@ -951,22 +949,20 @@ impl Engine {
     /// misaligned bytes after it.)
     fn persist_close(&self, st: &mut WriterState) -> Result<(), Error> {
         let Some(dir) = &self.dir else { return Ok(()) };
-        let (mut session, close) = match (st.delta.take(), st.summarizer.take_close_delta()) {
-            (Some(session), Some(close))
-                if session.log.appended_bytes()
-                    < DELTA_FOLD_MIN_BYTES.max(session.log.base_len()) =>
-            {
-                (session, close)
-            }
-            // persist_full re-exports the whole state, so a taken close
-            // is folded into the fresh base.
-            _ => return self.persist_full(st),
+        let session = st.delta.take().filter(|session| {
+            session.log.appended_bytes() < DELTA_FOLD_MIN_BYTES.max(session.log.base_len())
+        });
+        // persist_full re-exports the whole state, folding the close into
+        // the fresh base, so the record is built only when it is appended.
+        let Some(mut session) = session else { return self.persist_full(st) };
+        let Some(close) = st.summarizer.take_close_delta() else {
+            return self.persist_full(st);
         };
         st.summarizer.persist_shards()?;
         let shards = st.summarizer.shard_store();
         let record = DeltaRecord {
             seq: 0, // assigned by the log at append time
-            close: *close,
+            close,
             new_shard_files: Self::shard_file_names(shards, session.acked_shards)?,
             n_features: shards.n_features(),
             total_points: shards.len(),
@@ -1107,5 +1103,95 @@ mod tests {
         std::fs::create_dir_all(root.join("4242")).unwrap();
         assert!(process_alive(&root, 4242), "probe root with the pid: live");
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_close_record_journals_from_the_last_full_persist_and_reopens_bit_identically() {
+        // A template-source engine closes a window, checkpoints, closes
+        // again and is reopened. The second close's record is built when
+        // the engine takes it, so its journal increment holds exactly the
+        // texts first seen after the checkpoint; the reopened miner's
+        // journal is the live one; and every later window matches a
+        // stream that was never reopened, to the bit.
+        let line = |i: u64| match i % 3 {
+            0 => format!("auth: user u{i} logged in"),
+            1 => format!("db: slow query {} ms on shard {}", 100 + i, i % 4),
+            _ => "cache: flush complete".to_string(),
+        };
+        let config = StreamConfig {
+            window: 6,
+            k: 2,
+            source: SourceConfig::template(),
+            ..StreamConfig::default()
+        };
+        let fs = Arc::new(vfs::FaultFs::new());
+        let dir = PathBuf::from("/close-record-on-take");
+        let build = || EngineBuilder { stream: config, ..EngineBuilder::default() }.vfs(fs.clone());
+        let mut never_reopened = StreamSummarizer::new(config);
+        let engine = build().open(&dir).unwrap();
+        for i in 0..12 {
+            let record = Record::new(line(i));
+            let closed = engine.ingest(&record).unwrap().is_some();
+            assert_eq!(never_reopened.try_ingest(&record).unwrap().is_some(), closed);
+            if i == 5 {
+                assert!(closed, "the first window closes at the sixth line");
+                engine.checkpoint().unwrap();
+            }
+        }
+        assert_eq!(engine.windows_closed().unwrap(), 2);
+
+        let base = manifest::decode(&fs.files()[&dir.join(manifest::FILE_NAME)]).unwrap();
+        let (replayed, replay) = manifest::read_store_with(&*fs, &dir).unwrap();
+        assert_eq!(replay.records_applied, 1, "one record since the checkpoint");
+        let journal = replayed.state.source_state;
+        assert_eq!(journal, never_reopened.featurizer().export_journal());
+        let mut increment = journal.strip_prefix(&base.state.source_state[..]).unwrap();
+        let mut journaled = Vec::new();
+        while let [a, b, c, d, rest @ ..] = increment {
+            let (text, rest) = rest.split_at(u32::from_le_bytes([*a, *b, *c, *d]) as usize);
+            journaled.push(String::from_utf8(text.to_vec()).unwrap());
+            increment = rest;
+        }
+        let seen: Vec<String> = (0..6).map(line).collect();
+        let mut first_seen_after: Vec<String> = Vec::new();
+        for text in (6..12).map(line) {
+            if !seen.contains(&text) && !first_seen_after.contains(&text) {
+                first_seen_after.push(text);
+            }
+        }
+        assert!(!first_seen_after.is_empty());
+        assert_eq!(journaled, first_seen_after);
+
+        drop(engine);
+        let reopened = build().open(&dir).unwrap();
+        // Reopening folded the record into a fresh base written from the
+        // reopened summarizer, miner journal included.
+        let folded = manifest::decode(&fs.files()[&dir.join(manifest::FILE_NAME)]).unwrap();
+        assert_eq!(folded.state.source_state, never_reopened.featurizer().export_journal());
+        let mut later_windows = 0;
+        for i in 12..40 {
+            let record = Record::new(line(i));
+            match (never_reopened.try_ingest(&record).unwrap(), reopened.ingest(&record).unwrap()) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    later_windows += 1;
+                    assert_eq!((a.index, a.queries), (b.index, b.queries));
+                    assert_eq!(
+                        (a.distinct, a.new_distinct, a.stable),
+                        (b.distinct, b.new_distinct, b.stable)
+                    );
+                    assert_eq!(a.summary.clustering, b.summary.clustering);
+                    assert_eq!(a.summary.error().to_bits(), b.summary.error().to_bits());
+                    let drift = |w: &WindowSummary| w.drift.as_ref().map(|d| d.overall.to_bits());
+                    assert_eq!(drift(&a), drift(&b));
+                    let bits = |w: &WindowSummary| {
+                        w.novelty.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&a), bits(&b));
+                }
+                _ => panic!("close parity at line {i}"),
+            }
+        }
+        assert!(later_windows > 0);
     }
 }

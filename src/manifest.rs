@@ -26,15 +26,17 @@
 //! Body, in order: the stream configuration (ending with the source
 //! configuration — a tag byte, plus the template-miner knobs when the
 //! source is `Template`), the resident budget, the scalar stream state,
-//! the window buffer and pending statements (raw record text), the
-//! baseline rotation and materialized baseline, the history log, the
-//! featurizer journal (`u64` length + bytes), and the shard chain
-//! (universe width, total points, ordered file names relative to the
-//! store directory). Strings are `u64` length + UTF-8;
-//! optional integers are a presence byte + value; query logs store their
-//! universe width, codebook (class tag + text, in id order) and entries
-//! (sorted id list + multiplicity, in insertion order) — enough to
-//! reproduce interning order, and therefore every downstream bit.
+//! the window buffer and its not-yet-absorbed tail (raw record text; the
+//! tail's pairs are written from the buffer, and a reader refuses pairs
+//! that are not the buffer's tail), the baseline rotation and
+//! materialized baseline, the history log, the featurizer journal (`u64`
+//! length + bytes), and the shard chain (universe width, total points,
+//! ordered file names relative to the store directory). Strings are
+//! `u64` length + UTF-8; optional integers are a presence byte + value;
+//! query logs store their universe width, codebook (class tag + text, in
+//! id order) and entries (sorted id list + multiplicity, in insertion
+//! order) — enough to reproduce interning order, and therefore every
+//! downstream bit.
 //!
 //! Readers validate in order — length floor, magic, **version** (a
 //! manifest stamped with any version but this build's is refused before
@@ -47,15 +49,16 @@
 //! Rewriting the full manifest at every window close costs
 //! `O(history)`; the delta log makes the close path `O(window)`. Each
 //! window close appends one self-checksummed [`DeltaRecord`] — the
-//! post-close scalars, window buffer, pending statements, the closed
-//! window's stride log (the increment `history.absorb`ed *and* the input
-//! the baseline rotation replays, with its weight and exclusion span),
-//! and the shard files added by that close — to an append-only log
-//! **bound to one exact base manifest** by the base's trailing checksum
-//! and byte length (header fields). Recovery reads the base, then
-//! replays every valid record in sequence; a log whose binding does not
-//! match the current base is stale (a full rewrite superseded it) and is
-//! ignored, then swept by the next writable resume's GC.
+//! post-close scalars, window buffer and unabsorbed tail (written as in
+//! the base), the closed window's stride log (the increment
+//! `history.absorb`ed *and* the input the baseline rotation replays,
+//! with its weight and exclusion span), and the shard files added by
+//! that close — to an append-only log **bound to one exact base
+//! manifest** by the base's trailing checksum and byte length (header
+//! fields). Recovery reads the base, then replays every valid record in
+//! sequence; a log whose binding does not match the current base is
+//! stale (a full rewrite superseded it) and is ignored, then swept by
+//! the next writable resume's GC.
 //!
 //! ```text
 //! header:  magic b"LOGRDLTA" · version u32 · base checksum u64 ·
@@ -522,8 +525,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// The window cursor, as the base manifest and every delta record carry
 /// it: the five scalars, then the buffer — `(text, multiplicity, arrival
-/// ms)` per statement — then the not-yet-absorbed stride — `(text,
-/// multiplicity)` per statement.
+/// ms)` per statement — then the not-yet-absorbed stride, written from
+/// the buffer's tail — `(text, multiplicity)` per statement.
 fn put_cursor(out: &mut Vec<u8>, c: &WindowCursor) {
     put_u64(out, c.windows_closed as u64);
     put_u64(out, c.since_close);
@@ -536,8 +539,9 @@ fn put_cursor(out: &mut Vec<u8>, c: &WindowCursor) {
         put_u64(out, *count);
         put_u64(out, *ts);
     }
-    put_u64(out, c.pending.len() as u64);
-    for (text, count) in &c.pending {
+    let tail = c.unabsorbed_tail();
+    put_u64(out, tail.len() as u64);
+    for (text, count, _) in tail {
         put_str(out, text);
         put_u64(out, *count);
     }
@@ -686,16 +690,19 @@ fn get_cursor(r: &mut Reader<'_>) -> Result<WindowCursor, Error> {
         let ts = r.u64("buffered timestamp")?;
         buffer.push((text, count, ts));
     }
-    let n = get_len(r, "pending length")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let text = r.str("pending statement")?;
-        let count = r.u64("pending multiplicity")?;
-        pending.push((text, count));
+    // The cursor keeps only the tail's length, so stored pairs that are
+    // not the buffer's tail would be silently replaced by it: refuse them.
+    let unabsorbed = get_len(r, "pending length")?;
+    let not_tail = || corrupt("pending statements are not the buffer's tail");
+    let tail = buffer.len().checked_sub(unabsorbed).ok_or_else(not_tail)?;
+    for (text, count, _) in &buffer[tail..] {
+        if r.str("pending statement")? != *text || r.u64("pending multiplicity")? != *count {
+            return Err(not_tail());
+        }
     }
     Ok(WindowCursor {
         buffer,
-        pending,
+        unabsorbed,
         since_close,
         next_close_ms,
         last_ts_ms,
@@ -840,7 +847,7 @@ mod tests {
             state: StreamState {
                 cursor: WindowCursor {
                     buffer: vec![("SELECT tab\there FROM t".into(), 3, 17)],
-                    pending: vec![("SELECT 1 FROM t".into(), 1)],
+                    unabsorbed: 1,
                     since_close: 3,
                     next_close_ms: Some(12345),
                     last_ts_ms: 12000,
@@ -899,17 +906,17 @@ mod tests {
     fn written_bytes_match_the_golden_hashes() {
         // FNV-1a 64 of the encoded sample manifest and of the delta log
         // `delta_store(1)` writes (header bound to that manifest + one
-        // framed record), computed at the commit *before* the cursor, tag
-        // and replace-protocol code was shared — a refactor of the
-        // encoders must not move a stored byte while VERSION and
+        // framed record), computed with the encoder that still stored the
+        // unabsorbed tail as its own list — writing the tail from the
+        // buffer must not move a stored byte while VERSION and
         // DELTA_VERSION stand still.
         let bytes = encode(&sample_manifest());
-        assert_eq!((bytes.len(), fnv1a64(&bytes)), (835, 0x88f3_0f89_f879_612a));
+        assert_eq!((bytes.len(), fnv1a64(&bytes)), (842, 0x1bec_1f16_de5c_b929));
         let (fs, dir, _, _) = delta_store(1);
         let log = fs.files()[&dir.join(DELTA_FILE_NAME)].clone();
-        assert_eq!((log.len(), fnv1a64(&log)), (379, 0x68df_ee32_1b3a_9ec0));
+        assert_eq!((log.len(), fnv1a64(&log)), (379, 0x57ec_e1ab_8657_1218));
         let frame = &log[DELTA_HEADER_LEN..];
-        assert_eq!((frame.len(), fnv1a64(frame)), (343, 0xce93_4af6_2692_7095));
+        assert_eq!((frame.len(), fnv1a64(frame)), (343, 0xd080_9d77_8c08_1744));
     }
 
     #[test]
@@ -1007,21 +1014,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resume_rejects_a_cursor_whose_pending_is_not_the_buffers_tail() {
-        // The decoder takes any well-formed cursor — `sample_manifest`'s
-        // pending statement is not in its buffer at all — but a
-        // summarizer keeps unabsorbed statements only as the buffer's
-        // tail, so `resume` must refuse such a checksum-valid manifest as
-        // data before anything is built from it.
-        let (fs, dir, m, _) = delta_store(0);
-        assert!(m.state.cursor.validate().is_err());
-        match crate::Engine::builder().vfs(fs).resume(&dir) {
+    /// Damage the stored tail pair whose text is `text` (its last
+    /// occurrence: the buffer's copy comes first) — `patch` gets the
+    /// bytes and the text's offset.
+    fn damage_tail_pair(bytes: &mut [u8], text: &str, patch: fn(&mut [u8], usize)) {
+        let at = bytes.windows(text.len()).rposition(|w| w == text.as_bytes()).expect("stored");
+        patch(bytes, at);
+    }
+
+    /// Tail pairs that differ from the buffer's tail: another text, or a
+    /// count (8 bytes before the text's own length prefix) past the
+    /// buffer's length.
+    const TAIL_FAULTS: [fn(&mut [u8], usize); 2] = [
+        |bytes, at| bytes[at] ^= 0x20,
+        |bytes, at| bytes[at - 16..at - 8].copy_from_slice(&2u64.to_le_bytes()),
+    ];
+
+    fn assert_tail_refused(result: Result<Manifest, Error>) {
+        match result {
             Err(Error::CorruptManifest { detail }) => {
-                assert!(detail.contains("pending statements"), "{detail}")
+                assert!(detail.contains("pending statements are not the buffer's tail"), "{detail}")
             }
             Err(other) => panic!("wrong error: {other}"),
-            Ok(_) => panic!("an inconsistent cursor resumed"),
+            Ok(_) => panic!("a cursor whose tail pairs are not its buffer's tail decoded"),
+        }
+    }
+
+    #[test]
+    fn tail_pairs_that_are_not_the_buffers_tail_are_refused() {
+        // A cursor keeps only its unabsorbed tail's length, so stored
+        // pairs that are not the buffer's tail must be refused as data —
+        // never a panic — in the base manifest and in a delta record. A
+        // damaged record followed by a good one is refused too: the good
+        // one's cursor no longer papers over it.
+        for fault in TAIL_FAULTS {
+            let mut bytes = encode(&sample_manifest());
+            damage_tail_pair(&mut bytes, "SELECT tab\there FROM t", fault);
+            rechecksum(&mut bytes);
+            assert_tail_refused(decode(&bytes));
+
+            let (fs, dir, _, _) = delta_store(1);
+            let delta_path = dir.join(DELTA_FILE_NAME);
+            let mut bytes = fs.files()[&delta_path].clone();
+            let mut payload = encode_record_payload(&sample_record(1), 2);
+            damage_tail_pair(&mut payload, "SELECT b1 FROM t", fault);
+            push_frame(&mut bytes, &payload);
+            push_frame(&mut bytes, &encode_record_payload(&sample_record(2), 3));
+            fs.write(&delta_path, &bytes).unwrap();
+            assert_tail_refused(read_store_with(&*fs, &dir).map(|(m, _)| m));
         }
     }
 
@@ -1105,7 +1145,7 @@ mod tests {
                     next_close_ms: Some(13000 + i),
                     statements_parsed: 31 + i,
                     buffer: vec![(format!("SELECT b{i} FROM t"), 1, 90 + i)],
-                    pending: vec![(format!("SELECT p{i} FROM t"), 2)],
+                    unabsorbed: 1,
                 },
                 stride_log: stride,
                 window_queries: 7 + i,
@@ -1116,6 +1156,13 @@ mod tests {
             n_features: 11 + i as usize,
             total_points: 4 + i as usize,
         }
+    }
+
+    /// Frame `payload` onto a delta log's bytes as the writer would.
+    fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
+        put_u64(bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     }
 
     /// Base written to a FaultFs store, a delta session over it, and the
@@ -1300,10 +1347,7 @@ mod tests {
         let (fs, dir, _, _) = delta_store(2);
         let delta_path = dir.join(DELTA_FILE_NAME);
         let mut bytes = fs.files()[&delta_path].clone();
-        let payload = encode_record_payload(&sample_record(2), 5);
-        put_u64(&mut bytes, payload.len() as u64);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        push_frame(&mut bytes, &encode_record_payload(&sample_record(2), 5));
         fs.write(&delta_path, &bytes).unwrap();
         match read_store_with(&*fs, &dir).unwrap_err() {
             Error::CorruptManifest { detail } => {

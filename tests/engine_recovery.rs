@@ -255,6 +255,17 @@ fn an_invalid_minkowski_order_is_a_config_error_not_a_panic() {
 }
 
 #[test]
+fn an_invalid_drift_tolerance_is_a_config_error() {
+    // A NaN or negative tolerance made every window unstable.
+    for tolerance in [f64::NAN, -1.0, f64::INFINITY] {
+        match Engine::builder().drift_tolerance(tolerance).in_memory().err() {
+            Some(Error::Config { detail }) => assert!(detail.contains("tolerance"), "{detail}"),
+            other => panic!("tolerance {tolerance}: {:?}", other.map(|e| e.to_string())),
+        }
+    }
+}
+
+#[test]
 fn corrupt_stored_config_is_rejected_not_panicked() {
     // A checksum-valid manifest carrying a configuration the summarizer
     // would refuse must surface as CorruptManifest. The window size is
@@ -268,6 +279,11 @@ fn corrupt_stored_config_is_rejected_not_panicked() {
         assert_eq!(bytes[38], Distance::Hamming.tag().0, "the fixture's metric tag");
         bytes[38] = Distance::Minkowski(f64::NAN).tag().0;
         bytes[39..47].copy_from_slice(&f64::NAN.to_le_bytes());
+    });
+    // The drift tolerance (f64 LE) follows the order, at 47..55.
+    reject_patched_config("engine-bad-tolerance", "tolerance must be", |bytes| {
+        assert_eq!(bytes[47..55], 1e-3f64.to_le_bytes(), "the fixture's tolerance");
+        bytes[47..55].copy_from_slice(&f64::NAN.to_le_bytes());
     });
 }
 
