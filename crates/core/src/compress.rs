@@ -124,17 +124,19 @@ fn condensed_dendrogram(
 /// batch path, dendrogram cuts for the condensed/streaming path). The
 /// bound-seeking objectives walk K upward from 1 and stop at the first
 /// candidate satisfying (MaxError) or the last candidate not violating
-/// (MaxVerbosity) the target, giving up at `max_k`.
+/// (MaxVerbosity) the target, giving up at `max_k` or at the log's
+/// distinct count, past which no K splits a cluster further.
 fn resolve_objective(
     objective: CompressionObjective,
     log: &QueryLog,
     mut cluster_at: impl FnMut(usize) -> Clustering,
 ) -> Clustering {
+    let last_k = |max_k: usize| max_k.min(log.distinct_count()).max(1);
     match objective {
         CompressionObjective::FixedK(k) => cluster_at(k),
         CompressionObjective::MaxError { bound, max_k } => {
             let mut best = cluster_at(1);
-            for k in 2..=max_k.max(1) {
+            for k in 2..=last_k(max_k) {
                 if NaiveMixtureEncoding::build(log, &best).error() <= bound {
                     break;
                 }
@@ -144,7 +146,7 @@ fn resolve_objective(
         }
         CompressionObjective::MaxVerbosity { budget, max_k } => {
             let mut best = cluster_at(1);
-            for k in 2..=max_k.max(1) {
+            for k in 2..=last_k(max_k) {
                 let candidate = cluster_at(k);
                 if NaiveMixtureEncoding::build(log, &candidate).total_verbosity() > budget {
                     break;
@@ -184,14 +186,15 @@ impl LogR {
     }
 
     /// Multi-resolution compression over a pre-materialized condensed
-    /// matrix: the streaming-side counterpart of
-    /// [`LogR::compress_multiresolution`]. One dendrogram is built from
-    /// the given distances (zero recomputed — the sharded history's
-    /// merged matrix plugs in directly) and cut at every requested K, so
-    /// the returned summaries are **nested** and the whole
-    /// Error/Verbosity trade-off curve costs one clustering. The
-    /// configured objective is ignored; each entry of `ks` is a fixed
-    /// cut.
+    /// matrix (§6.1.1's "more dynamic control over the Error/Verbosity
+    /// tradeoff"). One dendrogram is built from the given distances (zero
+    /// recomputed — the sharded history's merged matrix plugs in directly)
+    /// and cut at every requested K, so the returned summaries are
+    /// **nested** (each coarser summary merges whole clusters of the finer
+    /// one) and the whole Error/Verbosity trade-off curve costs one
+    /// clustering. The configured objective is ignored; each entry of `ks`
+    /// is a fixed cut. A batch caller builds the matrix with
+    /// `PointSet::from_log(log).distances(metric)`.
     ///
     /// # Panics
     /// Panics if the matrix size differs from the log's distinct count.
@@ -216,36 +219,6 @@ impl LogR {
         let mixture = NaiveMixtureEncoding::build(log, &clustering);
         let refined = self.config.refine.as_ref().map(|cfg| refine_mixture(log, &mixture, cfg));
         LogRSummary { clustering, mixture, refined }
-    }
-
-    /// Multi-resolution compression via hierarchical clustering
-    /// (§6.1.1's "more dynamic control over the Error/Verbosity
-    /// tradeoff"): one dendrogram is built, then cut at every requested
-    /// K — so the returned summaries are **nested** (each coarser summary
-    /// merges whole clusters of the finer one), and the cost of the sweep
-    /// is one clustering, not `|ks|`.
-    pub fn compress_multiresolution(&self, log: &QueryLog, ks: &[usize]) -> Vec<LogRSummary> {
-        use logr_cluster::{hierarchical_cluster_pointset, Distance, PointSet};
-        let metric = match self.config.method {
-            ClusterMethod::Hierarchical(d) | ClusterMethod::Spectral(d) => d,
-            ClusterMethod::KMeansEuclidean => Distance::Euclidean,
-        };
-        if log.distinct_count() == 0 {
-            return Vec::new();
-        }
-        // One dense conversion serves the single dendrogram build.
-        let points = PointSet::from_log(log);
-        let weights: Vec<f64> = log.entries().iter().map(|&(_, c)| c as f64).collect();
-        let dendrogram = hierarchical_cluster_pointset(&points, &weights, metric);
-        ks.iter()
-            .map(|&k| {
-                let clustering = dendrogram.cut(k.max(1));
-                let mixture = NaiveMixtureEncoding::build(log, &clustering);
-                let refined =
-                    self.config.refine.as_ref().map(|cfg| refine_mixture(log, &mixture, cfg));
-                LogRSummary { clustering, mixture, refined }
-            })
-            .collect()
     }
 }
 
@@ -409,32 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn multiresolution_summaries_are_nested_and_monotone() {
-        let log = mixed_log();
-        let compressor = LogR::new(LogRConfig {
-            method: ClusterMethod::Hierarchical(Distance::Hamming),
-            ..Default::default()
-        });
-        let ks = [1usize, 2, 4];
-        let summaries = compressor.compress_multiresolution(&log, &ks);
-        assert_eq!(summaries.len(), 3);
-        // Verbosity grows, and each coarser clustering merges whole finer
-        // clusters (nestedness from the shared dendrogram).
-        for w in summaries.windows(2) {
-            assert!(w[0].total_verbosity() <= w[1].total_verbosity());
-            let coarse = &w[0].clustering;
-            let fine = &w[1].clustering;
-            let mut map = std::collections::HashMap::new();
-            for i in 0..fine.len() {
-                let entry = map.entry(fine.assignments[i]).or_insert(coarse.assignments[i]);
-                assert_eq!(*entry, coarse.assignments[i], "summaries not nested");
-            }
-        }
-        // The k=4 summary separates the workloads at least as well as k=1.
-        assert!(summaries[2].error() <= summaries[0].error() + 1e-9);
-    }
-
-    #[test]
     fn condensed_path_matches_hierarchical_compression() {
         use logr_cluster::PointSet;
         let log = mixed_log();
@@ -483,8 +430,10 @@ mod tests {
             assert_eq!(summary.clustering, fixed.clustering, "k = {k}");
             assert_eq!(summary.error().to_bits(), fixed.error().to_bits(), "k = {k}");
         }
-        // Nested: the coarser cut merges whole clusters of the finer one.
+        // Nested: the coarser cut merges whole clusters of the finer one,
+        // and verbosity never shrinks as K grows.
         for w in sweep.windows(2) {
+            assert!(w[0].total_verbosity() <= w[1].total_verbosity());
             let mut map = std::collections::HashMap::new();
             for i in 0..w[1].clustering.len() {
                 let entry = map
@@ -493,6 +442,8 @@ mod tests {
                 assert_eq!(*entry, w[0].clustering.assignments[i], "cuts not nested");
             }
         }
+        // The k=4 summary separates the workloads at least as well as k=1.
+        assert!(sweep[2].error() <= sweep[0].error() + 1e-9);
         // Empty log degenerates to one empty summary per requested K.
         let empty = QueryLog::new();
         let s = compressor.compress_condensed_multiresolution(
@@ -502,6 +453,32 @@ mod tests {
         );
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].mixture.k(), 0);
+    }
+
+    #[test]
+    fn the_objective_walk_stops_at_the_distinct_count() {
+        // A cut clamps K to the distinct count, so every K past it repeats
+        // the same clustering; an unbounded `max_k` (or a bound no K can
+        // meet) walked all of them.
+        let log = mixed_log();
+        let n = log.distinct_count();
+        let dendrogram = condensed_dendrogram(
+            &log,
+            logr_cluster::PointSet::from_log(&log).distances(Distance::Hamming),
+        );
+        for objective in [
+            CompressionObjective::MaxVerbosity { budget: usize::MAX, max_k: 10_000 },
+            CompressionObjective::MaxError { bound: -1.0, max_k: 10_000 },
+            CompressionObjective::MaxError { bound: f64::NAN, max_k: 10_000 },
+        ] {
+            let mut calls = 0usize;
+            let clustering = resolve_objective(objective, &log, |k| {
+                calls += 1;
+                dendrogram.cut(k)
+            });
+            assert_eq!(calls, n, "{objective:?}");
+            assert_eq!(clustering, dendrogram.cut(n), "{objective:?}");
+        }
     }
 
     #[test]

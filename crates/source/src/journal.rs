@@ -8,7 +8,7 @@
 use crate::SourceError;
 
 /// Append `texts` to `out` as journal frames.
-pub(crate) fn encode_into(out: &mut Vec<u8>, texts: &[String]) {
+pub(crate) fn encode_into<'a>(out: &mut Vec<u8>, texts: impl IntoIterator<Item = &'a str>) {
     for text in texts {
         let bytes = text.as_bytes();
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -50,7 +50,7 @@ mod tests {
 
     fn encode(texts: &[String]) -> Vec<u8> {
         let mut out = Vec::new();
-        encode_into(&mut out, texts);
+        encode_into(&mut out, texts.iter().map(String::as_str));
         out
     }
 

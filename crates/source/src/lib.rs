@@ -23,9 +23,10 @@
 //! text)*: after [`Featurizer::replay`] of an exported journal, every
 //! already-seen text must featurize exactly as it did live, and every new
 //! text must featurize as it would have on the uninterrupted run. The
-//! [`TemplateMiner`] achieves this by journaling first-seen texts and
-//! memoizing their full feature result; replay re-mines the journal
-//! through the same code path instead of deserializing derived state.
+//! [`TemplateMiner`] achieves this by journaling first-seen texts, each
+//! with the pin (template id, parameter classes) its features are rebuilt
+//! from; replay re-mines the journal through the same code path instead
+//! of deserializing derived state.
 //! The [`SqlFeaturizer`] has no journal: its output depends on the text
 //! alone, and its memo (keyed by text, then by literal-masked shape) is a
 //! bounded cache that is neither journaled nor persisted — a featurizer

@@ -21,14 +21,21 @@
 //! # Persistence by replay
 //!
 //! Wildcard promotion makes mining order-sensitive, so the miner journals
-//! every *distinct first-seen text* in arrival order and memoizes its
-//! full feature result. [`Featurizer::replay`] re-mines the journal
-//! through this same code path; since featurization is deterministic in
-//! (journal prefix, text), the restored miner — tree, templates, memo —
-//! is bit-identical to the live one, and every future record featurizes
-//! exactly as it would have on the uninterrupted run.
+//! every *distinct first-seen text* in arrival order. Each journal entry
+//! also carries the text's first-sight *pin*: its template id and the
+//! classes its tokens had in that template's wildcard positions then. The
+//! creation-time pattern is fixed per id, so the pin determines the text's
+//! features exactly, and every later sighting rebuilds them from it. The
+//! lookup from text to journal entry shares the journal's copy of the
+//! text, so each distinct text is held once. [`Featurizer::replay`]
+//! re-mines the journal through the same lookup without building any
+//! features; since mining is deterministic in (journal prefix, text), the
+//! restored miner — tree, templates, pins — is bit-identical to the live
+//! one, and every future record featurizes exactly as it would have on
+//! the uninterrupted run.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use logr_feature::Feature;
 
@@ -68,6 +75,22 @@ struct Node {
     group: Vec<usize>,
 }
 
+/// A text's first-sight result: its template, and the classes its tokens
+/// had in that template's wildcard positions at the time.
+#[derive(Debug)]
+struct Pin {
+    template: usize,
+    params: Box<[&'static str]>,
+}
+
+/// One distinct text in the journal. Empty / whitespace-only texts have
+/// no pin and featurize to no branch.
+#[derive(Debug)]
+struct Seen {
+    text: Arc<str>,
+    pin: Option<Pin>,
+}
+
 /// Online Drain-style template miner. See the module docs.
 #[derive(Debug)]
 pub struct TemplateMiner {
@@ -75,10 +98,10 @@ pub struct TemplateMiner {
     /// Level-0 routing: token count → subtree.
     root: HashMap<usize, Node>,
     templates: Vec<Template>,
-    /// Distinct text → full feature result, pinned at first sight.
-    memo: HashMap<String, Vec<FeatureBranch>>,
-    /// Distinct first-seen texts in arrival order.
-    journal: Vec<String>,
+    /// Distinct first-seen texts in arrival order, with their pins.
+    journal: Vec<Seen>,
+    /// Distinct text → its journal index, keyed by the journal's copy.
+    lookup: HashMap<Arc<str>, usize>,
     /// Journal frames already handed out by `drain_events`.
     drained: usize,
 }
@@ -147,8 +170,8 @@ impl TemplateMiner {
             config,
             root: HashMap::new(),
             templates: Vec::new(),
-            memo: HashMap::new(),
             journal: Vec::new(),
+            lookup: HashMap::new(),
             drained: 0,
         }
     }
@@ -175,48 +198,10 @@ impl TemplateMiner {
         self.templates.iter().map(|t| (t.text.as_str(), t.distinct)).collect()
     }
 
-    /// Walk (and grow) the tree for a token sequence; returns the path of
-    /// routing keys from the length level to the leaf.
-    fn leaf_path(&self, tokens: &[String]) -> Vec<String> {
-        let levels = self.config.depth.min(tokens.len());
-        let mut path = Vec::with_capacity(levels);
-        let mut node = self.root.get(&tokens.len());
-        for token in tokens.iter().take(levels) {
-            let wanted = route_key(token);
-            let key = match node {
-                Some(n) => {
-                    if n.children.contains_key(wanted)
-                        || n.children.len() < self.config.max_children
-                    {
-                        wanted
-                    } else {
-                        // Node is full: unseen keys share the fallback child.
-                        WILDCARD
-                    }
-                }
-                // Subtree doesn't exist yet; it will be created along
-                // `wanted` (child budget starts empty).
-                None => wanted,
-            };
-            path.push(key.to_string());
-            node = node.and_then(|n| n.children.get(key));
-        }
-        path
-    }
-
-    /// Leaf group for a routing path, creating nodes as needed.
-    fn leaf_mut(&mut self, len: usize, path: &[String]) -> &mut Vec<usize> {
-        let mut node = self.root.entry(len).or_default();
-        for key in path {
-            node = node.children.entry(key.clone()).or_default();
-        }
-        &mut node.group
-    }
-
     /// Similarity of a template against a token sequence: fraction of
     /// positions with exactly-equal tokens (wildcards contribute 0), plus
     /// the wildcard count as a tie-break (more-general templates win).
-    fn similarity(template: &Template, tokens: &[String]) -> (f64, usize) {
+    fn similarity(template: &Template, tokens: &[&str]) -> (f64, usize) {
         let mut equal = 0usize;
         let mut wild = 0usize;
         for (t, tok) in template.tokens.iter().zip(tokens) {
@@ -232,27 +217,42 @@ impl TemplateMiner {
         (equal as f64 / tokens.len() as f64, wild)
     }
 
-    /// Mine one not-yet-seen text; returns its feature branch. Empty /
-    /// whitespace-only texts yield no branch.
-    fn mine(&mut self, text: &str) -> Vec<FeatureBranch> {
-        let tokens: Vec<String> = text.split_whitespace().map(str::to_string).collect();
-        if tokens.is_empty() {
-            return Vec::new();
+    /// Journal index of `text`, mining and journaling it at first sight.
+    fn record(&mut self, text: &str) -> usize {
+        if let Some(&at) = self.lookup.get(text) {
+            return at;
         }
-        let path = self.leaf_path(&tokens);
-        let group = self.leaf_mut(tokens.len(), &path).clone();
+        let seen = Seen { text: Arc::from(text), pin: self.mine(text) };
+        self.lookup.insert(Arc::clone(&seen.text), self.journal.len());
+        self.journal.push(seen);
+        self.journal.len() - 1
+    }
+
+    /// Mine one not-yet-seen text in one walk of the tree (creating nodes
+    /// on the way) and pin the result. Empty / whitespace-only texts have
+    /// no pin.
+    fn mine(&mut self, text: &str) -> Option<Pin> {
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        if tokens.is_empty() {
+            return None;
+        }
+        let mut node = self.root.entry(tokens.len()).or_default();
+        for token in tokens.iter().take(self.config.depth) {
+            let wanted = route_key(token);
+            let full = node.children.len() >= self.config.max_children;
+            // A full node routes unseen keys to its fallback child. A node
+            // this walk created is empty, so it routes `wanted`, as it
+            // would have before it existed (`max_children` is at least 2).
+            let key = if full && !node.children.contains_key(wanted) { WILDCARD } else { wanted };
+            node = node.children.entry(key.to_owned()).or_default();
+        }
 
         let mut best: Option<(usize, f64, usize)> = None;
-        for &id in &group {
-            if let Some(template) = self.templates.get(id) {
-                let (sim, wild) = Self::similarity(template, &tokens);
-                let better = match best {
-                    None => true,
-                    Some((_, bs, bw)) => sim > bs || (sim == bs && wild > bw),
-                };
-                if better {
-                    best = Some((id, sim, wild));
-                }
+        for &id in &node.group {
+            let Some(template) = self.templates.get(id) else { continue };
+            let (sim, wild) = Self::similarity(template, &tokens);
+            if best.is_none_or(|(_, bs, bw)| sim > bs || (sim == bs && wild > bw)) {
+                best = Some((id, sim, wild));
             }
         }
 
@@ -275,11 +275,11 @@ impl TemplateMiner {
                 let toks: Vec<Tok> =
                     tokens
                         .iter()
-                        .map(|t| {
+                        .map(|&t| {
                             if classify(t).is_some() {
                                 Tok::Wildcard
                             } else {
-                                Tok::Word(t.clone())
+                                Tok::Word(t.into())
                             }
                         })
                         .collect();
@@ -288,27 +288,38 @@ impl TemplateMiner {
                     .zip(&tokens)
                     .map(|(t, tok)| match t {
                         Tok::Wildcard => WILDCARD,
-                        Tok::Word(_) => tok.as_str(),
+                        Tok::Word(_) => tok,
                     })
                     .collect::<Vec<_>>()
                     .join(" ");
                 let id = self.templates.len();
                 self.templates.push(Template { tokens: toks, text, distinct: 1 });
-                self.leaf_mut(tokens.len(), &path).push(id);
+                node.group.push(id);
                 id
             }
         };
 
-        let Some(template) = self.templates.get(id) else {
+        let pattern = &self.templates.get(id)?.tokens;
+        let params = pattern
+            .iter()
+            .zip(&tokens)
+            .filter(|(t, _)| matches!(t, Tok::Wildcard))
+            .map(|(_, tok)| param_class(tok))
+            .collect();
+        Some(Pin { template: id, params })
+    }
+
+    /// The feature branch of journal entry `at`, rebuilt from its pin.
+    fn branches(&self, at: usize) -> Vec<FeatureBranch> {
+        let Some(Seen { pin: Some(pin), .. }) = self.journal.get(at) else {
             return Vec::new();
         };
-        let mut features = Vec::with_capacity(1 + tokens.len());
-        features.push(Feature::template(template.text.clone()));
-        for (t, tok) in template.tokens.iter().zip(&tokens) {
-            if matches!(t, Tok::Wildcard) {
-                features.push(Feature::param(param_class(tok)));
-            }
-        }
+        let Some(template) = self.templates.get(pin.template) else {
+            return Vec::new();
+        };
+        let mut features = Vec::with_capacity(1 + pin.params.len());
+        features.push(Feature::template(template.text.as_str()));
+        features.extend(pin.params.iter().map(|&class| Feature::param(class)));
         vec![FeatureBranch::new(features)]
     }
 }
@@ -319,29 +330,24 @@ impl Featurizer for TemplateMiner {
     }
 
     fn featurize(&mut self, text: &str) -> Vec<FeatureBranch> {
-        if let Some(cached) = self.memo.get(text) {
-            return cached.clone();
-        }
-        let branches = self.mine(text);
-        self.journal.push(text.to_string());
-        self.memo.insert(text.to_string(), branches.clone());
-        branches
+        let at = self.record(text);
+        self.branches(at)
     }
 
     fn fresh_featurizations(&self) -> u64 {
-        // Every text the memo did not answer was journaled.
+        // Every text the lookup did not answer was journaled.
         self.journal.len() as u64
     }
 
     fn export_journal(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        journal::encode_into(&mut out, &self.journal);
+        journal::encode_into(&mut out, self.journal.iter().map(|seen| &*seen.text));
         out
     }
 
     fn drain_events(&mut self) -> Vec<u8> {
         let mut out = Vec::new();
-        journal::encode_into(&mut out, &self.journal[self.drained..]);
+        journal::encode_into(&mut out, self.journal[self.drained..].iter().map(|seen| &*seen.text));
         self.drained = self.journal.len();
         out
     }
@@ -349,8 +355,8 @@ impl Featurizer for TemplateMiner {
     fn replay(&mut self, bytes: &[u8]) -> Result<(), SourceError> {
         for text in journal::decode(bytes)? {
             // Idempotent: texts already replayed (or live-mined) are
-            // memo hits and do not re-journal.
-            self.featurize(&text);
+            // found by the lookup and do not re-journal.
+            self.record(&text);
         }
         self.drained = self.journal.len();
         Ok(())

@@ -2,9 +2,11 @@
 //! parameter values. A corpus whose lines keep their shapes but draw
 //! fresh numbers, IPs, user ids, and paths every run must always mine to
 //! the same creation-time template texts — parameters are what templates
-//! abstract over, so no choice of parameter may split or merge one.
+//! abstract over, so no choice of parameter may split or merge one. And
+//! whatever the draws, every distinct text keeps its first-sight features
+//! through later wildcard promotions and through journal replay.
 
-use logr_source::{Featurizer, TemplateConfig, TemplateMiner};
+use logr_source::{FeatureBranch, Featurizer, TemplateConfig, TemplateMiner};
 use proptest::prelude::*;
 
 /// One line of every shape, with the parameter draws spliced in. The
@@ -73,14 +75,58 @@ proptest! {
     }
 
     #[test]
-    fn journal_replay_is_deterministic_for_any_draw(p in arb_params()) {
-        let lines = corpus(&p);
+    fn journal_replay_is_deterministic_for_any_draw(
+        draws in prop::collection::vec(arb_params(), 2..6),
+    ) {
+        // Several draws, interleaved line by line, plus a line whose
+        // parameters are plain words: its template seeds with the first
+        // draw's words and promotes them to wildcards when the next draw
+        // disagrees, so texts seen before and after a promotion are pinned
+        // with different parameter lists.
+        let streams: Vec<Vec<String>> = draws
+            .iter()
+            .map(|p| {
+                let mut lines = corpus(p);
+                let (worker, lane) = (spell(p.user), spell(p.seg));
+                lines.push(format!("sched: worker {worker} drained lane {lane}"));
+                lines
+            })
+            .collect();
+        let stream: Vec<&String> =
+            (0..streams[0].len()).flat_map(|i| streams.iter().map(move |s| &s[i])).collect();
+
         let mut miner = TemplateMiner::new(TemplateConfig::default());
-        for line in &lines {
-            miner.featurize(line);
+        let mut first_sight: Vec<(&String, Vec<FeatureBranch>)> = Vec::new();
+        let mut drained = Vec::new();
+        for (i, line) in stream.iter().enumerate() {
+            let branches = miner.featurize(line);
+            if !first_sight.iter().any(|(seen, _)| seen == line) {
+                first_sight.push((line, branches));
+            }
+            if i % 7 == 0 {
+                drained.extend_from_slice(&miner.drain_events());
+            }
         }
+        drained.extend_from_slice(&miner.drain_events());
+        prop_assert_eq!(&drained, &miner.export_journal(), "drained increments make the journal");
+        prop_assert!(
+            first_sight.iter().any(|(_, b)| b[0].features.iter().any(|f| f.text == "str")),
+            "the stream must promote a word position to a wildcard"
+        );
+
         let mut replayed = TemplateMiner::new(TemplateConfig::default());
         replayed.replay(&miner.export_journal()).expect("journal replays clean");
         prop_assert_eq!(replayed.template_stats(), miner.template_stats());
+        for (line, branches) in &first_sight {
+            prop_assert_eq!(&miner.featurize(line), branches, "pin moved by the stream: {}", line);
+            prop_assert_eq!(&replayed.featurize(line), branches, "pin moved by replay: {}", line);
+        }
+        prop_assert_eq!(replayed.export_journal(), miner.export_journal());
     }
+}
+
+/// A number spelled with letters only (`0` → `a`, ..., `9` → `j`), so the
+/// template miner sees a plain word, never a syntactic variable.
+fn spell(n: u32) -> String {
+    n.to_string().bytes().map(|d| char::from(b'a' + (d - b'0'))).collect()
 }
