@@ -21,8 +21,9 @@
 //! 1. **Dense kernel** — [`PointSet`] batch-converts a dataset's sparse
 //!    vectors into `u64`-block bitsets once; any metric is then one
 //!    xor-popcount sweep via [`Distance::of_mismatches`]. The float math is
-//!    shared with the sparse path, so the two are bit-for-bit equivalent
-//!    (property-tested in `tests/proptest_pointset.rs`).
+//!    shared with the sparse reference in the dev-only `logr-testkit`
+//!    crate, so the two are bit-for-bit equivalent (property-tested in
+//!    `tests/proptest_pointset.rs`).
 //! 2. **Condensed storage** — pairwise distances materialize as a
 //!    [`CondensedMatrix`]: the strict upper triangle only, `n·(n−1)/2`
 //!    doubles, halving memory versus the full `Matrix`. Hierarchical
@@ -35,9 +36,6 @@
 //!    coordinating thread and floating-point reductions are associated by
 //!    fixed-width chunk, not by worker, so parallel and serial results
 //!    are bit-identical regardless of core count.
-//!
-//! The sparse reference implementation ([`distance_matrix`]) is retained
-//! as the property-test oracle.
 //!
 //! # Modules
 //!
@@ -57,10 +55,8 @@
 //!   (magic + header + condensed triangle + cross block + bit-packed
 //!   points + FNV-1a 64 checksum) with typed [`SpillError`] decoding;
 //! * [`vfs`] — the injectable storage layer every file operation goes
-//!   through: the [`Vfs`] trait, the [`RealFs`] passthrough, the
-//!   fault-injecting + trace-recording [`FaultFs`], the power-cut
-//!   crash-state simulator ([`vfs::durable_state`]), and the bounded
-//!   transient-IO retry policy ([`vfs::retry_io`]);
+//!   through: the [`Vfs`] trait, the [`RealFs`] passthrough, and the
+//!   bounded transient-IO retry policy ([`vfs::retry_io`]);
 //! * [`kmeans`] — weighted Lloyd iteration with k-means++ seeding (dense and
 //!   binary front ends, `*_pointset` variants for pre-converted data);
 //! * [`spectral`] — Ng–Jordan–Weiss spectral clustering over an RBF affinity
@@ -81,12 +77,10 @@ pub mod pointset;
 pub mod shard;
 pub mod spectral;
 pub mod spill;
-#[doc(hidden)]
-pub mod testutil;
 pub mod vfs;
 
 pub use assign::Clustering;
-pub use distance::{distance_matrix, Distance};
+pub use distance::Distance;
 pub use hierarchical::{
     hierarchical_cluster, hierarchical_cluster_condensed, hierarchical_cluster_pointset, Dendrogram,
 };
@@ -98,4 +92,4 @@ pub use spectral::{
     spectral_cluster, spectral_cluster_condensed, spectral_cluster_pointset, SpectralConfig,
 };
 pub use spill::{ShardRecord, SpillError};
-pub use vfs::{FaultFs, RealFs, Vfs};
+pub use vfs::{RealFs, Vfs};

@@ -10,14 +10,13 @@
 //!
 //! Pairwise distances are materialized as a [`CondensedMatrix`]: only the
 //! strict upper triangle, `n·(n−1)/2` doubles, halving memory versus the
-//! full `Matrix` the sparse path builds. Rows of the triangle are
+//! full `n²` matrix. Rows of the triangle are
 //! contiguous, so construction parallelizes over scoped threads with no
 //! synchronization.
 
 use crate::distance::Distance;
 use crate::par;
 use logr_feature::{BitVec, QueryLog, QueryVector};
-use logr_math::Matrix;
 
 use crate::par::PARALLEL_MIN_POINTS;
 
@@ -205,33 +204,15 @@ impl CondensedMatrix {
     pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Expand to the symmetric full matrix (tests / interop).
-    pub fn to_full(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let d = self.get(i, j);
-                m[(i, j)] = d;
-                m[(j, i)] = d;
-            }
-        }
-        m
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::distance_matrix;
     use logr_feature::FeatureId;
 
     fn qv(ids: &[u32]) -> QueryVector {
         QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())
-    }
-
-    fn all_metrics() -> [Distance; 4] {
-        [Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming]
     }
 
     #[test]
@@ -294,43 +275,6 @@ mod tests {
         }
         // And folded reads still see the sentinel (the guard is precise).
         assert_eq!(cm.get(3, 2), 1e9);
-    }
-
-    #[test]
-    fn dense_distances_match_sparse_reference_exactly() {
-        let vs = [qv(&[0, 1, 2]), qv(&[2, 3]), qv(&[]), qv(&[0, 5, 63, 64]), qv(&[64]), qv(&[1])];
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let nf = 80;
-        let ps = PointSet::from_vectors(&refs, nf);
-        for metric in all_metrics() {
-            let sparse = distance_matrix(&refs, metric, nf);
-            let dense = ps.distances(metric);
-            for i in 0..refs.len() {
-                for j in 0..refs.len() {
-                    // Bit-identical: both paths feed the same integer
-                    // mismatch count through the same float kernel.
-                    assert_eq!(
-                        sparse[(i, j)].to_bits(),
-                        dense.get(i, j).to_bits(),
-                        "{metric:?} at ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn to_full_matches_pairwise_gets() {
-        let vs = [qv(&[0]), qv(&[0, 1]), qv(&[2, 3])];
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let ps = PointSet::from_vectors(&refs, 8);
-        let cm = ps.distances(Distance::Manhattan);
-        let full = cm.to_full();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(full[(i, j)], cm.get(i, j));
-            }
-        }
     }
 
     #[test]

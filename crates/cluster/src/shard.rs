@@ -665,8 +665,8 @@ pub struct CompactionStats {
 mod tests {
     use super::*;
     use crate::pointset::PointSet;
-    use crate::testutil::TempStore;
     use logr_feature::FeatureId;
+    use logr_testkit::TempStore;
 
     fn qv(ids: &[u32]) -> QueryVector {
         QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())

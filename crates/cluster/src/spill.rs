@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn file_round_trips() {
-        let store = crate::testutil::TempStore::new("spill-unit");
+        let store = logr_testkit::TempStore::new("spill-unit");
         let path = store.join("shard.bin");
         let record = sample_record();
         let written = write_file_with(&RealFs, &path, &record).unwrap();
@@ -430,55 +430,5 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let err = read_file_with(&RealFs, Path::new("/nonexistent/logr/shard.bin")).unwrap_err();
         assert!(matches!(err, SpillError::Io(_)), "{err}");
-    }
-
-    #[test]
-    fn write_protocol_fsyncs_tmp_then_renames_then_syncs_dir() {
-        use crate::vfs::{FaultFs, IoOp, Vfs as _};
-        let fs = FaultFs::new();
-        let dir = Path::new("/store");
-        fs.create_dir_all(dir).unwrap();
-        let path = dir.join("shard-00000.bin");
-        let tmp = dir.join("shard-00000.tmp");
-        let before = fs.trace_len();
-        write_file_with(&fs, &path, &sample_record()).unwrap();
-        let trace = fs.trace();
-        let ops = &trace[before..];
-        // The exact durable-replace sequence — the fsync of the tmp file
-        // BEFORE the rename is the regression this test pins (the
-        // unsynced-page hole: rename committed ahead of data).
-        assert_eq!(ops.len(), 4, "{ops:?}");
-        assert!(matches!(&ops[0], IoOp::Write { path: p, .. } if p == &tmp), "{ops:?}");
-        assert!(matches!(&ops[1], IoOp::Fsync { path: p } if p == &tmp), "{ops:?}");
-        assert!(
-            matches!(&ops[2], IoOp::Rename { from, to } if from == &tmp && to == &path),
-            "{ops:?}"
-        );
-        assert!(matches!(&ops[3], IoOp::SyncDir { dir: d } if d == dir), "{ops:?}");
-    }
-
-    #[test]
-    fn power_cut_during_shard_write_never_leaves_a_bad_durable_shard() {
-        use crate::vfs::{durable_state, FaultFs, LastOpVariant, Vfs as _};
-        let record = sample_record();
-        let fs = FaultFs::new();
-        let dir = Path::new("/store");
-        fs.create_dir_all(dir).unwrap();
-        let path = dir.join("shard-00000.bin");
-        write_file_with(&fs, &path, &record).unwrap();
-        let trace = fs.trace();
-        let expect = encode(&record);
-        for k in 0..=trace.len() {
-            for variant in [LastOpVariant::Lost, LastOpVariant::Applied, LastOpVariant::Torn] {
-                let (files, _) = durable_state(&trace[..k], variant);
-                // Under the shard's durable name there is either nothing
-                // (crash before the replace committed) or the complete
-                // record — never a zero-length or torn file, because the
-                // tmp content is fsynced before the rename.
-                if let Some(bytes) = files.get(&path) {
-                    assert_eq!(bytes, &expect, "prefix {k}, {variant:?}");
-                }
-            }
-        }
     }
 }

@@ -4,6 +4,7 @@
 
 use logr_cluster::{hierarchical_cluster, kmeans_binary, Distance, KMeansConfig};
 use logr_feature::{FeatureId, QueryVector};
+use logr_testkit::distance::SparseDistance as _;
 use proptest::prelude::*;
 
 const UNIVERSE: usize = 32;

@@ -4,9 +4,10 @@
 //! clustering reproduces the dendrogram of a full-`Matrix` reference
 //! implementation.
 
-use logr_cluster::{distance_matrix, hierarchical_cluster, Dendrogram, Distance, PointSet};
+use logr_cluster::{hierarchical_cluster, Dendrogram, Distance, PointSet};
 use logr_feature::{FeatureId, QueryVector};
-use logr_math::Matrix;
+use logr_testkit::distance::{average_linkage, distance_matrix};
+use logr_testkit::pointset::FullMatrix as _;
 use proptest::prelude::*;
 
 fn all_metrics() -> Vec<Distance> {
@@ -30,62 +31,6 @@ fn arb_instance() -> impl Strategy<Value = (Vec<QueryVector>, usize)> {
             (vectors, universe)
         },
     )
-}
-
-/// The pre-PR-1 reference: NN-chain average linkage over a full symmetric
-/// `Matrix`, kept verbatim so the condensed rewrite has an oracle.
-fn hierarchical_reference(
-    points: &[&QueryVector],
-    weights: &[f64],
-    n_features: usize,
-    metric: Distance,
-) -> Vec<(usize, usize, f64)> {
-    let n = points.len();
-    let mut dist: Matrix = distance_matrix(points, metric, n_features);
-    let mut size: Vec<f64> = weights.to_vec();
-    let mut active: Vec<bool> = vec![true; n];
-    let mut node_of: Vec<usize> = (0..n).collect();
-    let mut merges = Vec::with_capacity(n.saturating_sub(1));
-    let mut chain: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining = n;
-    while remaining > 1 {
-        if chain.is_empty() {
-            let first = active.iter().position(|&a| a).expect("active cluster exists");
-            chain.push(first);
-        }
-        let a = *chain.last().expect("chain non-empty");
-        let mut best = usize::MAX;
-        let mut best_d = f64::INFINITY;
-        for j in 0..n {
-            if j != a && active[j] && dist[(a, j)] < best_d {
-                best_d = dist[(a, j)];
-                best = j;
-            }
-        }
-        let b = best;
-        if chain.len() >= 2 && chain[chain.len() - 2] == b {
-            chain.pop();
-            chain.pop();
-            let (keep, drop) = if a < b { (a, b) } else { (b, a) };
-            let new_node = n + merges.len();
-            merges.push((node_of[keep], node_of[drop], best_d));
-            let (sa, sb) = (size[keep], size[drop]);
-            for j in 0..n {
-                if j != keep && j != drop && active[j] {
-                    let d = (sa * dist[(keep, j)] + sb * dist[(drop, j)]) / (sa + sb);
-                    dist[(keep, j)] = d;
-                    dist[(j, keep)] = d;
-                }
-            }
-            size[keep] = sa + sb;
-            active[drop] = false;
-            node_of[keep] = new_node;
-            remaining -= 1;
-        } else {
-            chain.push(b);
-        }
-    }
-    merges
 }
 
 fn merges_of(d: &Dendrogram) -> Vec<(usize, usize, f64)> {
@@ -150,7 +95,7 @@ proptest! {
             .collect();
         for metric in [Distance::Hamming, Distance::Manhattan] {
             let dendro = hierarchical_cluster(&refs, &weights, universe, metric);
-            let reference = hierarchical_reference(&refs, &weights, universe, metric);
+            let reference = average_linkage(&refs, &weights, universe, metric);
             prop_assert_eq!(
                 merges_of(&dendro),
                 reference,

@@ -12,9 +12,9 @@
 //! the real ones: they leave no shard, and the universe they report is
 //! kept.
 
-use logr_cluster::testutil::TempStore;
 use logr_cluster::{Distance, PointSet, ShardedPointSet, SpillConfig};
 use logr_feature::{FeatureId, QueryVector};
+use logr_testkit::TempStore;
 use proptest::prelude::*;
 fn all_metrics() -> Vec<Distance> {
     vec![Distance::Euclidean, Distance::Manhattan, Distance::Minkowski(4.0), Distance::Hamming]

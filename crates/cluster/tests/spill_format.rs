@@ -4,9 +4,11 @@
 //! (worst of all) a silently-wrong distance.
 
 use logr_cluster::spill::{self, ShardRecord, SpillError, MAGIC, VERSION};
-use logr_cluster::testutil::TempStore;
-use logr_cluster::vfs::RealFs;
+use logr_cluster::vfs::{RealFs, Vfs as _};
 use logr_feature::{BitVec, FeatureId, QueryVector};
+use logr_testkit::vfs::{durable_state, FaultFs, IoOp, LastOpVariant};
+use logr_testkit::TempStore;
+use std::path::Path;
 fn qv(ids: &[u32]) -> QueryVector {
     QueryVector::new(ids.iter().map(|&i| FeatureId(i)).collect())
 }
@@ -153,4 +155,49 @@ fn error_display_is_informative() {
     })
     .unwrap_err();
     assert!(magic_err.to_string().contains(&format!("{MAGIC:02x?}")), "{magic_err}");
+}
+
+#[test]
+fn write_protocol_fsyncs_tmp_then_renames_then_syncs_dir() {
+    let fs = FaultFs::new();
+    let dir = Path::new("/store");
+    fs.create_dir_all(dir).unwrap();
+    let path = dir.join("shard-00000.bin");
+    let tmp = dir.join("shard-00000.tmp");
+    let before = fs.trace_len();
+    spill::write_file_with(&fs, &path, &record()).unwrap();
+    let trace = fs.trace();
+    let ops = &trace[before..];
+    // The exact durable-replace sequence — the fsync of the tmp file
+    // BEFORE the rename is the regression this test pins (the
+    // unsynced-page hole: rename committed ahead of data).
+    assert_eq!(ops.len(), 4, "{ops:?}");
+    assert!(matches!(&ops[0], IoOp::Write { path: p, .. } if p == &tmp), "{ops:?}");
+    assert!(matches!(&ops[1], IoOp::Fsync { path: p } if p == &tmp), "{ops:?}");
+    assert!(matches!(&ops[2], IoOp::Rename { from, to } if from == &tmp && to == &path), "{ops:?}");
+    assert!(matches!(&ops[3], IoOp::SyncDir { dir: d } if d == dir), "{ops:?}");
+}
+
+#[test]
+fn power_cut_during_shard_write_never_leaves_a_bad_durable_shard() {
+    let record = record();
+    let fs = FaultFs::new();
+    let dir = Path::new("/store");
+    fs.create_dir_all(dir).unwrap();
+    let path = dir.join("shard-00000.bin");
+    spill::write_file_with(&fs, &path, &record).unwrap();
+    let trace = fs.trace();
+    let expect = spill::encode(&record);
+    for k in 0..=trace.len() {
+        for variant in [LastOpVariant::Lost, LastOpVariant::Applied, LastOpVariant::Torn] {
+            let (files, _) = durable_state(&trace[..k], variant);
+            // Under the shard's durable name there is either nothing
+            // (crash before the replace committed) or the complete
+            // record — never a zero-length or torn file, because the
+            // tmp content is fsynced before the rename.
+            if let Some(bytes) = files.get(&path) {
+                assert_eq!(bytes, &expect, "prefix {k}, {variant:?}");
+            }
+        }
+    }
 }

@@ -12,9 +12,9 @@
 //!   scores** ([`novelty_scores`]) against a rolling baseline;
 //! * an appendable **history**: each window's new distinct queries become
 //!   one shard of a [`ShardedPointSet`] — a window that finds none appends
-//!   nothing — so a summary of *everything seen so far*
-//!   ([`StreamSummarizer::try_history_summary`]) clusters over the merged
-//!   condensed matrix without recomputing any pairwise distance.
+//!   nothing — so a summary of *everything seen so far* (`logr::Engine`'s
+//!   snapshot summary) clusters over the merged condensed matrix without
+//!   recomputing any pairwise distance.
 //!
 //! # Window semantics
 //!
@@ -84,9 +84,9 @@
 //! all resident. [`StreamSummarizer::spill_to_with`] attaches the persistent
 //! shard store (`logr-cluster::spill`) with a resident-byte budget:
 //! after every close that appended a shard, the oldest closed shards are
-//! evicted to disk and reload transparently when
-//! [`StreamSummarizer::try_history_summary`] needs them (a close never
-//! reads the store: the points, linear in the history, stay resident).
+//! evicted to disk and reload transparently when a history summary merges
+//! them ([`ShardedPointSet::try_condensed`]; a close never reads the store:
+//! the points, linear in the history, stay resident).
 //! Window summaries, drift reports, and history summaries are
 //! **bit-identical** to an unbounded run — the store holds integer
 //! mismatch counts and bit-packed points, never floats — and
@@ -233,10 +233,8 @@ impl StreamConfig {
     }
 
     /// The compressor configuration every summary derived from this
-    /// stream uses — the one definition behind both
-    /// [`StreamSummarizer::try_history_summary`] and `logr::Engine` snapshot
-    /// summaries, which are documented as bit-identical at the same
-    /// boundary and therefore must never construct this independently.
+    /// stream uses: the window summaries a close emits and `logr::Engine`'s
+    /// history summaries.
     pub fn compressor_config(&self) -> LogRConfig {
         LogRConfig {
             method: ClusterMethod::Hierarchical(self.metric),
@@ -641,8 +639,9 @@ impl StreamSummarizer {
         })
     }
 
-    /// The sharded history matrix (for store diagnostics; summaries go
-    /// through [`StreamSummarizer::try_history_summary`]).
+    /// The sharded history matrix: the store's diagnostics, and the
+    /// condensed matrix a history summary clusters
+    /// ([`ShardedPointSet::try_condensed`]).
     pub fn shard_store(&self) -> &ShardedPointSet {
         &self.shards
     }
@@ -827,21 +826,6 @@ impl StreamSummarizer {
         Ok(())
     }
 
-    /// Pattern mixture summary of **everything seen so far**, clustered
-    /// over the sharded history's merged condensed matrix — one
-    /// `k`-mixture for the whole stream at the cost of a dendrogram build,
-    /// with zero recomputed distances (spilled shards stream through the
-    /// merge one at a time). `None` before any distinct query has been
-    /// absorbed; `Err` if a spilled shard cannot be reloaded.
-    pub fn try_history_summary(&self) -> Result<Option<LogRSummary>, SpillError> {
-        self.check_wedged()?;
-        if self.history.distinct_count() == 0 {
-            return Ok(None);
-        }
-        let dist = self.shards.try_condensed(self.config.metric)?;
-        Ok(Some(self.compressor().compress_condensed(&self.history, dist)))
-    }
-
     /// Write every history shard that has never been written to the spill
     /// store, without evicting anything — the durability step behind
     /// `logr::Engine` checkpoints (see [`ShardedPointSet::persist_all`]).
@@ -906,12 +890,11 @@ impl StreamSummarizer {
         // statements before `[boundary − window_ms, boundary)`.
         let mut expired = 0;
         if self.is_sliding() {
-            let horizon = self.config.time.map(|tw| {
-                boundary
-                    // lint:allow(no-panic-paths): close_window always passes Some in time mode (the only mode reaching this arm) — invariant of the one caller
-                    .expect("time closes carry a boundary")
-                    .saturating_sub(tw.window_ms)
-            });
+            // Every time-mode close passes its boundary; count mode has none.
+            let horizon = match (self.config.time, boundary) {
+                (Some(tw), Some(boundary)) => Some(boundary.saturating_sub(tw.window_ms)),
+                _ => None,
+            };
             for &(_, count, ts) in &self.window.buffer {
                 let in_span = match horizon {
                     Some(horizon) => ts >= horizon,
@@ -1019,7 +1002,18 @@ impl StreamSummarizer {
 mod tests {
     use super::*;
     use logr_cluster::vfs::default_vfs;
+    use logr_testkit::TempStore;
     use proptest::prelude::*;
+
+    /// The history's `k`-mixture over the sharded matrix, as
+    /// `logr::Engine`'s snapshot summary computes it at the same
+    /// boundary; `None` before any distinct query was absorbed.
+    fn history_summary(s: &StreamSummarizer) -> Option<LogRSummary> {
+        (s.history().distinct_count() > 0).then(|| {
+            let dist = s.shard_store().try_condensed(s.config().metric).unwrap();
+            s.compressor().compress_condensed(s.history(), dist)
+        })
+    }
 
     fn messaging(i: u64) -> String {
         match i % 3 {
@@ -1093,7 +1087,7 @@ mod tests {
 
         // History covers the whole stream; its sharded summary works.
         assert_eq!(s.history().total_queries(), 90);
-        let hist = s.try_history_summary().unwrap().unwrap();
+        let hist = history_summary(&s).unwrap();
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1291,7 +1285,7 @@ mod tests {
         assert_eq!(s.windows_closed(), 3);
         // The streamed history summary equals a batch hierarchical
         // compression of the absorbed history log.
-        let streamed = s.try_history_summary().unwrap().unwrap();
+        let streamed = history_summary(&s).unwrap();
         let points = PointSet::from_log(s.history());
         let weights: Vec<f64> = s.history().entries().iter().map(|&(_, c)| c as f64).collect();
         let dendro = hierarchical_cluster_pointset(&points, &weights, Distance::Hamming);
@@ -1301,19 +1295,19 @@ mod tests {
     #[test]
     fn empty_stream_and_unparseable_windows_are_handled() {
         let mut s = StreamSummarizer::new(StreamConfig { window: 3, ..StreamConfig::default() });
-        assert!(s.try_history_summary().unwrap().is_none());
+        assert!(history_summary(&s).is_none());
         assert!(s.try_flush().unwrap().is_none());
         // A window of pure garbage still closes and keeps counting.
         for _ in 0..3 {
             s.try_ingest_record("THIS IS NOT SQL @@@").unwrap();
         }
         assert_eq!(s.windows_closed(), 1);
-        assert!(s.try_history_summary().unwrap().is_none(), "no parsed queries yet");
+        assert!(history_summary(&s).is_none(), "no parsed queries yet");
         for i in 0..3 {
             s.try_ingest_record(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
-        assert!(s.try_history_summary().unwrap().is_some());
+        assert!(history_summary(&s).is_some());
     }
 
     #[test]
@@ -1546,7 +1540,7 @@ mod tests {
         // rotation state are all non-trivial), rebuild from the exported
         // state plus a store-recovered shard set, and continue both
         // streams: every later artifact must match to the bit.
-        let store = logr_cluster::testutil::TempStore::new("stream-state");
+        let store = TempStore::new("stream-state");
         let config = StreamConfig { window: 12, slide: Some(5), k: 2, ..StreamConfig::default() };
         let mut original = StreamSummarizer::new(config);
         original.spill_to_with(default_vfs(), store.path(), usize::MAX).unwrap();
@@ -1589,10 +1583,7 @@ mod tests {
                 }
             }
         }
-        let (a, b) = (
-            original.try_history_summary().unwrap().unwrap(),
-            restored.try_history_summary().unwrap().unwrap(),
-        );
+        let (a, b) = (history_summary(&original).unwrap(), history_summary(&restored).unwrap());
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1822,50 +1813,13 @@ mod tests {
     }
 
     #[test]
-    fn store_failure_wedges_the_summarizer() {
-        // A close that dies against the spill store must leave the
-        // summarizer refusing (typed error) rather than serving summaries
-        // whose history log and shard store disagree.
-        use logr_cluster::vfs::{FaultFs, OpKind};
-        let fs = Arc::new(FaultFs::new());
-        let mut s =
-            StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
-        s.spill_to_with(fs.clone(), "/stream-wedge", 0).unwrap();
-        for i in 0..15 {
-            s.try_ingest_record(&novel(i)).unwrap();
-        }
-        assert!(s.spilled_shards() > 0);
-        // Appends never read the store, so the only way a close can die
-        // against it is the eviction after the append (which only a close
-        // that found new shapes performs): fail every shard write from
-        // here on.
-        fs.inject(OpKind::Write, "shard-", std::io::ErrorKind::PermissionDenied, usize::MAX);
-        let mut failed = None;
-        for i in 15..25 {
-            match s.try_ingest_record(&novel(i)) {
-                Ok(_) => {}
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        let err = failed.expect("a close that cannot evict must fail");
-        assert!(matches!(err, SpillError::Io(_)), "{err}");
-        // Wedged: every later entry point refuses with a typed error.
-        assert!(matches!(s.try_ingest_record("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
-        assert!(matches!(s.try_flush(), Err(SpillError::Corrupt(_))));
-        assert!(matches!(s.try_history_summary(), Err(SpillError::Corrupt(_))));
-    }
-
-    #[test]
     fn spilled_stream_is_bit_identical_to_resident_stream() {
         // The acceptance property at the stream level: a spilling
         // summarizer (tiny resident budget) and an unbounded one emit
         // byte-identical artifacts. The heavyweight cross-metric version
         // lives in tests/stream_out_of_core.rs; this is the fast inline
         // guard.
-        let store = logr_cluster::testutil::TempStore::new("stream-spill");
+        let store = TempStore::new("stream-spill");
         let mut spilled =
             StreamSummarizer::new(StreamConfig { window: 10, k: 2, ..StreamConfig::default() });
         spilled.spill_to_with(default_vfs(), store.path(), 0).unwrap();
@@ -1887,10 +1841,7 @@ mod tests {
             }
         }
         assert!(spilled.spilled_shards() > 0, "the budget must have forced evictions");
-        let (a, b) = (
-            spilled.try_history_summary().unwrap().unwrap(),
-            resident.try_history_summary().unwrap().unwrap(),
-        );
+        let (a, b) = (history_summary(&spilled).unwrap(), history_summary(&resident).unwrap());
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1934,7 +1885,7 @@ mod tests {
                 "unexpected class on the template path: {f}"
             );
         }
-        let hist = s.try_history_summary().unwrap().expect("history summary over mined features");
+        let hist = history_summary(&s).expect("history summary over mined features");
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1974,7 +1925,7 @@ mod tests {
         // (sliding, so buffer/pending/rotation are live AND the miner has
         // promoted wildcards), restore through the journal, and continue
         // both — every later artifact must match to the bit.
-        let store = logr_cluster::testutil::TempStore::new("stream-template-state");
+        let store = TempStore::new("stream-template-state");
         let config = StreamConfig {
             window: 12,
             slide: Some(5),

@@ -3,13 +3,28 @@
 //! summaries, drift reports, and history summaries to an
 //! unbounded-memory run — and its peak resident shard bytes respect the
 //! budget at every observation point (after every close; bulk merges
-//! transiently add at most one shard, which `try_history_summary` mid-stream
-//! exercises too).
+//! transiently add at most one shard, which a mid-stream history summary
+//! exercises too). A close that dies against the store wedges the stream.
 
-use logr_cluster::testutil::TempStore;
 use logr_cluster::vfs::default_vfs;
-use logr_cluster::Distance;
-use logr_core::{DriftReport, LogRSummary, StreamConfig, StreamSummarizer, WindowSummary};
+use logr_cluster::{Distance, SpillError};
+use logr_core::{LogR, LogRSummary, StreamConfig, StreamSummarizer};
+use logr_testkit::identical::{assert_summary_identical, assert_window_identical};
+use logr_testkit::vfs::OpKind;
+use logr_testkit::{FaultFs, TempStore};
+use std::sync::Arc;
+
+/// The history's `k`-mixture over the sharded matrix, as `logr::Engine`'s
+/// snapshot summary computes it at the same boundary; `None` before any
+/// distinct query was absorbed.
+fn history_summary(s: &StreamSummarizer) -> Result<Option<LogRSummary>, SpillError> {
+    if s.history().distinct_count() == 0 {
+        return Ok(None);
+    }
+    let dist = s.shard_store().try_condensed(s.config().metric)?;
+    Ok(Some(LogR::new(s.config().compressor_config()).compress_condensed(s.history(), dist)))
+}
+
 /// A stream with genuinely growing distinct-query mass (so history shards
 /// have real payloads): 400 distinct statement shapes over a shared set
 /// of tables/columns, cycled twice.
@@ -33,57 +48,6 @@ fn statements() -> Vec<String> {
             }
         })
         .collect()
-}
-
-fn assert_drift_identical(a: &Option<DriftReport>, b: &Option<DriftReport>, ctx: &str) {
-    match (a, b) {
-        (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.overall.to_bits(), b.overall.to_bits(), "{ctx}: drift overall");
-            assert_eq!(a.new_features, b.new_features, "{ctx}: new features");
-            assert_eq!(a.vanished_features, b.vanished_features, "{ctx}: vanished features");
-            assert_eq!(a.per_feature.len(), b.per_feature.len(), "{ctx}: per-feature len");
-            for ((fa, da), (fb, db)) in a.per_feature.iter().zip(&b.per_feature) {
-                assert_eq!(fa, fb, "{ctx}: per-feature id");
-                assert_eq!(da.to_bits(), db.to_bits(), "{ctx}: per-feature divergence");
-            }
-        }
-        _ => panic!("{ctx}: drift presence diverged"),
-    }
-}
-
-fn assert_summary_identical(a: &LogRSummary, b: &LogRSummary, ctx: &str) {
-    assert_eq!(a.clustering, b.clustering, "{ctx}: clustering");
-    assert_eq!(a.error().to_bits(), b.error().to_bits(), "{ctx}: error");
-    assert_eq!(a.total_verbosity(), b.total_verbosity(), "{ctx}: verbosity");
-    let (ca, cb) = (a.mixture.components(), b.mixture.components());
-    assert_eq!(ca.len(), cb.len(), "{ctx}: component count");
-    for (i, (x, y)) in ca.iter().zip(cb).enumerate() {
-        assert_eq!(x.entries, y.entries, "{ctx}: component {i} entries");
-        assert_eq!(x.total, y.total, "{ctx}: component {i} total");
-        assert_eq!(x.weight.to_bits(), y.weight.to_bits(), "{ctx}: component {i} weight");
-        assert_eq!(x.error.to_bits(), y.error.to_bits(), "{ctx}: component {i} error");
-        let (ma, mb) = (x.encoding.marginals(), y.encoding.marginals());
-        assert_eq!(ma.len(), mb.len(), "{ctx}: component {i} marginal len");
-        for (p, q) in ma.iter().zip(mb) {
-            assert_eq!(p.to_bits(), q.to_bits(), "{ctx}: component {i} marginal");
-        }
-    }
-}
-
-fn assert_window_identical(a: &WindowSummary, b: &WindowSummary) {
-    let ctx = format!("window {}", a.index);
-    assert_eq!(a.index, b.index);
-    assert_eq!(a.queries, b.queries, "{ctx}: queries");
-    assert_eq!(a.distinct, b.distinct, "{ctx}: distinct");
-    assert_eq!(a.new_distinct, b.new_distinct, "{ctx}: new distinct");
-    assert_eq!(a.stable, b.stable, "{ctx}: stability verdict");
-    assert_eq!(a.novelty.len(), b.novelty.len(), "{ctx}: novelty len");
-    for (x, y) in a.novelty.iter().zip(&b.novelty) {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: novelty score");
-    }
-    assert_drift_identical(&a.drift, &b.drift, &ctx);
-    assert_summary_identical(&a.summary, &b.summary, &ctx);
 }
 
 #[test]
@@ -112,7 +76,7 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         assert_eq!(a.is_some(), b.is_some(), "close parity at statement {n}");
         if let (Some(a), Some(b)) = (a, b) {
             closes += 1;
-            assert_window_identical(&a, &b);
+            assert_window_identical(&a, &b, &format!("window {}", a.index));
             // The budget holds at every observation point.
             peak_resident = peak_resident.max(bounded.resident_shard_bytes());
             assert!(
@@ -126,7 +90,7 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         // mix (reload-on-demand under the close path's nose).
         if n == 450 {
             let (ha, hb) =
-                (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
+                (history_summary(&bounded).unwrap(), history_summary(&unbounded).unwrap());
             assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "mid-stream history");
         }
     }
@@ -151,8 +115,7 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
     assert!(peak_resident > 0);
 
     // Final history summary over a almost-fully-spilled history.
-    let (ha, hb) =
-        (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
+    let (ha, hb) = (history_summary(&bounded).unwrap(), history_summary(&unbounded).unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "final history");
 
     // Flush parity for the tail (nothing buffered here, both agree).
@@ -179,14 +142,54 @@ fn bounded_sliding_stream_matches_too() {
             (bounded.try_ingest_record(sql).unwrap(), unbounded.try_ingest_record(sql).unwrap());
         assert_eq!(a.is_some(), b.is_some());
         if let (Some(a), Some(b)) = (a, b) {
-            assert_window_identical(&a, &b);
+            assert_window_identical(&a, &b, &format!("window {}", a.index));
         }
     }
     assert!(bounded.spilled_shards() > 0);
     // Both parse each distinct statement exactly once (the cache is
     // orthogonal to the store).
     assert_eq!(bounded.statements_parsed(), unbounded.statements_parsed());
-    let (ha, hb) =
-        (bounded.try_history_summary().unwrap(), unbounded.try_history_summary().unwrap());
+    let (ha, hb) = (history_summary(&bounded).unwrap(), history_summary(&unbounded).unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "sliding history");
+}
+
+/// 273 distinct shapes before the first repeat: a stream of these
+/// appends a history shard at every close.
+fn novel(i: u64) -> String {
+    format!("SELECT c{} FROM t{} WHERE a{} = ?", i % 13, i % 3, i % 7)
+}
+
+#[test]
+fn store_failure_wedges_the_summarizer() {
+    // A close that dies against the spill store must leave the
+    // summarizer refusing (typed error) rather than serving summaries
+    // whose history log and shard store disagree.
+    let fs = Arc::new(FaultFs::new());
+    let mut s = StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
+    s.spill_to_with(fs.clone(), "/stream-wedge", 0).unwrap();
+    for i in 0..15 {
+        s.try_ingest_record(&novel(i)).unwrap();
+    }
+    assert!(s.spilled_shards() > 0);
+    // Appends never read the store, so the only way a close can die
+    // against it is the eviction after the append (which only a close
+    // that found new shapes performs): fail every shard write from
+    // here on.
+    fs.inject(OpKind::Write, "shard-", std::io::ErrorKind::PermissionDenied, usize::MAX);
+    let mut failed = None;
+    for i in 15..25 {
+        match s.try_ingest_record(&novel(i)) {
+            Ok(_) => {}
+            Err(e) => {
+                failed = Some(e);
+                break;
+            }
+        }
+    }
+    let err = failed.expect("a close that cannot evict must fail");
+    assert!(matches!(err, SpillError::Io(_)), "{err}");
+    // Wedged: every later entry point refuses with a typed error.
+    assert!(matches!(s.try_ingest_record("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
+    assert!(matches!(s.try_flush(), Err(SpillError::Corrupt(_))));
+    assert!(matches!(s.persist_shards(), Err(SpillError::Corrupt(_))));
 }

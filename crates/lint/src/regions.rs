@@ -5,7 +5,8 @@
 //! corruption into a store). Two layers decide what counts:
 //!
 //! * **File classification** ([`FileClass`], [`classify`]) — by path:
-//!   `tests/`, `benches/`, and `examples/` trees are test/harness code;
+//!   `tests/`, `benches/`, and `examples/` trees are test/harness code,
+//!   and so is `crates/testkit/` (the dev-only crate the suites share);
 //!   `src/bin/` and `src/main.rs` are CLI binaries (their stdout *is*
 //!   their interface); `crates/compat/` holds vendored stand-ins for
 //!   external crates (not ours to lint); everything else under a `src/`
@@ -27,7 +28,8 @@ pub enum FileClass {
     /// A binary entry point (`src/bin/`, `src/main.rs`): storage and
     /// panic contracts apply, but printing to stdout is its job.
     Binary,
-    /// `tests/`, `benches/`, `examples/`: exempt from the contracts.
+    /// `tests/`, `benches/`, `examples/`, and the dev-only
+    /// `crates/testkit/`: exempt from the contracts.
     Test,
     /// `crates/compat/`: vendored stand-ins for external crates, not
     /// linted.
@@ -41,7 +43,11 @@ pub fn classify(rel_path: &Path) -> FileClass {
         return FileClass::Vendored;
     }
     let in_dir = |dir: &str| p.starts_with(&format!("{dir}/")) || p.contains(&format!("/{dir}/"));
-    if in_dir("tests") || in_dir("benches") || in_dir("examples") {
+    if in_dir("tests")
+        || in_dir("benches")
+        || in_dir("examples")
+        || p.starts_with("crates/testkit/")
+    {
         return FileClass::Test;
     }
     if p.contains("/src/bin/") || p.ends_with("src/main.rs") {
@@ -274,6 +280,7 @@ mod tests {
         assert_eq!(c("crates/cluster/tests/spill_format.rs"), FileClass::Test);
         assert_eq!(c("crates/bench/benches/spill.rs"), FileClass::Test);
         assert_eq!(c("examples/quickstart.rs"), FileClass::Test);
+        assert_eq!(c("crates/testkit/src/vfs.rs"), FileClass::Test);
         assert_eq!(c("crates/bench/src/bin/repro.rs"), FileClass::Binary);
         assert_eq!(c("crates/lint/src/main.rs"), FileClass::Binary);
         assert_eq!(c("crates/compat/rand/src/lib.rs"), FileClass::Vendored);

@@ -246,7 +246,7 @@ impl Vfs for GroupCommitVfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logr::cluster::vfs::{FaultFs, IoOp, OpKind};
+    use logr_testkit::vfs::{FaultFs, IoOp, OpKind};
     use std::collections::HashSet;
 
     fn fsync_count(fs: &FaultFs, needle: &str) -> usize {

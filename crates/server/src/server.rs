@@ -90,7 +90,8 @@ impl ServerConfig {
         }
     }
 
-    /// Overrides the storage layer (e.g. a `FaultFs` in tests).
+    /// Overrides the storage layer (in tests, the dev-only `logr-testkit`
+    /// crate's `FaultFs`).
     pub fn vfs(mut self, vfs: Arc<dyn Vfs>) -> ServerConfig {
         self.vfs = vfs;
         self

@@ -13,9 +13,10 @@
 //! acked by that prefix and at most every close begun by it; a state
 //! without a manifest is allowed only before the tenant's first ack.
 
-use logr::cluster::vfs::{durable_state, FaultFs, IoOp, LastOpVariant, OpKind, Vfs};
+use logr::cluster::vfs::Vfs;
 use logr::{Engine, Error};
 use logr_server::GroupCommitVfs;
+use logr_testkit::vfs::{durable_state, FaultFs, IoOp, LastOpVariant, OpKind};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

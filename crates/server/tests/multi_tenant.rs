@@ -26,10 +26,11 @@
 //! * reads for any tenant answer while one tenant's close sits inside
 //!   its engine's writer lock.
 
-use logr::cluster::vfs::{FaultFs, IoOp, OpKind, Vfs};
+use logr::cluster::vfs::Vfs;
 use logr::Engine;
 use logr_server::json::{self, Json};
 use logr_server::{EngineProfile, Server, ServerConfig, ServerHandle};
+use logr_testkit::vfs::{FaultFs, IoOp, OpKind};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

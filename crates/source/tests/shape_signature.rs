@@ -11,179 +11,8 @@ use std::hash::Hasher;
 
 use logr_feature::hash_shape;
 use logr_source::{Featurizer, SqlFeaturizer};
+use logr_testkit::sql_gen::{arb_cfg, arb_query, render, Pred, Query};
 use proptest::prelude::*;
-
-/// An identifier as the statement spells it.
-#[derive(Debug, Clone)]
-struct Ident {
-    name: &'static str,
-    upper: bool,
-    quoted: bool,
-}
-
-/// One WHERE conjunct; literal slots are filled at render time.
-#[derive(Debug, Clone)]
-enum Pred {
-    Cmp(Ident, &'static str),
-    In(Ident, usize),
-    Between(Ident),
-    Like(Ident),
-    Or(Ident, Ident),
-}
-
-/// The statement AST: everything a rendering may not change.
-#[derive(Debug, Clone)]
-struct Query {
-    columns: Vec<Ident>,
-    table: Ident,
-    preds: Vec<Pred>,
-    limit: Option<(u64, Option<u64>)>,
-}
-
-/// How one rendering spells what is not the statement's shape: the seed
-/// of its literal and separator draws, and whether separators may carry
-/// comments.
-#[derive(Debug, Clone, Copy)]
-struct RenderCfg {
-    seed: u64,
-    comments: bool,
-}
-
-/// The literal spellings a slot draws from: integers, decimals and
-/// exponents, plain strings, `''` escapes, non-ASCII text and strings
-/// that look like comments.
-fn literal(draw: u64) -> String {
-    let v = draw >> 8;
-    match draw % 8 {
-        0 => v.to_string(),
-        1 => format!("{}.{}", v % 1000, v % 97),
-        2 => format!("{}e{}", v % 50, v % 9),
-        3 => format!("'v{v}'"),
-        4 => format!("'it''s {}'", v % 7),
-        5 => format!("'Grüße {}'", v % 5),
-        6 => "'-- not /* a comment'".to_string(),
-        _ => "''".to_string(),
-    }
-}
-
-/// A tiny deterministic draw sequence (SplitMix64).
-struct Draws(u64);
-
-impl Draws {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-struct Renderer {
-    draws: Draws,
-    comments: bool,
-    out: String,
-}
-
-impl Renderer {
-    fn sep(&mut self) {
-        let choices: &[&str] = if self.comments {
-            &[" ", "\n  ", "\t", " /* note */ ", " -- note\n"]
-        } else {
-            &[" ", "\n  ", "\t", "   "]
-        };
-        let pick = (self.draws.next() % choices.len() as u64) as usize;
-        self.out.push_str(choices[pick]);
-    }
-
-    fn word(&mut self, text: &str) {
-        self.sep();
-        self.out.push_str(text);
-    }
-
-    fn ident(&mut self, ident: &Ident) {
-        let name =
-            if ident.upper { ident.name.to_ascii_uppercase() } else { ident.name.to_string() };
-        self.word(&if ident.quoted { format!("\"{name}\"") } else { name });
-    }
-
-    fn literal(&mut self) {
-        let draw = self.draws.next();
-        self.word(&literal(draw));
-    }
-
-    fn pred(&mut self, pred: &Pred) {
-        match pred {
-            Pred::Cmp(col, op) => {
-                self.ident(col);
-                self.word(op);
-                self.literal();
-            }
-            Pred::In(col, arity) => {
-                self.ident(col);
-                self.word("IN");
-                self.word("(");
-                for i in 0..*arity {
-                    if i > 0 {
-                        self.word(",");
-                    }
-                    self.literal();
-                }
-                self.word(")");
-            }
-            Pred::Between(col) => {
-                self.ident(col);
-                self.word("BETWEEN");
-                self.literal();
-                self.word("AND");
-                self.literal();
-            }
-            Pred::Like(col) => {
-                self.ident(col);
-                self.word("LIKE");
-                self.literal();
-            }
-            Pred::Or(a, b) => {
-                self.word("(");
-                self.ident(a);
-                self.word("=");
-                self.literal();
-                self.word("OR");
-                self.ident(b);
-                self.word("=");
-                self.literal();
-                self.word(")");
-            }
-        }
-    }
-}
-
-fn render(q: &Query, cfg: RenderCfg) -> String {
-    let mut r = Renderer { draws: Draws(cfg.seed), comments: cfg.comments, out: String::new() };
-    r.word("SELECT");
-    for (i, col) in q.columns.iter().enumerate() {
-        if i > 0 {
-            r.word(",");
-        }
-        r.ident(col);
-    }
-    r.word("FROM");
-    r.ident(&q.table);
-    for (i, pred) in q.preds.iter().enumerate() {
-        r.word(if i == 0 { "WHERE" } else { "AND" });
-        r.pred(pred);
-    }
-    if let Some((count, offset)) = q.limit {
-        r.word("LIMIT");
-        r.word(&count.to_string());
-        if let Some(offset) = offset {
-            r.word("OFFSET");
-            r.word(&offset.to_string());
-        }
-    }
-    r.sep();
-    r.out
-}
 
 /// The exact bytes `hash_shape` feeds: a signature with no collisions.
 #[derive(Default)]
@@ -203,40 +32,6 @@ fn shape(sql: &str) -> Vec<u8> {
     let mut fed = Fed::default();
     hash_shape(sql, &mut fed);
     fed.0
-}
-
-fn arb_ident() -> impl Strategy<Value = Ident> {
-    (
-        prop_oneof![Just("a"), Just("status"), Just("Owner"), Just("x_1")],
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(name, upper, quoted)| Ident { name, upper, quoted })
-}
-
-fn arb_pred() -> impl Strategy<Value = Pred> {
-    prop_oneof![
-        (arb_ident(), prop_oneof![Just("="), Just("<"), Just(">="), Just("<>")])
-            .prop_map(|(col, op)| Pred::Cmp(col, op)),
-        (arb_ident(), 1usize..5).prop_map(|(col, arity)| Pred::In(col, arity)),
-        arb_ident().prop_map(Pred::Between),
-        arb_ident().prop_map(Pred::Like),
-        (arb_ident(), arb_ident()).prop_map(|(a, b)| Pred::Or(a, b)),
-    ]
-}
-
-fn arb_query() -> impl Strategy<Value = Query> {
-    (
-        prop::collection::vec(arb_ident(), 1..4),
-        arb_ident(),
-        prop::collection::vec(arb_pred(), 0..4),
-        prop::option::of((1u64..1000, prop::option::of(0u64..1000))),
-    )
-        .prop_map(|(columns, table, preds, limit)| Query { columns, table, preds, limit })
-}
-
-fn arb_cfg() -> impl Strategy<Value = RenderCfg> {
-    (any::<u64>(), any::<bool>()).prop_map(|(seed, comments)| RenderCfg { seed, comments })
 }
 
 proptest! {

@@ -1,13 +1,12 @@
-//! Test-support helpers shared by the spill/eviction suites across the
-//! workspace (this crate's unit + integration tests and `logr-core`'s).
-//! Hidden from docs; not part of the public API surface.
+//! A real temp directory per test, for suites that run the store on
+//! `RealFs`.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique temp directory for one test, removed on drop. The name carries
 /// the pid and a process-global sequence number so parallel test binaries
-/// and shrinking proptest reruns never collide under a shared `TMPDIR`.
+/// and property-test reruns never collide under a shared `TMPDIR`.
 pub struct TempStore(PathBuf);
 
 impl TempStore {
@@ -22,7 +21,6 @@ impl TempStore {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        // lint:allow(vfs-bypass, no-panic-paths): test-only scaffolding that manages the real TMPDIR around whatever Vfs is under test; a failed mkdir should abort the test
         std::fs::create_dir_all(&dir).expect("create temp store dir");
         TempStore(dir)
     }
@@ -40,7 +38,6 @@ impl TempStore {
 
 impl Drop for TempStore {
     fn drop(&mut self) {
-        // lint:allow(vfs-bypass): cleanup of the real TMPDIR this helper created; routing it through a Vfs under test would delete through the fault injector
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }

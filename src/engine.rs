@@ -132,8 +132,8 @@ impl EngineBuilder {
     /// Route every file operation (shard spill/reload, manifest
     /// write/read, lock acquisition, resume-time GC) through `vfs`
     /// instead of the real filesystem. This is how the fault-injection
-    /// and power-cut-replay tests drive the engine against a
-    /// [`logr_cluster::vfs::FaultFs`]; production code leaves it unset.
+    /// and power-cut-replay tests drive the engine against the dev-only
+    /// `logr-testkit` crate's `FaultFs`; production code leaves it unset.
     pub fn vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = Some(vfs);
         self
@@ -595,9 +595,8 @@ impl EngineSnapshot {
     }
 
     /// Pattern mixture summary of everything seen so far, clustered over
-    /// the sharded history's merged condensed matrix — bit-identical to
-    /// [`StreamSummarizer::try_history_summary`] at the same boundary.
-    /// Computed once per snapshot (first caller pays; concurrent callers
+    /// the sharded history's merged condensed matrix — the one
+    /// history-summary path. Computed once per snapshot (first caller pays; concurrent callers
     /// wait and share), `None` before any distinct query was absorbed.
     pub fn summary(&self) -> Result<Option<Arc<LogRSummary>>, Error> {
         if self.history.distinct_count() == 0 {
@@ -608,9 +607,7 @@ impl EngineSnapshot {
             return Ok(Some(s.clone()));
         }
         let dist = self.shards.try_condensed(self.config.metric)?;
-        // The identical compressor StreamSummarizer::try_history_summary
-        // builds — one shared definition, so the documented bit-identity
-        // cannot silently drift.
+        // The compressor every close's window summary uses.
         let compressor = LogR::new(self.config.compressor_config());
         let s = Arc::new(compressor.compress_condensed(&self.history, dist));
         *slot = Some(s.clone());
@@ -1124,7 +1121,7 @@ mod tests {
             source: SourceConfig::template(),
             ..StreamConfig::default()
         };
-        let fs = Arc::new(vfs::FaultFs::new());
+        let fs = Arc::new(logr_testkit::FaultFs::new());
         let dir = PathBuf::from("/close-record-on-take");
         let build = || EngineBuilder { stream: config, ..EngineBuilder::default() }.vfs(fs.clone());
         let mut never_reopened = StreamSummarizer::new(config);

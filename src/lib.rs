@@ -115,7 +115,7 @@
 //! | [`sql`] | `logr-sql` | lexer, parser, printer, conjunctive regularizer |
 //! | [`source`] | `logr-source` | pluggable record → feature sources: the [`source::Featurizer`] trait, the SQL featurizer, and the Drain-style [`source::TemplateMiner`] for free-form service logs (see *Pluggable sources*) |
 //! | [`feature`] | `logr-feature` | Aligon features, codebook, vectors, [`feature::QueryLog`] |
-//! | [`cluster`] | `logr-cluster` | k-means, spectral, hierarchical clustering; sharded condensed matrices ([`cluster::ShardedPointSet`]), the versioned spill store ([`cluster::spill`]), and the injectable storage layer ([`cluster::vfs`]: [`cluster::vfs::RealFs`], the fault-injecting [`cluster::vfs::FaultFs`], and the power-cut simulator) |
+//! | [`cluster`] | `logr-cluster` | k-means, spectral, hierarchical clustering; sharded condensed matrices ([`cluster::ShardedPointSet`]), the versioned spill store ([`cluster::spill`]), and the injectable storage layer ([`cluster::vfs`]: the [`cluster::vfs::Vfs`] trait and [`cluster::vfs::RealFs`]; the fault-injecting `FaultFs` and the power-cut simulator are test code, in the dev-only `logr-testkit` crate) |
 //! | [`core`] | `logr-core` | encodings, Reproduction Error, max-ent, mixtures, the [`core::LogR`] batch compressor, the [`core::StreamSummarizer`] streaming subsystem (windows, drift, novelty), portable summaries |
 //! | [`baselines`] | `logr-baselines` | Laserlight & MTV reimplementations + mixture generalizations |
 //! | [`workload`] | `logr-workload` | synthetic PocketData / US-bank / Mushroom / Income generators |

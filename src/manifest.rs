@@ -1067,7 +1067,7 @@ mod tests {
 
     #[test]
     fn file_round_trip_is_atomic() {
-        let store = logr_cluster::testutil::TempStore::new("manifest");
+        let store = logr_testkit::TempStore::new("manifest");
         let path = store.join(FILE_NAME);
         let m = sample_manifest();
         write_base_with(&RealFs, &path, &m).unwrap();
@@ -1129,7 +1129,8 @@ mod tests {
 
     // ---- delta log ----------------------------------------------------
 
-    use logr_cluster::vfs::{FaultFs, IoOp, RealFs, Vfs};
+    use logr_cluster::vfs::{RealFs, Vfs};
+    use logr_testkit::vfs::{FaultFs, IoOp};
     use std::path::PathBuf;
     use std::sync::Arc;
 

@@ -8,7 +8,7 @@
 use logr::analytics::{Advisor, IndexAdvisor};
 use logr::feature::FeatureClass;
 use logr::{Engine, EngineSnapshot};
-use logr_cluster::testutil::TempStore;
+use logr_testkit::TempStore;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 

@@ -6,11 +6,11 @@
 //! distinct typed `logr::Error` — never a panic.
 
 use logr::cluster::spill::{self, fnv1a64};
-use logr::cluster::testutil::TempStore;
 use logr::cluster::vfs::RealFs;
 use logr::cluster::{Distance, SpillError};
 use logr::core::WindowSummary;
 use logr::{Engine, EngineBuilder, Error, Record};
+use logr_testkit::TempStore;
 use proptest::prelude::*;
 use std::sync::Arc;
 

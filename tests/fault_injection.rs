@@ -27,9 +27,10 @@
 //!   nothing else.
 
 use logr::cluster::spill::{self, ShardRecord};
-use logr::cluster::vfs::{FaultFs, IoOp, OpKind, Vfs, IO_RETRY_ATTEMPTS};
+use logr::cluster::vfs::{Vfs, IO_RETRY_ATTEMPTS};
 use logr::cluster::SpillError;
 use logr::{manifest, Engine, EngineBuilder, Error, Record};
+use logr_testkit::vfs::{FaultFs, IoOp, OpKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};

@@ -7,42 +7,12 @@
 //! workload corpora and a template-mined service log — where the
 //! baseline's codebook and the window's differ and rotate every close.
 
-use logr::cluster::{Distance, PointSet};
+use logr::cluster::Distance;
 use logr::core::{StreamConfig, StreamSummarizer, WindowSummary};
-use logr::feature::{BitVec, QueryLog};
+use logr::feature::QueryLog;
 use logr::workload::{generate_pocketdata, generate_usbank, PocketDataConfig, UsBankConfig};
 use logr::{Record, SourceConfig};
-
-/// The reference: every window vector probes every baseline point.
-/// Window features are matched to baseline ids by feature identity; a
-/// feature the baseline lacks, or a raw id past the window's codebook,
-/// counts as unknown.
-fn novelty_scan(baseline: &QueryLog, window: &QueryLog, metric: Distance) -> Vec<f64> {
-    if baseline.distinct_count() == 0 || window.distinct_count() == 0 {
-        return Vec::new();
-    }
-    let points = PointSet::from_log(baseline);
-    let nf = baseline.num_features();
-    window
-        .entries()
-        .iter()
-        .map(|(v, _)| {
-            let mut probe = BitVec::zeros(nf);
-            let mut unknown = 0usize;
-            for id in v.iter() {
-                let feature =
-                    (id.index() < window.codebook().len()).then(|| window.codebook().feature(id));
-                match feature.and_then(|f| baseline.codebook().get(f)) {
-                    Some(base_id) => probe.set(base_id.index()),
-                    None => unknown += 1,
-                }
-            }
-            (0..points.len())
-                .map(|i| metric.of_mismatches(probe.xor_count(points.point(i)) + unknown, nf))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
-}
+use logr_testkit::novelty_scan;
 
 fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()

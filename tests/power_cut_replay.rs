@@ -35,10 +35,10 @@
 //! shapes, budgets, and scripts, plus an exhaustive record-prefix sweep
 //! of one multi-record delta log.
 
-use logr::cluster::vfs::{durable_state, FaultFs, IoOp, LastOpVariant};
 use logr::cluster::Clustering;
 use logr::core::TimeWindows;
 use logr::{Engine, EngineBuilder, Error, Record};
+use logr_testkit::vfs::{durable_state, FaultFs, IoOp, LastOpVariant};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
