@@ -87,7 +87,7 @@ pub use hierarchical::{
 pub use kmeans::{kmeans_binary, kmeans_binary_pointset, kmeans_dense, KMeansConfig};
 pub use method::{cluster_log, ClusterMethod};
 pub use pointset::{CondensedMatrix, PointSet};
-pub use shard::{CompactionStats, ShardedPointSet, SpillConfig};
+pub use shard::{ShardedPointSet, SpillConfig};
 pub use spectral::{
     spectral_cluster, spectral_cluster_condensed, spectral_cluster_pointset, SpectralConfig,
 };

@@ -12,10 +12,19 @@
 
 use std::sync::OnceLock;
 
-/// Below this many points, row/chunk-parallel fills run serially; the
-/// thread handshake would dominate the work. Shared by the condensed
-/// matrix build and the spectral affinity fill.
-pub(crate) const PARALLEL_MIN_POINTS: usize = 128;
+/// Below this many cells (a condensed triangle over 128 points), a fill
+/// runs serially: the thread handshake would dominate the work.
+pub(crate) const PARALLEL_MIN_CELLS: usize = 128 * 127 / 2;
+
+/// Workers for a fill of `cells` cells: one below [`PARALLEL_MIN_CELLS`],
+/// else `max`.
+pub(crate) fn workers(cells: usize, max: usize) -> usize {
+    if cells < PARALLEL_MIN_CELLS {
+        1
+    } else {
+        max
+    }
+}
 
 /// Upper bound on worker threads.
 ///
@@ -80,8 +89,8 @@ where
 /// Split a condensed strict-upper-triangle buffer over `n` points into its
 /// per-row slices `(i, rowᵢ)` — row `i` holds the `n − 1 − i` cells
 /// `(i, i+1..n)`. The rows partition the buffer, so [`run_tasks`] can fill
-/// them lock-free. Shared by the monolithic build, the shard build, and
-/// the shard merge.
+/// them lock-free. Shared by the kernel's triangle fill and the shard
+/// merge.
 pub(crate) fn triangle_rows<T>(buf: &mut [T], n: usize) -> Vec<(usize, &mut [T])> {
     let mut rows: Vec<(usize, &mut [T])> = Vec::with_capacity(n.saturating_sub(1));
     let mut rest = buf;

@@ -10,15 +10,20 @@
 //!
 //! Pairwise distances are materialized as a [`CondensedMatrix`]: only the
 //! strict upper triangle, `n·(n−1)/2` doubles, halving memory versus the
-//! full `n²` matrix. Rows of the triangle are
-//! contiguous, so construction parallelizes over scoped threads with no
-//! synchronization.
+//! full `n²` matrix.
+//!
+//! # The mismatch kernel
+//!
+//! Every dense mismatch count in the product comes from one of two fills,
+//! generic over the cell they write: `fill_triangle` (a condensed
+//! triangle: [`PointSet::distances`], a shard's own pairs) and
+//! `fill_block` (rows × columns, narrower rows zero-extended: a shard's
+//! cross block, [`PointSet::min_mismatches`]). Rows partition the output,
+//! so both fan out lock-free, and every worker count fills the same bits.
 
 use crate::distance::Distance;
 use crate::par;
 use logr_feature::{BitVec, QueryLog, QueryVector};
-
-use crate::par::PARALLEL_MIN_POINTS;
 
 /// A dataset of binary vectors in dense popcount-ready form.
 #[derive(Debug, Clone)]
@@ -72,61 +77,94 @@ impl PointSet {
         self.bits[i].xor_count(&self.bits[j])
     }
 
-    /// Distance between points `i` and `j` under `metric`.
-    #[inline]
-    pub fn distance(&self, i: usize, j: usize, metric: Distance) -> f64 {
-        metric.of_mismatches(self.mismatches(i, j), self.n_features)
-    }
-
-    /// Distance from an external probe vector to point `i`.
-    #[inline]
-    pub fn distance_to(&self, probe: &BitVec, i: usize, metric: Distance) -> f64 {
-        metric.of_mismatches(probe.xor_count(&self.bits[i]), self.n_features)
-    }
-
-    /// Index and distance of the point nearest to `probe` (ties to the
-    /// lowest index). `None` for an empty set.
-    pub fn nearest(&self, probe: &BitVec, metric: Distance) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..self.bits.len() {
-            let d = self.distance_to(probe, i, metric);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
+    /// For each probe, its fewest mismatches against any point of the
+    /// set (`usize::MAX` when the set is empty); narrower probes are
+    /// zero-extended. Every §6.1 metric is non-decreasing in the count,
+    /// so a probe's nearest distance is the metric of this minimum.
+    /// Probes go serially in groups of about `par::PARALLEL_MIN_CELLS`
+    /// cells into one reused buffer, so the counts held at once stay
+    /// bounded; a fan-out per group costs more than it saves.
+    pub fn min_mismatches(&self, probes: &[BitVec]) -> Vec<usize> {
+        let n = self.bits.len();
+        let mut nearest = vec![usize::MAX; probes.len()];
+        if n == 0 {
+            return nearest;
+        }
+        let group = par::PARALLEL_MIN_CELLS.div_ceil(n);
+        let mut counts = Vec::new();
+        for (chunk, out) in probes.chunks(group).zip(nearest.chunks_mut(group)) {
+            counts.resize(chunk.len() * n, 0u32);
+            fill_block(chunk, &self.bits, &mut counts, |d| d as u32, 1);
+            for (slot, row) in out.iter_mut().zip(counts.chunks(n)) {
+                *slot = row.iter().min().map_or(usize::MAX, |&d| d as usize);
             }
         }
-        best
+        nearest
     }
 
     /// All pairwise distances as a condensed upper-triangular matrix,
     /// computed in parallel for large sets.
     pub fn distances(&self, metric: Distance) -> CondensedMatrix {
-        let n = self.bits.len();
-        let mut cm = CondensedMatrix::zeros(n);
-        if n < 2 {
-            return cm;
-        }
-        // Row i of the strict upper triangle — the pairs (i, i+1..n) — is a
-        // contiguous slice of the condensed buffer, so the rows partition
-        // the buffer and can be filled lock-free.
-        let rows = par::triangle_rows(&mut cm.data, n);
-        let n_threads = if n < PARALLEL_MIN_POINTS { 1 } else { par::threads() };
-        let bits = &self.bits;
-        let n_features = self.n_features;
-        par::run_tasks(rows, n_threads, |(i, row)| {
-            let a = &bits[i];
-            for (offset, cell) in row.iter_mut().enumerate() {
-                let j = i + 1 + offset;
-                *cell = metric.of_mismatches(a.xor_count(&bits[j]), n_features);
-            }
-        });
+        let mut cm = CondensedMatrix::zeros(self.bits.len());
+        let nf = self.n_features;
+        fill_triangle(&self.bits, &mut cm.data, |d| metric.of_mismatches(d, nf), par::threads());
         cm
     }
+}
+
+/// Fill `out`, the condensed strict upper triangle over `points` (one
+/// universe), with `cell(|xᵢ ⊕ xⱼ|)` for every pair `i < j`, on up to
+/// `max_threads` workers.
+///
+/// # Panics
+/// Panics if `out` is not `n·(n−1)/2` long or the universes differ.
+pub(crate) fn fill_triangle<T: Send>(
+    points: &[BitVec],
+    out: &mut [T],
+    cell: impl Fn(usize) -> T + Sync,
+    max_threads: usize,
+) {
+    let n = points.len();
+    assert_eq!(out.len(), n * n.saturating_sub(1) / 2, "triangle buffer size");
+    let n_threads = par::workers(out.len(), max_threads);
+    par::run_tasks(par::triangle_rows(out, n), n_threads, |(i, row)| {
+        let a = &points[i];
+        for (slot, b) in row.iter_mut().zip(&points[i + 1..]) {
+            *slot = cell(a.xor_count(b));
+        }
+    });
+}
+
+/// Fill `out`, a row-major `rows × columns.len()` block, with
+/// `cell(|r ⊕ c|)` for every row `r` and column `c`, on up to
+/// `max_threads` workers. The narrower of two bitsets is zero-extended:
+/// a universe only grows, so that preserves the count exactly.
+///
+/// # Panics
+/// Panics if `out` is not `rows · columns.len()` long.
+pub(crate) fn fill_block<'a, T: Send>(
+    rows: impl IntoIterator<Item = &'a BitVec>,
+    columns: &[BitVec],
+    out: &mut [T],
+    cell: impl Fn(usize) -> T + Sync,
+    max_threads: usize,
+) {
+    let cells = out.len();
+    let tasks: Vec<(&BitVec, &mut [T])> =
+        rows.into_iter().zip(out.chunks_mut(columns.len().max(1))).collect();
+    assert_eq!(tasks.len() * columns.len(), cells, "block buffer size");
+    let n_threads = par::workers(cells, max_threads);
+    par::run_tasks(tasks, n_threads, |(a, row)| {
+        for (slot, b) in row.iter_mut().zip(columns) {
+            *slot = cell(a.xor_count_padded(b));
+        }
+    });
 }
 
 /// Start of row `i` in a condensed strict-upper-triangle buffer over `n`
 /// points — the offset of cell `(i, i+1)`; row `i` holds `n − 1 − i`
 /// cells. The single source of the condensed layout's offset arithmetic,
-/// shared by [`CondensedMatrix`] and the sharded build.
+/// shared by [`CondensedMatrix`] and the sharded merge.
 #[inline]
 pub(crate) fn condensed_row_start(n: usize, i: usize) -> usize {
     i * (n - 1) - (i * i - i) / 2
@@ -279,7 +317,7 @@ mod tests {
 
     #[test]
     fn parallel_build_agrees_with_serial_layout() {
-        // Cross the PARALLEL_MIN_POINTS threshold to exercise the threaded
+        // Cross the PARALLEL_MIN_CELLS threshold to exercise the threaded
         // row fill, and verify against per-pair recomputation.
         let vs: Vec<QueryVector> =
             (0..150u32).map(|i| qv(&[i % 32, (i * 7) % 32, (i * 13) % 32])).collect();
@@ -288,7 +326,67 @@ mod tests {
         let cm = ps.distances(Distance::Euclidean);
         for i in (0..150).step_by(17) {
             for j in (0..150).step_by(13) {
-                assert_eq!(cm.get(i, j), ps.distance(i, j, Distance::Euclidean), "({i},{j})");
+                let d = Distance::Euclidean.of_mismatches(ps.mismatches(i, j), 32);
+                assert_eq!(cm.get(i, j), d, "({i},{j})");
+            }
+        }
+    }
+
+    /// Random bitsets: `n` points over `nf` features, each bit set with
+    /// probability about 1/8 (xorshift, fixed by `seed`).
+    fn random_bits(seed: u64, n: usize, nf: usize) -> Vec<BitVec> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..n)
+            .map(|_| {
+                let mut b = BitVec::zeros(nf);
+                for f in 0..nf {
+                    if next() % 8 == 0 {
+                        b.set(f);
+                    }
+                }
+                b
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernel_fills_are_identical_across_forced_worker_counts() {
+        // Sizes on both sides of PARALLEL_MIN_CELLS, so the serial and the
+        // fanned-out paths both run; block rows narrower than the columns
+        // (a grown universe) exercise the zero extension.
+        for (seed, n, nf, narrow) in [(1, 5, 70, 3), (2, 140, 130, 64), (3, 200, 64, 1)] {
+            let points = random_bits(seed, n, nf);
+            let rows = random_bits(seed + 100, n, narrow);
+            let triangle = |threads: usize| {
+                let mut out = vec![0u32; n * (n - 1) / 2];
+                fill_triangle(&points, &mut out, |d| d as u32, threads);
+                out
+            };
+            let block = |threads: usize| {
+                let mut out = vec![0u32; n * n];
+                fill_block(&rows, &points, &mut out, |d| d as u32, threads);
+                out
+            };
+            let (serial_triangle, serial_block) = (triangle(1), block(1));
+            for i in 0..n {
+                for j in 0..n {
+                    let padded = rows[i].xor_count_padded(&points[j]) as u32;
+                    assert_eq!(serial_block[i * n + j], padded, "block ({i},{j})");
+                    if i < j {
+                        let d = points[i].xor_count(&points[j]) as u32;
+                        assert_eq!(serial_triangle[condensed_row_start(n, i) + j - i - 1], d);
+                    }
+                }
+            }
+            for threads in [2, 3, 8] {
+                assert_eq!(triangle(threads), serial_triangle, "triangle n={n} threads={threads}");
+                assert_eq!(block(threads), serial_block, "block n={n} threads={threads}");
             }
         }
     }
@@ -309,14 +407,26 @@ mod tests {
         let vs = [qv(&[0, 1]), qv(&[4, 5]), qv(&[0, 1, 2])];
         let refs: Vec<&QueryVector> = vs.iter().collect();
         let ps = PointSet::from_vectors(&refs, 8);
-        let probe = BitVec::from_query_vector(&qv(&[0, 1, 2, 3]), 8);
-        let (idx, d) = ps.nearest(&probe, Distance::Manhattan).unwrap();
-        assert_eq!(idx, 2);
-        assert_eq!(d, 1.0);
-        assert_eq!(ps.distance_to(&probe, 0, Distance::Manhattan), 2.0);
+        let probes = [
+            BitVec::from_query_vector(&qv(&[0, 1, 2, 3]), 8),
+            BitVec::from_query_vector(&qv(&[4, 5]), 8),
+            // Narrower than the set's universe: zero-extended.
+            BitVec::from_query_vector(&qv(&[0]), 4),
+        ];
+        assert_eq!(ps.min_mismatches(&probes), vec![1, 0, 1]);
+        assert_eq!(ps.min_mismatches(&[]), Vec::<usize>::new());
         let empty = PointSet::from_vectors(&[], 8);
-        assert!(empty.nearest(&probe, Distance::Manhattan).is_none());
+        assert_eq!(empty.min_mismatches(&probes[..1]), vec![usize::MAX]);
         assert!(empty.is_empty());
+
+        // More probes than one scan group holds: the groups cover every
+        // probe once, in order.
+        let many = random_bits(9, par::PARALLEL_MIN_CELLS.div_ceil(3) * 2 + 5, 8);
+        let expected: Vec<usize> = many
+            .iter()
+            .map(|p| (0..ps.len()).map(|i| p.xor_count(ps.point(i))).min().unwrap())
+            .collect();
+        assert_eq!(ps.min_mismatches(&many), expected);
     }
 
     #[test]

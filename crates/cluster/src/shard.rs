@@ -1,71 +1,50 @@
 //! Appendable, sharded condensed-matrix construction (streaming windows),
 //! with optional out-of-core storage for closed shards.
 //!
-//! The monolithic [`PointSet::distances`](crate::PointSet::distances) build
-//! recomputes every pair each time a dataset grows, which makes windowed
-//! ingestion quadratic in the whole history. [`ShardedPointSet`] fixes the
-//! cost model: points arrive in **shards** (one per streaming window that
-//! found new points, or one per dataset — a push of zero points leaves no
-//! shard), and closing a shard of `w` points against a history of `h` only
-//! computes
-//!
-//! * the shard's own condensed triangle — `w·(w−1)/2` pairs — and
-//! * the `h × w` cross block against the existing points,
-//!
-//! both on scoped threads. Earlier shards are never touched again — which
-//! also makes them **immutable**, and immutability is what the
-//! out-of-core layer exploits.
-//!
-//! # Out-of-core shards (PR 3)
-//!
-//! A shard's **distances** grow quadratically with the history (`Σ hₛ·wₛ`
-//! cross cells), so an unbounded stream eventually cannot keep every
-//! closed shard resident. [`ShardedPointSet::set_spill`] attaches a
-//! persistent store ([`SpillConfig`]: a directory plus a resident-byte
-//! budget in the versioned, checksummed [`crate::spill`] format); after
-//! every append the set evicts closed shards oldest-first — the hot tail
-//! (the newest shard) is pinned — until the resident distances fit the
-//! budget. The **points** are linear in the history (`8·⌈features/64⌉ +
-//! 24` bytes each) and stay resident in their shard's slot, outside the
-//! budget: they are all an append needs of the history, so **appends never
-//! read the store**. The one reader is the bulk merge
-//! ([`ShardedPointSet::try_condensed`]; compaction runs the same walk),
-//! which streams one spilled shard at a time and drops it again, so peak
-//! memory is the budget plus one shard. Files are written once (shards
-//! are immutable) and re-eviction after a reload is free. Reloaded
-//! payloads are integer mismatch counts and bit-packed points — no floats
-//! touch disk — so a spilled/reloaded set serves **bit-identical**
-//! distances to the all-resident build (property-tested in
-//! `tests/proptest_shards.rs`).
+//! Rebuilding [`PointSet::distances`](crate::PointSet::distances) each
+//! time a dataset grows makes windowed ingestion quadratic in the whole
+//! history. [`ShardedPointSet`] takes points in **shards** (one per push
+//! that brings points), and appending `w` points to a history of `h`
+//! computes only the shard's own triangle (`w·(w−1)/2` pairs) and its
+//! `h × w` cross block, both through the mismatch kernel in
+//! `pointset.rs`. Earlier shards are never touched again, so they are
+//! **immutable**, which is what the out-of-core layer exploits.
 //!
 //! Shards store **integer mismatch counts** (`d = |x ⊕ y|`), not metric
 //! values: every §6.1 metric is a function of `(d, n_features)`, and the
-//! feature universe may still be growing while early shards are built. A
-//! metric is applied only at read time, through the same
-//! [`Distance::of_mismatches`] kernel as the monolithic path — so the merged
-//! matrix is **bit-identical** to `PointSet::distances` over the
-//! concatenated points at the final universe (property-tested in
-//! `tests/proptest_shards.rs`).
+//! universe may still grow after a shard is built. The one read,
+//! [`ShardedPointSet::try_condensed`], applies the metric through
+//! [`Distance::of_mismatches`] and materializes the whole
+//! [`CondensedMatrix`] (what every consumer wants: Lance–Williams
+//! mutates it in place, spectral's median-σ scans the raw buffer), bit
+//! for bit what `PointSet::distances` gives over the concatenated points
+//! at the final universe (`tests/proptest_shards.rs`).
 //!
-//! There is one read: [`ShardedPointSet::try_condensed`] materializes the
-//! whole [`CondensedMatrix`], which is what every consumer wants —
-//! hierarchical Lance–Williams mutates distances in place and spectral's
-//! median-σ heuristic scans the raw buffer. Nothing reads a single pair.
+//! # Out-of-core shards
+//!
+//! A shard's counts grow with the history (`Σ hₛ·wₛ` cross cells).
+//! [`ShardedPointSet::set_spill`] attaches a store ([`SpillConfig`]: a
+//! directory and a resident-byte budget, in the versioned, checksummed
+//! [`crate::spill`] format); after every append the set evicts closed
+//! shards oldest-first, the newest pinned, until the resident counts fit.
+//! Files are written once and re-eviction after a reload is free. The
+//! **points** (`8·⌈features/64⌉ + 24` bytes each) stay resident outside
+//! the budget: they are all an append needs, so **appends never read the
+//! store**. A read reloads one spilled shard at a time and drops it, so
+//! it holds the matrix it returns, the resident shards and at most one
+//! reloaded shard (file bytes plus decoded counts; `tests/read_memory.rs`
+//! gates it). Each shard holds one push's points, so no file grows with
+//! the history.
 
 use crate::distance::Distance;
 use crate::par;
-use crate::par::PARALLEL_MIN_POINTS;
-use crate::pointset::{condensed_row_start, CondensedMatrix};
+use crate::pointset::{condensed_row_start, fill_block, fill_triangle, CondensedMatrix};
 use crate::spill::{self, ShardRecord, SpillError};
 use crate::vfs::{self, Vfs};
 use logr_feature::{BitVec, QueryVector};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Cell-count threshold below which shard fills run serially (the same
-/// break-even as `PARALLEL_MIN_POINTS` points in the monolithic build).
-const PARALLEL_MIN_CELLS: usize = PARALLEL_MIN_POINTS * (PARALLEL_MIN_POINTS - 1) / 2;
 
 /// Process-global sequence for spill file names. Clones of a spilling set
 /// share a directory, so per-set indexes alone would collide; the file
@@ -305,12 +284,7 @@ impl ShardedPointSet {
     /// reused afterwards) and drop its resident payload. Returns `false`
     /// when the shard was already spilled. A write failure keeps the
     /// payload resident (no data loss).
-    ///
-    /// # Panics
-    /// Panics if `s` is out of range, or if no store was configured via
-    /// [`ShardedPointSet::set_spill`] and the shard has never been
-    /// written.
-    pub fn spill_shard(&mut self, s: usize) -> Result<bool, SpillError> {
+    fn spill_shard(&mut self, s: usize) -> Result<bool, SpillError> {
         if self.shards[s].data.is_none() {
             return Ok(false);
         }
@@ -354,8 +328,7 @@ impl ShardedPointSet {
     ///
     /// # Panics
     /// Panics if no store was configured via
-    /// [`ShardedPointSet::set_spill`] and a shard has never been written
-    /// (same contract as [`ShardedPointSet::spill_shard`]).
+    /// [`ShardedPointSet::set_spill`] and a shard has never been written.
     pub fn spill_all(&mut self) -> Result<usize, SpillError> {
         let mut evicted = 0;
         for s in 0..self.shards.len() {
@@ -367,8 +340,7 @@ impl ShardedPointSet {
     }
 
     /// Evict until the resident distances fit the budget: spill resident
-    /// shards oldest-first (= least recently appended; merges touch every
-    /// shard equally, so there is no finer per-shard recency to act on).
+    /// shards oldest-first (see [`SpillConfig::resident_budget`]).
     /// The newest shard is pinned — the streaming close path reads it
     /// immediately — so the budget is honored whenever it covers at least
     /// that one shard. Pushes without points leave no shard, so the pin
@@ -399,7 +371,7 @@ impl ShardedPointSet {
         Ok(())
     }
 
-    /// The one reload path, called by the one reader (`merge_into`): shard
+    /// The one reload path, called by the one reader (`try_condensed`): shard
     /// `s`'s payload from memory, else one read of its store file. The
     /// caller holds the returned `Arc` for as long as it needs the shard
     /// and drops it after — nothing is cached, so a read never changes
@@ -441,20 +413,6 @@ impl ShardedPointSet {
         vectors: &[&QueryVector],
         n_features: usize,
     ) -> Result<(), SpillError> {
-        self.try_push_shard_threads(vectors, n_features, par::threads())
-    }
-
-    /// [`ShardedPointSet::try_push_shard`] with an explicit worker count.
-    /// Mismatch counts are integers written to disjoint slices, so the
-    /// result is identical for every `n_threads` (unit- and
-    /// property-tested); this entry point exists so tests can force the
-    /// fan-out.
-    pub fn try_push_shard_threads(
-        &mut self,
-        vectors: &[&QueryVector],
-        n_features: usize,
-        n_threads: usize,
-    ) -> Result<(), SpillError> {
         assert!(
             n_features >= self.n_features,
             "feature universe may only grow ({} < {})",
@@ -469,38 +427,17 @@ impl ShardedPointSet {
         let w = vectors.len();
         let new_bits: Arc<[BitVec]> =
             vectors.iter().map(|v| BitVec::from_query_vector(v, n_features)).collect();
+        let count = |d: usize| d as u32;
 
-        // Intra-shard strict upper triangle: rows (i, i+1..w) partition the
-        // condensed buffer, so they fill lock-free.
         let mut intra = vec![0u32; w * (w - 1) / 2];
-        if w >= 2 {
-            let cells = intra.len();
-            let rows = par::triangle_rows(&mut intra, w);
-            let nt = if cells < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            let nb = &new_bits;
-            par::run_tasks(rows, nt, |(i, row)| {
-                let a = &nb[i];
-                for (offset, cell) in row.iter_mut().enumerate() {
-                    *cell = a.xor_count(&nb[i + 1 + offset]) as u32;
-                }
-            });
-        }
+        fill_triangle(&new_bits, &mut intra, count, par::threads());
 
-        // Cross block against the history: one row per earlier point, in
-        // one fan-out over the resident points. Earlier bitsets may be
-        // narrower (the universe grew); the padded xor zero-extends them,
-        // which preserves mismatch counts exactly.
+        // Cross block against the history: one row per earlier point, on
+        // the resident points. Earlier bitsets may be narrower (the
+        // universe grew); the kernel zero-extends them.
         let mut cross = vec![0u32; start * w];
-        if start > 0 {
-            let nt = if cross.len() < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            let history = self.shards.iter().flat_map(|slot| slot.bits.iter());
-            let rows: Vec<(&BitVec, &mut [u32])> = history.zip(cross.chunks_mut(w)).collect();
-            par::run_tasks(rows, nt, |(a, row)| {
-                for (cell, b) in row.iter_mut().zip(new_bits.iter()) {
-                    *cell = a.xor_count_padded(b) as u32;
-                }
-            });
-        }
+        let history = self.shards.iter().flat_map(|slot| slot.bits.iter());
+        fill_block(history, &new_bits, &mut cross, count, par::threads());
 
         let record = ShardRecord { n_features, start, intra, cross, bits: new_bits.clone() };
         let bytes = record.payload_bytes();
@@ -510,41 +447,46 @@ impl ShardedPointSet {
         self.enforce_budget()
     }
 
-    /// The one segment walk behind both bulk reads (the metric merge and
-    /// compaction). `merged` is a condensed strict upper triangle over all
-    /// `len()` points. Shard `t` owns a contiguous segment of every merged
-    /// row it touches — the suffix of its own points' intra rows, plus one
-    /// `w_t`-wide run in each earlier point's row (its cross block) — and
-    /// merged rows are consumed left to right as `t` ascends, so each
-    /// segment is split off exactly once with no per-cell shard lookup.
-    /// `fill` gets each shard's `(stored run, merged segment)` pairs,
-    /// equal in length pair by pair. Spilled shards are loaded for
-    /// their turn and dropped again, so a walk over a spilled history
-    /// holds at most one shard's payload beyond what is resident.
-    fn merge_into<T>(
-        &self,
-        merged: &mut [T],
-        mut fill: impl FnMut(Vec<(&[u32], &mut [T])>),
-    ) -> Result<(), SpillError> {
+    /// Materialize the merged condensed matrix under `metric` — the exact
+    /// bits `PointSet::distances` would produce for the same points. A
+    /// spilled shard that can no longer be reloaded (store deleted or
+    /// corrupted underneath the set) surfaces as a [`SpillError`].
+    ///
+    /// Shard `t` owns a contiguous segment of every merged row it touches
+    /// — the suffix of its own points' intra rows, plus one `w_t`-wide run
+    /// in each earlier point's row (its cross block) — and merged rows are
+    /// consumed left to right as `t` ascends, so each segment is split off
+    /// exactly once with no per-cell shard lookup. A shard's segments fill
+    /// in parallel, fanned out by its own cell count, so a history of many
+    /// small shards fills serially. Spilled shards are loaded for their
+    /// turn and dropped again, so a read over a spilled history holds at
+    /// most one shard's payload beyond what is resident.
+    pub fn try_condensed(&self, metric: Distance) -> Result<CondensedMatrix, SpillError> {
+        let n = self.len();
+        let mut cm = CondensedMatrix::zeros(n);
+        if n < 2 {
+            return Ok(cm);
+        }
+        let nf = self.n_features;
         // Each merged row, progressively consumed: rest[i] holds the not-
         // yet-filled tail of row i.
-        let mut rest: Vec<&mut [T]> =
-            par::triangle_rows(merged, self.len()).into_iter().map(|(_, row)| row).collect();
+        let mut rest: Vec<&mut [f64]> =
+            par::triangle_rows(cm.data_mut(), n).into_iter().map(|(_, row)| row).collect();
         let mut ts = 0;
-        for t in 0..self.shards.len() {
-            let wt = self.shards[t].bits.len();
+        for (t, slot) in self.shards.iter().enumerate() {
+            let wt = slot.bits.len();
             let te = ts + wt;
             let data = self.load_shard(t)?;
-            let mut segments: Vec<(&[u32], &mut [T])> = Vec::with_capacity(te);
-            for (i, slot) in rest.iter_mut().enumerate().take(te) {
+            let mut segments: Vec<(&[u32], &mut [f64])> = Vec::with_capacity(te);
+            for (i, row) in rest.iter_mut().enumerate().take(te) {
                 // Rows of shard t's own points still need their intra
                 // suffix; every earlier row needs t's cross run.
                 let seg_len = if i >= ts { te - i - 1 } else { wt };
                 if seg_len == 0 {
                     continue;
                 }
-                let (seg, tail) = std::mem::take(slot).split_at_mut(seg_len);
-                *slot = tail;
+                let (seg, tail) = std::mem::take(row).split_at_mut(seg_len);
+                *row = tail;
                 let run: &[u32] = if i >= ts {
                     &data.intra[condensed_row_start(wt, i - ts)..][..seg_len]
                 } else {
@@ -552,113 +494,17 @@ impl ShardedPointSet {
                 };
                 segments.push((run, seg));
             }
-            fill(segments);
-            ts = te;
-        }
-        debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
-        Ok(())
-    }
-
-    /// Materialize the merged condensed matrix under `metric` — the exact
-    /// bits `PointSet::distances` would produce for the same points —
-    /// filling each shard's segments in parallel. A spilled shard that can
-    /// no longer be reloaded (store deleted or corrupted underneath the
-    /// set) surfaces as a [`SpillError`].
-    pub fn try_condensed(&self, metric: Distance) -> Result<CondensedMatrix, SpillError> {
-        let mut cm = CondensedMatrix::zeros(self.len());
-        if self.len() < 2 {
-            return Ok(cm);
-        }
-        let nf = self.n_features;
-        let n_threads = par::threads();
-        self.merge_into(cm.data_mut(), |segments| {
-            // Fan out per shard, by this shard's own cell count — a
-            // history of many small shards fills serially instead of
-            // paying a scoped spawn/join round per shard.
             let cells: usize = segments.iter().map(|(run, _)| run.len()).sum();
-            let nt = if cells < PARALLEL_MIN_CELLS { 1 } else { n_threads };
-            par::run_tasks(segments, nt, |(run, seg)| {
+            par::run_tasks(segments, par::workers(cells, par::threads()), |(run, seg)| {
                 for (cell, &d) in seg.iter_mut().zip(run) {
                     *cell = metric.of_mismatches(d as usize, nf);
                 }
             });
-        })?;
+            ts = te;
+        }
+        debug_assert!(rest.iter().all(|r| r.is_empty()), "merge left unfilled cells");
         Ok(cm)
     }
-
-    /// Merge every shard into **one** — same points, same integer
-    /// mismatch counts, one slot — and return what was replaced. A long
-    /// stream accretes one shard (and one store file) per window that
-    /// found new points, and every bulk read then pays per-shard segment
-    /// bookkeeping plus, when spilled, one file reload each; compaction
-    /// collapses that to a single record whose merged triangle is
-    /// assembled by **copying** the existing intra/cross integers (never
-    /// recomputing a distance), so the compacted set serves bit-identical
-    /// reads. Bitsets recorded at an older, narrower universe are
-    /// zero-widened to the current one, which preserves every mismatch
-    /// count.
-    ///
-    /// With a store attached the merged shard is written immediately
-    /// (write-once files: the constituent files are obsolete but never
-    /// deleted by the set — clones may still reference them; the
-    /// returned [`CompactionStats::stale_files`] tells a caller which
-    /// files stopped being referenced *by this set*, and deleting them
-    /// is safe only once no clone can read them — `logr::Engine` defers
-    /// that to its next recovery) and, when the merged payload exceeds
-    /// the resident budget, evicted — compaction must not turn a bounded
-    /// stream into an unbounded resident matrix just because the tail is
-    /// normally pinned.
-    ///
-    /// No-op (and no write) when the set has fewer than two shards.
-    pub fn compact(&mut self) -> Result<CompactionStats, SpillError> {
-        let n_shards_before = self.n_shards();
-        if n_shards_before <= 1 {
-            return Ok(CompactionStats { shards_merged: 0, stale_files: Vec::new() });
-        }
-        let n = self.len();
-        let nf = self.n_features;
-        let mut intra = vec![0u32; n * (n - 1) / 2];
-        // The metric merge's walk, copying raw u32 mismatch counts.
-        self.merge_into(&mut intra, |segments| {
-            for (run, seg) in segments {
-                seg.copy_from_slice(run);
-            }
-        })?;
-        let history = self.shards.iter().flat_map(|slot| slot.bits.iter());
-        let bits: Arc<[BitVec]> =
-            history.map(|b| if b.len() == nf { b.clone() } else { b.widened(nf) }).collect();
-        let record =
-            ShardRecord { n_features: nf, start: 0, intra, cross: Vec::new(), bits: bits.clone() };
-        let bytes = record.payload_bytes();
-        // Write the merged file *before* touching any set state, so an
-        // `Err` anywhere in compaction leaves the set exactly as it was.
-        let mut path = None;
-        let mut keep_resident = true;
-        if let Some(cfg) = &self.spill {
-            let seq = SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed);
-            let p = cfg.dir.join(format!("shard-00000-{}-{seq:08x}.bin", std::process::id()));
-            spill::write_file_with(&*self.vfs, &p, &record)?;
-            path = Some(p);
-            keep_resident = bytes <= cfg.resident_budget;
-        }
-        let stale_files: Vec<PathBuf> =
-            self.shards.iter().filter_map(|slot| slot.path.clone()).collect();
-        let data = keep_resident.then(|| Arc::new(record));
-        self.shards = vec![ShardSlot { bits, data, path, bytes }];
-        Ok(CompactionStats { shards_merged: n_shards_before, stale_files })
-    }
-}
-
-/// What [`ShardedPointSet::compact`] replaced.
-#[derive(Debug, Clone, Default)]
-pub struct CompactionStats {
-    /// Shards merged into the single survivor (0 when compaction was a
-    /// no-op).
-    pub shards_merged: usize,
-    /// Store files of the replaced shards. Obsolete for this set, but not
-    /// deleted by it — clones sharing the directory may still read them;
-    /// an exclusive owner may remove them.
-    pub stale_files: Vec<PathBuf>,
 }
 
 #[cfg(test)]
@@ -779,24 +625,6 @@ mod tests {
             sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
             wider.distances(Distance::Hamming).as_slice()
         );
-    }
-
-    #[test]
-    fn forced_thread_counts_are_deterministic() {
-        // Big enough to cross PARALLEL_MIN_CELLS in both intra and cross.
-        let vs: Vec<QueryVector> =
-            (0..300u32).map(|i| qv(&[i % 32, (i * 7) % 32, (i * 13) % 32])).collect();
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let mut results = Vec::new();
-        for n_threads in [1usize, 2, 7] {
-            let mut sharded = ShardedPointSet::new();
-            for chunk in refs.chunks(150) {
-                sharded.try_push_shard_threads(chunk, 32, n_threads).unwrap();
-            }
-            results.push(sharded.try_condensed(Distance::Euclidean).unwrap());
-        }
-        assert_eq!(results[0].as_slice(), results[1].as_slice());
-        assert_eq!(results[0].as_slice(), results[2].as_slice());
     }
 
     #[test]
@@ -938,80 +766,6 @@ mod tests {
                 "{metric:?}"
             );
         }
-    }
-
-    #[test]
-    fn compact_preserves_every_distance_bit_for_bit() {
-        // Growing universe + a mix of resident and spilled constituents:
-        // compaction must copy, never recompute, so reads agree with the
-        // monolithic build on every metric.
-        let store = TempStore::new("compact");
-        let vs: Vec<QueryVector> =
-            (0..90u32).map(|i| qv(&[i % 16, (i * 3) % 48, (i * 7) % 48])).collect();
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let mut sharded = ShardedPointSet::new();
-        sharded
-            .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
-            .unwrap();
-        // First shards close at a narrower universe than later ones.
-        for (c, chunk) in refs.chunks(15).enumerate() {
-            sharded.try_push_shard(chunk, if c < 2 { 48 } else { 64 }).unwrap();
-        }
-        assert!(sharded.spilled_shards() > 0, "budget 0 must have spilled history");
-        let before: Vec<CondensedMatrix> =
-            all_metrics().iter().map(|&m| sharded.try_condensed(m).unwrap()).collect();
-
-        let stats = sharded.compact().unwrap();
-        assert_eq!(stats.shards_merged, 6);
-        assert!(!stats.stale_files.is_empty(), "spilled constituents leave stale files");
-        assert_eq!(sharded.n_shards(), 1);
-        assert_eq!(sharded.len(), refs.len());
-        assert_eq!(sharded.n_features(), 64);
-        for (m, reference) in all_metrics().iter().zip(&before) {
-            assert_eq!(
-                sharded.try_condensed(*m).unwrap().as_slice(),
-                reference.as_slice(),
-                "{m:?}"
-            );
-        }
-        // Appends keep working against the compacted history.
-        let extra = qv(&[0, 63]);
-        let mut grown = sharded.clone();
-        grown.try_push_shard(&[&extra], 64).unwrap();
-        let mut all: Vec<&QueryVector> = refs.clone();
-        all.push(&extra);
-        let monolithic = PointSet::from_vectors(&all, 64);
-        assert_eq!(
-            grown.try_condensed(Distance::Hamming).unwrap().as_slice(),
-            monolithic.distances(Distance::Hamming).as_slice()
-        );
-        // Compacting a single shard is a no-op.
-        let again = sharded.compact().unwrap();
-        assert_eq!(again.shards_merged, 0);
-    }
-
-    #[test]
-    fn compact_respects_the_resident_budget() {
-        // The merged shard is the pinned tail, but compaction must not let
-        // that pin blow the budget: over-budget merges land evicted.
-        let store = TempStore::new("compact-budget");
-        let vs: Vec<QueryVector> = (0..60u32).map(|i| qv(&[i % 16, (i * 5) % 16])).collect();
-        let refs: Vec<&QueryVector> = vs.iter().collect();
-        let mut sharded = ShardedPointSet::new();
-        sharded
-            .set_spill(SpillConfig { dir: store.path().to_path_buf(), resident_budget: 0 })
-            .unwrap();
-        for chunk in refs.chunks(10) {
-            sharded.try_push_shard(chunk, 16).unwrap();
-        }
-        sharded.compact().unwrap();
-        assert_eq!(sharded.spilled_shards(), 1, "over-budget merge must evict");
-        assert_eq!(sharded.resident_bytes(), 0);
-        let monolithic = PointSet::from_vectors(&refs, 16);
-        assert_eq!(
-            sharded.try_condensed(Distance::Hamming).unwrap().as_slice(),
-            monolithic.distances(Distance::Hamming).as_slice()
-        );
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn spectral_cluster_condensed(
         let dist_ref = dist;
         let rows: Vec<(usize, &mut [f64])> =
             affinity.as_mut_slice().chunks_mut(n).enumerate().collect();
-        let n_threads = if n < par::PARALLEL_MIN_POINTS { 1 } else { par::threads() };
+        let n_threads = par::workers(n * (n - 1) / 2, par::threads());
         par::run_tasks(rows, n_threads, |(i, row)| {
             for (j, cell) in row.iter_mut().enumerate() {
                 if i != j {

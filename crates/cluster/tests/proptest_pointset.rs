@@ -64,7 +64,7 @@ proptest! {
     }
 
     /// Per-pair dense distances agree with the batch matrix (the matrix is
-    /// filled row-parallel; `distance` is the scalar path).
+    /// filled row-parallel; `mismatches` is the scalar path).
     #[test]
     fn scalar_and_batch_dense_agree((vectors, universe) in arb_instance()) {
         let refs: Vec<&QueryVector> = vectors.iter().collect();
@@ -73,10 +73,8 @@ proptest! {
             let cm = points.distances(metric);
             for i in 0..points.len() {
                 for j in 0..points.len() {
-                    prop_assert_eq!(
-                        cm.get(i, j).to_bits(),
-                        points.distance(i, j, metric).to_bits()
-                    );
+                    let scalar = metric.of_mismatches(points.mismatches(i, j), universe);
+                    prop_assert_eq!(cm.get(i, j).to_bits(), scalar.to_bits());
                 }
             }
         }

@@ -145,12 +145,12 @@ pub fn feature_drift(baseline: &QueryLog, window: &QueryLog) -> DriftReport {
 /// so more-unknown queries always score at least as high — not lower, as
 /// a per-probe denominator would make them under `Distance::Hamming`.
 ///
-/// Each window feature is translated once per call. A vector the
-/// baseline holds scores 0 by lookup
-/// (`metric.of_mismatches(0, n_baseline_features)`, the bits a scan would
-/// find). The baseline's distinct queries are converted to bitsets on the
-/// first probe that needs a scan, and each candidate pair then costs one
-/// xor-popcount.
+/// Each window feature is translated once per call. A vector the baseline
+/// holds scores `metric.of_mismatches(0, n_baseline_features)` by lookup,
+/// the bits a scan would find. All other vectors go to
+/// [`PointSet::min_mismatches`] at once as probes: every metric is
+/// non-decreasing in the mismatch count, so the nearest point's distance
+/// is the metric of the fewest mismatches.
 ///
 /// Returns an empty vector when either log is empty.
 pub fn novelty_scores(baseline: &QueryLog, window: &QueryLog, metric: Distance) -> Vec<f64> {
@@ -161,34 +161,31 @@ pub fn novelty_scores(baseline: &QueryLog, window: &QueryLog, metric: Distance) 
     // Window id → baseline id; `None` for features the baseline lacks.
     let translation: Vec<Option<FeatureId>> =
         window.codebook().iter().map(|(_, feature)| baseline.codebook().get(feature)).collect();
-    let mut points: Option<PointSet> = None;
-    window
-        .entries()
-        .iter()
-        .map(|(v, _)| {
-            let known: Vec<FeatureId> =
-                v.iter().filter_map(|id| translation.get(id.index()).copied().flatten()).collect();
-            let unknown = v.len() - known.len();
-            let translated = QueryVector::new(known);
-            // Baseline entries are distinct id sets: a point at distance 0
-            // exists exactly when the translated vector is an entry, and no
-            // metric scores below its `d = 0` value.
-            if unknown == 0 && baseline.contains_vector(&translated) {
-                return metric.of_mismatches(0, nf);
-            }
-            let points = points.get_or_insert_with(|| PointSet::from_log(baseline));
-            let mut probe = BitVec::zeros(nf);
-            for id in translated.iter() {
-                probe.set(id.index());
-            }
-            (0..points.len())
-                .map(|i| {
-                    let d = probe.xor_count(points.point(i)) + unknown;
-                    metric.of_mismatches(d, nf)
-                })
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect()
+    let mut scores = vec![metric.of_mismatches(0, nf); window.entries().len()];
+    // Entries that need a scan: (entry, unknown features), beside their probes.
+    let mut misses: Vec<(usize, usize)> = Vec::new();
+    let mut probes: Vec<BitVec> = Vec::new();
+    for (entry, (v, _)) in window.entries().iter().enumerate() {
+        let known: Vec<FeatureId> =
+            v.iter().filter_map(|id| translation.get(id.index()).copied().flatten()).collect();
+        let unknown = v.len() - known.len();
+        let translated = QueryVector::new(known);
+        // Baseline entries are distinct id sets: a point at distance 0
+        // exists exactly when the translated vector is an entry, and no
+        // metric scores below its `d = 0` value.
+        if unknown == 0 && baseline.contains_vector(&translated) {
+            continue;
+        }
+        probes.push(BitVec::from_query_vector(&translated, nf));
+        misses.push((entry, unknown));
+    }
+    if !probes.is_empty() {
+        let nearest = PointSet::from_log(baseline).min_mismatches(&probes);
+        for ((entry, unknown), d) in misses.into_iter().zip(nearest) {
+            scores[entry] = metric.of_mismatches(d + unknown, nf);
+        }
+    }
+    scores
 }
 
 /// Per-feature geometric-mean probability of a query under a baseline

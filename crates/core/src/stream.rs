@@ -121,9 +121,7 @@
 
 use crate::compress::{CompressionObjective, LogR, LogRConfig, LogRSummary};
 use crate::drift::{feature_drift, novelty_scores, DriftReport};
-use logr_cluster::{
-    ClusterMethod, CompactionStats, Distance, PointSet, ShardedPointSet, SpillConfig, SpillError,
-};
+use logr_cluster::{ClusterMethod, Distance, PointSet, ShardedPointSet, SpillConfig, SpillError};
 use logr_feature::{QueryLog, QueryVector};
 use logr_source::{Featurizer, Record, SourceConfig, SourceError};
 use std::collections::VecDeque;
@@ -837,14 +835,6 @@ impl StreamSummarizer {
     pub fn persist_shards(&mut self) -> Result<usize, SpillError> {
         self.check_wedged()?;
         self.shards.persist_all()
-    }
-
-    /// Merge the history's many per-window shards into one (see
-    /// [`ShardedPointSet::compact`]): bit-identical reads, one store file
-    /// instead of one per window that found something new.
-    pub fn compact_shards(&mut self) -> Result<CompactionStats, SpillError> {
-        self.check_wedged()?;
-        self.shards.compact()
     }
 
     fn compressor(&self) -> LogR {

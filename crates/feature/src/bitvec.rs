@@ -84,21 +84,6 @@ impl BitVec {
         self.bits.iter().map(|b| b.count_ones() as usize).sum()
     }
 
-    /// `|self ∧ other|` — intersection size.
-    ///
-    /// # Panics
-    /// Panics on universe mismatch.
-    pub fn and_count(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        self.bits.iter().zip(&other.bits).map(|(a, b)| (a & b).count_ones() as usize).sum()
-    }
-
-    /// `|self ∨ other|` — union size.
-    pub fn or_count(&self, other: &BitVec) -> usize {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        self.bits.iter().zip(&other.bits).map(|(a, b)| (a | b).count_ones() as usize).sum()
-    }
-
     /// `|self ⊕ other|` — Hamming distance.
     pub fn xor_count(&self, other: &BitVec) -> usize {
         assert_eq!(self.len, other.len, "universe mismatch");
@@ -114,26 +99,10 @@ impl BitVec {
     pub fn xor_count_padded(&self, other: &BitVec) -> usize {
         let (short, long) =
             if self.bits.len() <= other.bits.len() { (self, other) } else { (other, self) };
-        let mut d = 0usize;
-        for (i, &b) in long.bits.iter().enumerate() {
-            let a = short.bits.get(i).copied().unwrap_or(0);
-            d += (a ^ b).count_ones() as usize;
-        }
-        d
-    }
-
-    /// The same bits over a universe widened to `len` features (the new
-    /// high bits are zero). Mismatch counts against any vector are
-    /// unchanged — widening is how spill-format records built at an older,
-    /// narrower universe are re-serialized at the current one.
-    ///
-    /// # Panics
-    /// Panics if `len` is smaller than the current universe.
-    pub fn widened(&self, len: usize) -> BitVec {
-        assert!(len >= self.len, "widened({len}) would shrink a {}-bit universe", self.len);
-        let mut bits = self.bits.clone();
-        bits.resize(len.div_ceil(64), 0);
-        BitVec { bits, len }
+        let (head, tail) = long.bits.split_at(short.bits.len());
+        let common: usize =
+            short.bits.iter().zip(head).map(|(a, b)| (a ^ b).count_ones() as usize).sum();
+        common + tail.iter().map(|b| b.count_ones() as usize).sum::<usize>()
     }
 
     /// Append the bitset's little-endian wire form to `out`:
@@ -182,12 +151,6 @@ impl BitVec {
     pub fn contains_all(&self, other: &BitVec) -> bool {
         assert_eq!(self.len, other.len, "universe mismatch");
         self.bits.iter().zip(&other.bits).all(|(a, b)| b & !a == 0)
-    }
-
-    /// The underlying `u64` blocks (bit `i` lives in block `i / 64` at bit
-    /// `i % 64`).
-    pub fn blocks(&self) -> &[u64] {
-        &self.bits
     }
 
     /// Call `f` with each set index in ascending order. Hand-rolled block
@@ -260,8 +223,6 @@ mod tests {
         let b = qv(&[3, 70, 99]);
         let da = BitVec::from_query_vector(&a, 100);
         let db = BitVec::from_query_vector(&b, 100);
-        assert_eq!(da.and_count(&db), a.intersection_size(&b));
-        assert_eq!(da.or_count(&db), a.union_size(&b));
         assert_eq!(da.xor_count(&db), a.symmetric_difference_size(&b));
         assert_eq!(da.contains_all(&db), a.contains_all(&b));
         let sub = BitVec::from_query_vector(&qv(&[1, 70]), 100);

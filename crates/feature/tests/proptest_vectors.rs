@@ -47,8 +47,6 @@ proptest! {
         let db = BitVec::from_query_vector(&vb, UNIVERSE as usize);
 
         prop_assert_eq!(da.count_ones(), va.len());
-        prop_assert_eq!(da.and_count(&db), va.intersection_size(&vb));
-        prop_assert_eq!(da.or_count(&db), va.union_size(&vb));
         prop_assert_eq!(da.xor_count(&db), va.symmetric_difference_size(&vb));
         prop_assert_eq!(da.contains_all(&db), va.contains_all(&vb));
         prop_assert_eq!(da.to_query_vector(), va);

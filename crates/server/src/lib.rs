@@ -53,7 +53,6 @@
 //! | `ingest` | `sql` / `record` *or* `statements` / `records` (≤ 4096) | `{"ingested", "closed", "windows_closed"}` |
 //! | `flush` | — | `{"closed": bool}` (closes a partial window) |
 //! | `checkpoint` | — | `{"durable": true}` (delta log folded into the base) |
-//! | `compact` | — | `{"merged": n}` (spilled shards merged) |
 //! | `close` | — | `{"closed": true}` (engine released, budget re-apportioned) |
 //! | `frequency` | `pred` | estimated matching queries (`null` before any summary) |
 //! | `share` | `pred` | workload share in `[0, 1]` |
@@ -88,7 +87,7 @@
 //!
 //! ## Commit/ack semantics
 //!
-//! Writes (`ingest`, `flush`, `checkpoint`, `compact`) run on the worker
+//! Writes (`ingest`, `flush`, `checkpoint`) run on the worker
 //! serving the connection that sent them, under the tenant's write gate,
 //! which the tenant's [`commit::GroupCommitVfs`] owns
 //! ([`commit::GroupCommitVfs::run_gated`]): one tenant's writes apply one

@@ -165,8 +165,6 @@ pub enum WriteOp {
     Flush,
     /// Fold the delta log into a fresh base manifest, durably.
     Checkpoint,
-    /// Merge spilled shards (returns the shards merged away).
-    Compact,
 }
 
 /// An analytics read over the tenant's snapshot.
@@ -347,7 +345,6 @@ fn decode_tenant_op(op: &str, doc: &Json) -> Result<TenantOp, ServerError> {
         "ingest" => Write(WriteOp::Ingest { statements: ingest_statements(doc)? }),
         "flush" => Write(WriteOp::Flush),
         "checkpoint" => Write(WriteOp::Checkpoint),
-        "compact" => Write(WriteOp::Compact),
         "stats" => TenantOp::Stats,
         "close" => TenantOp::Close,
         "frequency" => Read(ReadOp::Frequency { pred: required_pred(doc, "pred")? }),
@@ -665,6 +662,22 @@ mod tests {
 
         let f = parse_frame(r#"{"op":"frequency"}"#);
         assert!(f.request.is_err(), "tenant ops require a tenant");
+    }
+
+    #[test]
+    fn compact_is_an_unknown_op() {
+        // The op left with store compaction; its frame is answered like
+        // any other unknown op, with the request id echoed.
+        let f = parse_frame(r#"{"id":7,"op":"compact","tenant":"a"}"#);
+        let err = f.request.unwrap_err();
+        assert!(matches!(&err, ServerError::Protocol { .. }), "{err:?}");
+        let reply = json::parse(err_frame(&f.id, &err).trim_end()).unwrap();
+        assert_eq!(reply.get("id"), Some(&Json::Num(7.0)));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)));
+        let error = reply.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Json::as_str), Some("Protocol"));
+        let detail = error.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains(r#"unknown op "compact""#), "{detail}");
     }
 
     #[test]

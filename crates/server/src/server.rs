@@ -505,10 +505,6 @@ fn run_write(tenant: &Tenant, op: WriteOp) -> Result<Json, ServerError> {
             tenant.engine.checkpoint()?;
             Ok(obj(vec![("durable", Json::Bool(true))]))
         }
-        WriteOp::Compact => {
-            let merged = tenant.engine.compact()?;
-            Ok(obj(vec![("merged", n(merged as f64))]))
-        }
     }
 }
 

@@ -77,7 +77,9 @@ impl Client {
     }
 
     fn call(&mut self, frame: &str) -> Json {
-        writeln!(self.stream, "{frame}").expect("send frame");
+        // Frame and newline in one write: two small writes would wait out
+        // Nagle's algorithm against the server's delayed ACK.
+        self.stream.write_all(format!("{frame}\n").as_bytes()).expect("send frame");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");
         assert!(line.ends_with('\n'), "response must be a full line: {line:?}");

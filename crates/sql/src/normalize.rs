@@ -363,16 +363,30 @@ fn desugar(expr: Expr) -> Expr {
             }
         }
         Expr::InList { expr, list, negated } => {
-            let mut terms = list.into_iter().map(|item| Expr::Binary {
-                left: expr.clone(),
-                op: if negated { BinaryOp::NotEq } else { BinaryOp::Eq },
-                right: Box::new(item),
-            });
-            let first = terms.next().unwrap_or(Expr::Literal(Literal::Boolean(!negated)));
-            terms.fold(first, |acc, t| if negated { Expr::and(acc, t) } else { Expr::or(acc, t) })
+            let terms: Vec<Expr> = list
+                .into_iter()
+                .map(|item| Expr::Binary {
+                    left: expr.clone(),
+                    op: if negated { BinaryOp::NotEq } else { BinaryOp::Eq },
+                    right: Box::new(item),
+                })
+                .collect();
+            let join = if negated { Expr::and } else { Expr::or };
+            balanced(terms, join).unwrap_or(Expr::Literal(Literal::Boolean(!negated)))
         }
         other => other,
     }
+}
+
+/// Join `terms` into a balanced tree: the leaves keep their order, so
+/// [`dnf`] gives what a left-deep chain would, at logarithmic depth (an
+/// IN list of any length desugars to a tree every recursive walk takes).
+fn balanced(mut terms: Vec<Expr>, join: fn(Expr, Expr) -> Expr) -> Option<Expr> {
+    if terms.len() <= 1 {
+        return terms.pop();
+    }
+    let right = terms.split_off(terms.len() / 2);
+    Some(join(balanced(terms, join)?, balanced(right, join)?))
 }
 
 /// Convert an NNF/desugared predicate into DNF: a list of conjunct lists.
@@ -500,6 +514,26 @@ mod tests {
         let r = reg("select a from t where x not in (1, 2)");
         assert_eq!(r.branches.len(), 1);
         assert_eq!(r.branches[0].conjuncts[0].to_string(), "x != ?");
+    }
+
+    #[test]
+    fn long_in_lists_regularize_without_deep_recursion() {
+        // A left-deep chain recurses once per member in DNF conversion;
+        // the balanced join keeps the leaves in order, so the branches
+        // and conjuncts are what a chain would give.
+        let list: Vec<String> = (0..3_000).map(|i| i.to_string()).collect();
+        let list = list.join(", ");
+        let not_in = parse_select(&format!("select a from t where x not in ({list})")).unwrap();
+        let r = regularize(&not_in).unwrap();
+        assert_eq!(r.branches.len(), 1);
+        assert_eq!(r.branches[0].conjuncts.len(), 3_000);
+        let in_list = parse_select(&format!("select a from t where x in ({list})")).unwrap();
+        assert!(matches!(regularize(&in_list), Err(RegularizeError::TooManyDisjuncts { .. })));
+
+        let r = regularize(&parse_select("select a from t where x in (1, 2, 3, 4, 5)").unwrap())
+            .unwrap();
+        let got: Vec<String> = r.branches.iter().map(|b| b.conjuncts[0].to_string()).collect();
+        assert_eq!(got, ["x = 1", "x = 2", "x = 3", "x = 4", "x = 5"]);
     }
 
     #[test]

@@ -79,18 +79,36 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement, ParseError> {
 /// inputs (logs are untrusted).
 pub const MAX_NESTING_DEPTH: usize = 40;
 
+/// Maximum operators (binary, unary, postfix, joins, unions) one parse
+/// may build: a chain like `a OR b OR …` parses in a loop but builds a
+/// tree as deep as it is long, and every walk of a statement recurses.
+pub const MAX_OPERATORS: usize = 256;
+
 /// Token-stream parser. Use [`parse_select`] unless you need incremental
 /// control.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     depth: usize,
+    operators: usize,
 }
 
 impl Parser {
     /// Tokenize `sql` and position at the first token.
     pub fn new(sql: &str) -> Result<Self, ParseError> {
-        Ok(Parser { tokens: Lexer::tokenize(sql)?, pos: 0, depth: 0 })
+        Ok(Parser { tokens: Lexer::tokenize(sql)?, pos: 0, depth: 0, operators: 0 })
+    }
+
+    /// Count one more operator node against [`MAX_OPERATORS`].
+    fn operator(&mut self) -> Result<(), ParseError> {
+        self.operators += 1;
+        if self.operators > MAX_OPERATORS {
+            return Err(ParseError::Unsupported {
+                construct: format!("more than {MAX_OPERATORS} operators"),
+                offset: self.peek().offset,
+            });
+        }
+        Ok(())
     }
 
     fn enter(&mut self) -> Result<(), ParseError> {
@@ -201,6 +219,7 @@ impl Parser {
     fn parse_set_expr(&mut self) -> Result<SetExpr, ParseError> {
         let mut left = SetExpr::Select(Box::new(self.parse_select_block()?));
         while self.eat_kw("union") {
+            self.operator()?;
             let all = self.eat_kw("all");
             let right = SetExpr::Select(Box::new(self.parse_select_block()?));
             left = SetExpr::Union { left: Box::new(left), right: Box::new(right), all };
@@ -327,6 +346,7 @@ impl Parser {
             } else {
                 return Ok(left);
             };
+            self.operator()?;
             let right = self.parse_table_primary()?;
             let on = if self.eat_kw("on") { Some(self.parse_expr()?) } else { None };
             left = TableRef::Join { left: Box::new(left), right: Box::new(right), kind, on };
@@ -404,6 +424,7 @@ impl Parser {
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_and()?;
         while self.eat_kw("or") {
+            self.operator()?;
             let right = self.parse_and()?;
             left = Expr::or(left, right);
         }
@@ -413,6 +434,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut left = self.parse_not()?;
         while self.eat_kw("and") {
+            self.operator()?;
             let right = self.parse_not()?;
             left = Expr::and(left, right);
         }
@@ -421,6 +443,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
         if self.eat_kw("not") {
+            self.operator()?;
             let inner = self.parse_not()?;
             return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
         }
@@ -446,12 +469,14 @@ impl Parser {
                 None
             };
             if let Some(op) = op {
+                self.operator()?;
                 let right = self.parse_additive()?;
                 left = Expr::binary(left, op, right);
                 continue;
             }
             // Postfix predicates: IS [NOT] NULL, [NOT] IN, [NOT] BETWEEN, [NOT] LIKE.
             if self.eat_kw("is") {
+                self.operator()?;
                 let negated = self.eat_kw("not");
                 self.expect_kw("null")?;
                 left = Expr::IsNull { expr: Box::new(left), negated };
@@ -468,6 +493,7 @@ impl Parser {
                 false
             };
             if self.eat_kw("in") {
+                self.operator()?;
                 self.expect_sym("(")?;
                 if self.peek().is_kw("select") {
                     let query = self.parse_statement()?;
@@ -485,6 +511,7 @@ impl Parser {
                 continue;
             }
             if self.eat_kw("between") {
+                self.operator()?;
                 let low = self.parse_additive()?;
                 self.expect_kw("and")?;
                 let high = self.parse_additive()?;
@@ -497,6 +524,7 @@ impl Parser {
                 continue;
             }
             if self.eat_kw("like") {
+                self.operator()?;
                 let pattern = self.parse_additive()?;
                 left = Expr::Like { expr: Box::new(left), pattern: Box::new(pattern), negated };
                 continue;
@@ -520,6 +548,7 @@ impl Parser {
             } else {
                 return Ok(left);
             };
+            self.operator()?;
             let right = self.parse_multiplicative()?;
             left = Expr::binary(left, op, right);
         }
@@ -537,6 +566,7 @@ impl Parser {
             } else {
                 return Ok(left);
             };
+            self.operator()?;
             let right = self.parse_unary()?;
             left = Expr::binary(left, op, right);
         }
@@ -544,10 +574,12 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat_sym("-") {
+            self.operator()?;
             let inner = self.parse_unary()?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
         if self.eat_sym("+") {
+            self.operator()?;
             return self.parse_unary();
         }
         self.parse_primary()
@@ -901,6 +933,30 @@ mod tests {
         // Moderate nesting still parses.
         let ok = format!("select a from t where {}x = 1{}", "(".repeat(24), ")".repeat(24));
         assert!(parse_select(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_operator_chains_rejected_not_crashed() {
+        // A chain parses in a loop but builds a tree as deep as it is
+        // long, and whatever walks the statement next recurses that deep.
+        let chain = |n: usize, op: &str| {
+            let terms: Vec<String> = (0..n).map(|i| format!("a = {i}")).collect();
+            format!("select a from t where {}", terms.join(op))
+        };
+        for op in [" or ", " and "] {
+            // n terms build n − 1 connectives and n comparisons.
+            let fits = MAX_OPERATORS.div_ceil(2);
+            assert!(parse_select(&chain(fits, op)).is_ok(), "{op}");
+            assert!(matches!(
+                parse_select(&chain(fits + 1, op)),
+                Err(ParseError::Unsupported { .. })
+            ));
+            assert!(parse_select(&chain(10_000, op)).is_err());
+        }
+        for prefix in ["not ", "- ", "+ "] {
+            let sql = format!("select a from t where {}a = 1", prefix.repeat(100_000));
+            assert!(matches!(parse_select(&sql), Err(ParseError::Unsupported { .. })), "{prefix}");
+        }
     }
 
     #[test]

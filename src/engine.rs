@@ -146,7 +146,7 @@ impl EngineBuilder {
     /// the store for writing (safe because shard files are write-once
     /// and the manifest is replaced atomically; writers never delete
     /// files — only an exclusive writer's resume-time GC does). Write
-    /// entry points (ingest, flush, checkpoint, compact) return
+    /// entry points (ingest, flush, checkpoint) return
     /// [`Error::ReadOnly`]. The degraded-open mode for inspecting a
     /// wedged or foreign-owned store.
     pub fn read_only(mut self) -> Self {
@@ -296,10 +296,10 @@ impl EngineBuilder {
                 }
             })?;
         // Garbage-collect shard files the manifest no longer references
-        // (left behind by compactions — see `Engine::compact`). Recovery
-        // is the one moment no live snapshot can be holding them: the
-        // engine has not been assembled yet and any previous process's
-        // snapshots died with it. Only files the engine itself owns are
+        // (a crash between a shard file's write and the manifest that
+        // names it leaves one behind). Recovery is the one moment no live
+        // snapshot can be holding them: the engine has not been assembled
+        // yet and any previous process's snapshots died with it. Only files the engine itself owns are
         // touched — a store directory may hold unrelated user files the
         // engine must never delete. Swept alongside unreferenced shards:
         // shard `.tmp` siblings AND the manifest's own `engine.tmp`,
@@ -348,8 +348,8 @@ impl EngineBuilder {
 const LOCK_FILE: &str = "engine.lock";
 
 /// Exclusive ownership of a store directory, held for an [`Engine`]'s
-/// lifetime. Two layers, because the destructive operations (resume-time
-/// garbage collection, compaction) assume no one else reads the store:
+/// lifetime. Two layers, because the destructive operation (resume-time
+/// garbage collection) assumes no one else reads the store:
 ///
 /// * an **in-process registry** — opening the same directory from two
 ///   `Engine`s in one process is refused outright;
@@ -711,8 +711,7 @@ struct DeltaSession {
     log: DeltaLog,
     /// Shards whose files the base plus every appended record name: the
     /// next record names the files of shards `acked_shards..`. A count is
-    /// enough because shards are append-only while a session lives —
-    /// only compaction rewrites the chain, and it ends the session.
+    /// enough because shards are append-only: nothing rewrites the chain.
     acked_shards: usize,
 }
 
@@ -729,11 +728,10 @@ const DELTA_FOLD_MIN_BYTES: u64 = 64 * 1024;
 /// lock), and [`Engine::snapshot`] hands any number of reader threads a
 /// consistent view without blocking the writer.
 ///
-/// The writer lock is taken by exactly four things — the ingest/flush
-/// write path, [`Engine::checkpoint`], [`Engine::compact`] and
+/// The writer lock is taken by exactly three things — the ingest/flush
+/// write path, [`Engine::checkpoint`] and
 /// [`Engine::set_resident_budget`] — and each republishes whenever it
-/// changed what a snapshot shows (a close, a fold, a merge, an
-/// eviction). Every accessor ([`Engine::source`],
+/// changed what a snapshot shows (a close, a fold, an eviction). Every accessor ([`Engine::source`],
 /// [`Engine::windows_closed`], [`Engine::total_queries`],
 /// [`Engine::spilled_shards`], [`Engine::resident_shard_bytes`], …)
 /// answers from the published snapshot, so a reader never queues behind
@@ -741,7 +739,7 @@ const DELTA_FOLD_MIN_BYTES: u64 = 64 * 1024;
 #[derive(Debug)]
 pub struct Engine {
     dir: Option<PathBuf>,
-    /// The writer lock (see the type docs for its only four takers).
+    /// The writer lock (see the type docs for its only three takers).
     state: Mutex<WriterState>,
     published: RwLock<Arc<EngineSnapshot>>,
     /// Storage layer every manifest write/read goes through (shard I/O
@@ -979,7 +977,7 @@ impl Engine {
 
     /// The current published snapshot — a cheap `Arc` clone that never
     /// blocks on the writer beyond the publish pointer swap. Snapshots
-    /// advance at window closes (and checkpoints/compactions), so a
+    /// advance at window closes (and checkpoints), so a
     /// reader sees the state as of the latest boundary, never a torn
     /// mid-close intermediate.
     pub fn snapshot(&self) -> Result<Arc<EngineSnapshot>, Error> {
@@ -1030,29 +1028,6 @@ impl Engine {
         let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
         self.persist_full(&mut st)?;
         self.publish(&st)
-    }
-
-    /// Merge the history's shards (and store files: one per window that
-    /// found new distinct queries) into one — bit-identical reads at a
-    /// fraction of the per-shard reload and bookkeeping overhead. On
-    /// durable engines the manifest is rewritten to reference only the
-    /// merged file; the replaced files are left on disk, because
-    /// snapshots handed out **before** the compaction still read from
-    /// them — [`EngineBuilder::resume`] garbage-collects unreferenced
-    /// shard files on the next open, when no snapshot can exist. Returns
-    /// how many shards were merged (0 = nothing to do).
-    pub fn compact(&self) -> Result<usize, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let stats = st.summarizer.compact_shards()?;
-        if stats.shards_merged == 0 {
-            return Ok(0);
-        }
-        // Compaction rewrites the shard-file set wholesale, which no
-        // delta record can express — fold into a fresh base.
-        self.persist_full(&mut st)?;
-        self.publish(&st)?;
-        Ok(stats.shards_merged)
     }
 
     /// History shards currently on disk only (0 for in-memory engines).

@@ -89,7 +89,7 @@ pub enum Error {
         /// The operation that hit the full disk.
         detail: String,
     },
-    /// A write operation (ingest, flush, checkpoint, compact) was asked
+    /// A write operation (ingest, flush, checkpoint) was asked
     /// of an engine opened with [`crate::EngineBuilder::read_only`].
     ReadOnly,
     /// A durable-only operation (checkpoint) was asked of an in-memory

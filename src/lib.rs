@@ -148,10 +148,6 @@
 //!   manifest; after it returns, a crash loses nothing at all. The
 //!   engine folds automatically once the log outgrows its base (and on
 //!   every writable resume that replayed records).
-//! * **[`Engine::compact`]** — rewrites the manifest to the merged
-//!   shard; the replaced files persist until the next writable resume
-//!   garbage-collects them, so a crash at any point leaves one complete
-//!   referenced set.
 //! * **Between persists** — ingested-but-unflushed statements in the
 //!   window buffer since the last window close/checkpoint are lost, by
 //!   design (window granularity).

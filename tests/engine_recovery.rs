@@ -162,49 +162,6 @@ fn reopen_without_checkpoint_recovers_the_last_window_close() {
 }
 
 #[test]
-fn compacted_store_reopens_bit_identically() {
-    // Compaction (satellite): many small shard files merge into one, the
-    // stale files disappear, and both the live engine and a reopened one
-    // serve bit-identical summaries.
-    let store = TempStore::new("engine-compact");
-    let engine = Engine::builder().window(8).clusters(2).open(store.path()).unwrap();
-    for i in 0..80 {
-        engine.ingest_record(&statement(i)).unwrap();
-    }
-    let before = engine.summary().unwrap().expect("summary");
-    // A reader snapshot taken *before* the compaction: it references the
-    // pre-compact shard files and must keep answering after them.
-    let pre_compact_snapshot = engine.snapshot().unwrap();
-    let files_before = std::fs::read_dir(store.path()).unwrap().count();
-    let merged = engine.compact().unwrap();
-    assert!(merged > 1, "expected a multi-shard history, merged {merged}");
-    // Stale files are NOT deleted while the engine lives — snapshots may
-    // still read them (regression: an eager delete broke live readers).
-    let files_after_compact = std::fs::read_dir(store.path()).unwrap().count();
-    assert_eq!(files_after_compact, files_before + 1, "compact must only add the merged file");
-    let via_old_snapshot = pre_compact_snapshot.summary().unwrap().expect("summary");
-    assert_eq!(before.clustering, via_old_snapshot.clustering);
-    let after = engine.summary().unwrap().expect("summary");
-    assert_eq!(before.clustering, after.clustering);
-    assert_eq!(before.error().to_bits(), after.error().to_bits());
-    // Reopening garbage-collects the unreferenced files (no snapshot can
-    // exist then) and still serves bit-identical summaries.
-    drop(engine);
-    drop(pre_compact_snapshot);
-    let reopened = Engine::open(store.path()).unwrap();
-    let files_after_reopen = std::fs::read_dir(store.path()).unwrap().count();
-    assert!(
-        files_after_reopen < files_before,
-        "{files_before} files -> {files_after_reopen} (manifest + merged shard expected)"
-    );
-    let recovered = reopened.summary().unwrap().expect("summary");
-    assert_eq!(before.clustering, recovered.clustering);
-    assert_eq!(before.error().to_bits(), recovered.error().to_bits());
-    // Idempotent.
-    assert_eq!(reopened.compact().unwrap(), 0);
-}
-
-#[test]
 fn rebounding_the_budget_frees_memory_on_an_idle_engine() {
     // A snapshot shares every resident shard payload with the writer's
     // store, so evicting on the store alone frees nothing until the next
@@ -324,7 +281,7 @@ fn resume_gc_spares_foreign_files_and_removes_orphaned_shards() {
     let orphan_shard = store.path().join("shard-99999-1-deadbeef.bin");
     std::fs::write(&foreign_bin, b"user data, not a shard").unwrap();
     std::fs::write(&foreign_txt, b"user notes").unwrap();
-    std::fs::write(&orphan_shard, b"compaction leftover").unwrap();
+    std::fs::write(&orphan_shard, b"crash leftover").unwrap();
 
     let engine = Engine::open(store.path()).unwrap();
     assert!(foreign_bin.exists(), "resume GC deleted a user file");

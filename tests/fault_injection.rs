@@ -278,7 +278,6 @@ fn read_only_engine_rejects_every_write_entry_point() {
     assert!(matches!(reader.ingest(&Record::new("SELECT 1").at(99)), Err(Error::ReadOnly)));
     assert!(matches!(reader.flush(), Err(Error::ReadOnly)));
     assert!(matches!(reader.checkpoint(), Err(Error::ReadOnly)));
-    assert!(matches!(reader.compact(), Err(Error::ReadOnly)));
 }
 
 #[test]

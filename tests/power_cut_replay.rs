@@ -29,8 +29,8 @@
 //!
 //! Exercised across tumbling/sliding/time windows, budget 0 and
 //! unbounded, SQL and template sources (the latter proves the miner
-//! journal recovers bit-identically), with compaction and explicit
-//! checkpoints mid-trace —
+//! journal recovers bit-identically), with explicit checkpoints
+//! mid-trace —
 //! deterministic scenario tests plus a property test over random window
 //! shapes, budgets, and scripts, plus an exhaustive record-prefix sweep
 //! of one multi-record delta log.
@@ -82,7 +82,6 @@ enum Step {
     At(u64, u64),
     Flush,
     Checkpoint,
-    Compact,
 }
 
 /// What the run left behind: the IO trace, every base manifest the run
@@ -148,9 +147,6 @@ fn run_scripted(
                 engine.flush().expect("flush");
             }
             Step::Checkpoint => engine.checkpoint().expect("checkpoint"),
-            Step::Compact => {
-                engine.compact().expect("compact");
-            }
         }
         record(&engine);
     }
@@ -259,13 +255,10 @@ fn sql_steps(n: u64) -> Vec<Step> {
 }
 
 #[test]
-fn power_cut_replay_tumbling_budget_zero_with_compaction() {
-    // Budget 0 spills aggressively (maximum shard-file traffic), the
-    // mid-run compact rewrites the store, and the mid-window checkpoint
-    // persists a half-filled buffer.
-    let mut steps = sql_steps(14);
-    steps.push(Step::Compact);
-    steps.extend((14..23).map(Step::Sql));
+fn power_cut_replay_tumbling_budget_zero_with_checkpoint() {
+    // Budget 0 spills aggressively (maximum shard-file traffic), and the
+    // mid-window checkpoint persists a half-filled buffer.
+    let mut steps = sql_steps(23);
     steps.push(Step::Checkpoint);
     steps.extend((23..26).map(Step::Sql));
     let dir = PathBuf::from("/vstore-tumbling");
@@ -384,7 +377,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// The same property over random window shapes, budgets, and scripts
-    /// (compaction and checkpoints sprinkled at random points).
+    /// (a checkpoint at a random point).
     #[test]
     fn power_cut_replay_holds_for_random_scenarios(
         case in 0u64..1_000_000,
@@ -392,20 +385,11 @@ proptest! {
         window in 4u64..10,
         slide_num in 0u64..3,
         budget_zero in proptest::arbitrary::any::<bool>(),
-        compact_frac in 0usize..100,
         checkpoint_frac in 0usize..100,
     ) {
         let mut steps: Vec<Step> = seeds.iter().map(|&s| Step::Sql(s)).collect();
-        let compact_at = compact_frac * steps.len() / 100;
         let checkpoint_at = checkpoint_frac * steps.len() / 100;
-        // Insert the later index first so the earlier stays valid.
-        let (hi, hi_step, lo, lo_step) = if compact_at >= checkpoint_at {
-            (compact_at, Step::Compact, checkpoint_at, Step::Checkpoint)
-        } else {
-            (checkpoint_at, Step::Checkpoint, compact_at, Step::Compact)
-        };
-        steps.insert(hi, hi_step);
-        steps.insert(lo, lo_step);
+        steps.insert(checkpoint_at, Step::Checkpoint);
         // Unique virtual directory per case: the engine's in-process
         // store registry keys on the path, and a shared name would
         // serialize… or collide across concurrently-running cases.
