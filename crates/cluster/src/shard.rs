@@ -628,6 +628,40 @@ mod tests {
     }
 
     #[test]
+    fn forced_thread_counts_are_deterministic() {
+        // Big enough to cross PARALLEL_MIN_CELLS in both intra and cross;
+        // the second push widens the universe, so the cross block
+        // zero-extends the first shard's bitsets.
+        let vs: Vec<QueryVector> = (0..300u32)
+            .map(|i| {
+                let mut ids = vec![i % 32, (i * 7) % 32, (i * 13) % 32];
+                if i >= 150 {
+                    ids.push(32 + (i * 5) % 64);
+                }
+                qv(&ids)
+            })
+            .collect();
+        let refs: Vec<&QueryVector> = vs.iter().collect();
+        let mut sharded = ShardedPointSet::new();
+        sharded.try_push_shard(&refs[..150], 32).unwrap();
+        sharded.try_push_shard(&refs[150..], 96).unwrap();
+        let count = |d: usize| d as u32;
+        for (s, slot) in sharded.shards.iter().enumerate() {
+            let record = slot.data.as_ref().unwrap();
+            let history = &sharded.shards[..s];
+            for n_threads in [1usize, 2, 7] {
+                let mut intra = vec![0u32; record.intra.len()];
+                fill_triangle(&slot.bits, &mut intra, count, n_threads);
+                assert_eq!(intra, record.intra, "shard {s} intra, n_threads={n_threads}");
+                let mut cross = vec![0u32; record.cross.len()];
+                let rows = history.iter().flat_map(|h| h.bits.iter());
+                fill_block(rows, &slot.bits, &mut cross, count, n_threads);
+                assert_eq!(cross, record.cross, "shard {s} cross, n_threads={n_threads}");
+            }
+        }
+    }
+
+    #[test]
     fn degenerate_sizes() {
         // `default()` must be the same valid empty set as `new()`.
         let defaulted = ShardedPointSet::default();

@@ -9,7 +9,8 @@
 //! proves the reloaded set bit-identical to both the all-resident set and
 //! the monolithic build. Every battery interleaves zero-width pushes among
 //! the real ones: they leave no shard, and the universe they report is
-//! kept.
+//! kept. A last test reruns this binary at forced worker counts to show
+//! the fan-out does not change a bit.
 
 use logr_cluster::{Distance, PointSet, ShardedPointSet, SpillConfig};
 use logr_feature::{FeatureId, QueryVector};
@@ -174,5 +175,62 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", metric);
             }
         }
+    }
+}
+
+/// Set in the child processes of
+/// [`shard_fanout_deterministic_across_thread_counts`]: print the digest
+/// of the fan-out instance and stop.
+const FANOUT_CHILD: &str = "LOGR_SHARD_FANOUT_CHILD";
+
+/// FNV-1a over the merged Manhattan bits of a fixed two-push instance
+/// large enough that the intra triangle, the cross block (against a
+/// narrower first shard) and the merge all cross the fan-out threshold.
+fn fanout_digest() -> u64 {
+    let vectors: Vec<QueryVector> = (0..300u32)
+        .map(|i| {
+            let mut ids = vec![i % 32, (i * 7) % 32, (i * 13) % 32];
+            if i >= 150 {
+                ids.push(32 + (i * 5) % 64);
+            }
+            QueryVector::new(ids.into_iter().map(FeatureId).collect())
+        })
+        .collect();
+    let refs: Vec<&QueryVector> = vectors.iter().collect();
+    let mut sharded = ShardedPointSet::new();
+    for (chunk, width) in pushes(&refs, 150, 0, 32, 96) {
+        sharded.try_push_shard(chunk, width).unwrap();
+    }
+    let merged = sharded.try_condensed(Distance::Manhattan).unwrap();
+    merged
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, d| (h ^ d.to_bits()).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The shard fan-out writes disjoint slices of integer mismatch counts,
+/// so every worker count yields the same merged bits. The worker cap is
+/// read once per process from `LOGR_THREADS`, so the test reruns itself
+/// at 1, 2, 3 and 8 workers and compares the children's digests with
+/// each other and with this process's.
+#[test]
+fn shard_fanout_deterministic_across_thread_counts() {
+    if std::env::var_os(FANOUT_CHILD).is_some() {
+        println!("digest={}", fanout_digest());
+        return;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let here = fanout_digest();
+    for n_threads in [1usize, 2, 3, 8] {
+        let out = std::process::Command::new(&exe)
+            .args(["shard_fanout_deterministic_across_thread_counts", "--exact", "--nocapture"])
+            .env("LOGR_THREADS", n_threads.to_string())
+            .env(FANOUT_CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "child at n_threads={n_threads} failed: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let digest = stdout.lines().find_map(|l| l.strip_prefix("digest="));
+        assert_eq!(digest, Some(here.to_string().as_str()), "n_threads={n_threads}");
     }
 }
